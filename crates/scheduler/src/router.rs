@@ -37,7 +37,7 @@ use scan_core::{ScanError, ScanResult};
 use crate::metrics::ShardedMetrics;
 use crate::policy::Policy;
 use crate::request::{OpKind, ServeRequest};
-use crate::serve::{Completion, ServeConfig, ServeReport, Server};
+use crate::serve::{check_arrivals, Completion, ResponseStats, ServeConfig, ServeReport, Server};
 use crate::shard::{QueueEntry, ShardState, STEAL_NODE_BASE};
 
 /// How the router picks an arrival's primary shard.
@@ -288,6 +288,16 @@ impl Router {
         &self.config
     }
 
+    /// Response-memo accounting summed over the shards' engines (across
+    /// every window this router ran). Each shard keeps its own memo, so a
+    /// request served by two shards in different windows counts once per
+    /// shard.
+    pub fn response_stats(&self) -> ResponseStats {
+        self.engines.iter().map(Server::response_stats).fold(ResponseStats::default(), |sum, s| {
+            ResponseStats { served: sum.served + s.served, entries: sum.entries + s.entries }
+        })
+    }
+
     /// The worker count one window actually steps with: 1 under
     /// [`RouterConfig::serial_stepping`], else the configured
     /// [`RouterConfig::threads`] (`0` = the host's available parallelism),
@@ -315,12 +325,15 @@ impl Router {
     /// advance — resolves serially at the barrier between ticks, in
     /// shard-index order. Outputs are therefore byte-identical to
     /// [`RouterConfig::serial_stepping`] by construction, whatever the
-    /// thread count.
+    /// thread count. Each shard's responses are computed by its engine's
+    /// window-end response pass when the window is finalized.
+    ///
+    /// # Errors
+    /// [`ScanError::InvalidConfig`] when an arrival is negative, not
+    /// finite, or earlier than its predecessor's; the router is left
+    /// untouched. Otherwise the lowest-shard error a launch reports.
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ShardedReport> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival"
-        );
+        check_arrivals(requests)?;
         let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
             .map(|s| {
                 Mutex::new(ShardState::new(

@@ -12,14 +12,22 @@
 //!    bit-identically for repeated shapes — see `docs/perf.md`), and the
 //!    resulting graph is admitted into one shared [`FleetTimeline`] — so
 //!    cross-request contention serialises exactly like intra-request
-//!    contention.
+//!    contention. Each member's response is looked up in the response
+//!    memo; a miss waits for step 4.
 //! 3. **Advance** — the clock jumps to the next arrival or completion;
 //!    completions release their leases and record latency.
+//! 4. **Respond** — when the window ends, one response pass computes every
+//!    response the memo did not hold: per operator kind, the misses are
+//!    split by element count across the host's cores, and each worker
+//!    streams its members through interleaved lanes that generate the
+//!    input, scan it row by row and FNV-1a-hash it in one loop.
 //!
 //! Everything is bit-deterministic from the workload and the input seed:
 //! the clock only takes values produced by the fleet scheduler's f64
 //! arithmetic, queue orders are total, and completions are processed in
-//! `(finish-time bits, launch sequence)` order.
+//! `(finish-time bits, launch sequence)` order. Responses never feed back
+//! into scheduling, so resolving them at the window's end changes no
+//! simulated number.
 //!
 //! One window serves a *mixed-operator* workload: each request names an
 //! [`OpKind`] — inclusive `Add` over `i32` (the paper's evaluation
@@ -35,13 +43,15 @@
 //! (see `docs/operators.md`).
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 use devices::{DeviceModel, DevicePreset, FabricPreset};
 use gpu_sim::DeviceSpec;
-use interconnect::{empty_remap, Fabric, FleetTimeline, FleetTrace};
+use interconnect::{empty_remap, Admission, Fabric, FleetTimeline, FleetTrace};
 use scan_core::{
-    scan_on_lease, CacheStats, PipelinePolicy, PlanCache, ProblemParams, ScanKind, ScanResult,
+    scan_on_lease, CacheStats, PipelinePolicy, PlanCache, ProblemParams, ScanError, ScanKind,
+    ScanResult,
 };
 use skeletons::{
     Add, AffinePair, GatedOp, Max, ScanOp, Scannable, SegPair, SegmentedAdd, SplkTuple,
@@ -52,10 +62,40 @@ use crate::metrics::FleetMetrics;
 use crate::policy::Policy;
 use crate::pool::{DevicePool, PoolDevice, PoolLease};
 use crate::request::{OpKind, ServeRequest};
-use crate::shard::{self, Launch, ShardState};
+use crate::shard::{self, Launch, Miss, ResponseKey, ShardState};
 use crate::workload::{
     request_input_f64_into, request_input_gated_into, request_input_into, request_input_seg_into,
 };
+
+/// Run `$body` with `$op` bound to `$kind`'s monoid and the type alias `$t`
+/// to its element type: where the serving loop turns an [`OpKind`] into
+/// types, for launches and for the response pass alike.
+macro_rules! with_kind {
+    ($kind:expr, |$op:ident: $t:ident| $body:expr) => {
+        match $kind {
+            OpKind::AddI32 => {
+                type $t = i32;
+                let $op = Add;
+                $body
+            }
+            OpKind::MaxF64 => {
+                type $t = f64;
+                let $op = Max;
+                $body
+            }
+            OpKind::SegSumI32 => {
+                type $t = SegPair<i32>;
+                let $op = SegmentedAdd;
+                $body
+            }
+            OpKind::GatedF64 => {
+                type $t = AffinePair<f64>;
+                let $op = GatedOp;
+                $body
+            }
+        }
+    };
+}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -140,7 +180,10 @@ pub struct Completion {
     pub gpus: Arc<[usize]>,
     /// FNV-1a checksum of the request's output slice, over each value's
     /// little-endian byte encoding (see [`ServedOutput`] for the per-type
-    /// encodings).
+    /// encodings). Taken from the response memo when it holds the
+    /// request, otherwise computed by the response pass when the window
+    /// ends — either way bit-equal to hashing an isolated CPU-reference
+    /// scan of the request's input.
     pub checksum: u64,
     /// The output slice itself, when [`ServeConfig::keep_outputs`] is set.
     pub output: Option<ServedOutput>,
@@ -218,47 +261,54 @@ impl ServedOutput {
     }
 }
 
+/// Interleaved lanes per response-pass worker: four independent FNV-1a
+/// multiply chains advance in one loop, so each chain's latency hides
+/// behind the other three.
+const LANES: usize = 4;
+
 /// An element type the serving engine hosts: how to fetch a tenant's
 /// deterministic input stream, hash an output value into the response
 /// checksum, and box a kept output.
 trait ServedElem: Scannable {
     /// Fetch the tenant's deterministic input stream, appending into a
-    /// pooled buffer — no allocation once the buffer has grown.
+    /// reused buffer — no allocation once the buffer has grown. The impls
+    /// are `#[inline(never)]`: compiled on its own, the generator inlines
+    /// its RNG's range reduction over constant bounds, while inlined into
+    /// the response pass's lane loop it called the generic reduction out
+    /// of line, at about a third of the speed.
     fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<Self>);
-    /// Hand the hot path this thread's pooled `(input, compacted)` buffer
-    /// pair, cleared. Thread-local per concrete element type, so a steady
-    /// request's input generation never allocates once the buffers reach
-    /// the window's largest batch.
-    fn with_buffers<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
+    /// Hand a cold launch this thread's pooled batch-input buffer,
+    /// cleared. Thread-local per concrete element type, so cold builds
+    /// stop allocating once the buffer reaches the window's largest batch.
+    fn with_input<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
     fn push(hash: u64, v: Self) -> u64;
     fn wrap(out: Vec<Self>) -> ServedOutput;
 }
 
-/// One pooled `(input, compacted)` buffer pair, cleared before each use.
-/// Declared per concrete [`ServedElem`] impl (thread-locals cannot be
-/// generic), so each element type recycles its own pool.
-macro_rules! served_buffers {
+/// [`ServedElem::with_input`] for one concrete element type (thread-locals
+/// cannot be generic, so each impl declares its own pool).
+macro_rules! served_input {
     ($ty:ty) => {
-        fn with_buffers<R>(f: impl FnOnce(&mut Vec<$ty>, &mut Vec<$ty>) -> R) -> R {
+        fn with_input<R>(f: impl FnOnce(&mut Vec<$ty>) -> R) -> R {
             thread_local! {
-                static BUFS: std::cell::RefCell<(Vec<$ty>, Vec<$ty>)> =
-                    const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+                static INPUT: std::cell::RefCell<Vec<$ty>> =
+                    const { std::cell::RefCell::new(Vec::new()) };
             }
-            BUFS.with(|bufs| {
-                let (input, compacted) = &mut *bufs.borrow_mut();
+            INPUT.with(|input| {
+                let input = &mut *input.borrow_mut();
                 input.clear();
-                compacted.clear();
-                f(input, compacted)
+                f(input)
             })
         }
     };
 }
 
 impl ServedElem for i32 {
+    #[inline(never)]
     fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<i32>) {
         request_input_into(seed, id, len, out)
     }
-    served_buffers!(i32);
+    served_input!(i32);
     fn push(hash: u64, v: i32) -> u64 {
         fnv1a_push(hash, v)
     }
@@ -268,10 +318,11 @@ impl ServedElem for i32 {
 }
 
 impl ServedElem for f64 {
+    #[inline(never)]
     fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<f64>) {
         request_input_f64_into(seed, id, len, out)
     }
-    served_buffers!(f64);
+    served_input!(f64);
     fn push(hash: u64, v: f64) -> u64 {
         fnv1a_bytes(hash, &v.to_bits().to_le_bytes())
     }
@@ -281,10 +332,11 @@ impl ServedElem for f64 {
 }
 
 impl ServedElem for SegPair<i32> {
+    #[inline(never)]
     fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<SegPair<i32>>) {
         request_input_seg_into(seed, id, len, out)
     }
-    served_buffers!(SegPair<i32>);
+    served_input!(SegPair<i32>);
     fn push(hash: u64, v: SegPair<i32>) -> u64 {
         fnv1a_bytes(fnv1a_push(hash, v.v), &[v.reset as u8])
     }
@@ -294,10 +346,11 @@ impl ServedElem for SegPair<i32> {
 }
 
 impl ServedElem for AffinePair<f64> {
+    #[inline(never)]
     fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<AffinePair<f64>>) {
         request_input_gated_into(seed, id, len, out)
     }
-    served_buffers!(AffinePair<f64>);
+    served_input!(AffinePair<f64>);
     fn push(hash: u64, v: AffinePair<f64>) -> u64 {
         let hash = fnv1a_bytes(hash, &v.a.to_bits().to_le_bytes());
         fnv1a_bytes(hash, &v.b.to_bits().to_le_bytes())
@@ -347,9 +400,9 @@ pub struct ServeReport {
 /// recomputing their output, and how many checksums are stored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResponseStats {
-    /// Completions whose checksum came from the memo: no reference scan,
-    /// no bytes hashed — and on a plan-cache hit, no input generated
-    /// either.
+    /// Completions whose checksum came from the memo — or from a miss an
+    /// earlier launch of the same window already queued for the response
+    /// pass: no input generated, no reference scan, no bytes hashed.
     pub served: u64,
     /// Distinct `(request id, shape, operator kind)` checksums stored.
     pub entries: usize,
@@ -362,7 +415,8 @@ struct ResponseMemo {
     /// the same id, shape and operator always yield the same input and
     /// output. The operator is part of the key: the same id served under
     /// two kinds has two distinct checksums.
-    sums: HashMap<(usize, u32, u32, OpKind), u64, interconnect::FxBuildHasher>,
+    /// Written only by the window-end response pass.
+    sums: HashMap<ResponseKey, u64, interconnect::FxBuildHasher>,
     served: u64,
 }
 
@@ -461,11 +515,15 @@ impl Server {
     }
 
     /// Serve `requests` (sorted by arrival) to completion.
+    ///
+    /// # Errors
+    /// [`ScanError::InvalidConfig`] when an arrival is negative, not
+    /// finite, or earlier than its predecessor's; the server is left
+    /// untouched. Otherwise any error a launch's functional execution
+    /// reports — the response memo is written only when a window
+    /// completes, so a failed window leaves it as it was.
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ServeReport> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival"
-        );
+        check_arrivals(requests)?;
         // One shard's worth of state is the whole server here; the sharded
         // router drives N of these with the same dispatch/sample/retire
         // methods, which is what makes its 1-shard path byte-equal.
@@ -567,23 +625,17 @@ impl Server {
                     (members, g_combined)
                 }
             };
-            let launch = self.launch(
-                state.launches,
-                &mut state.fleet,
-                lease,
-                requests,
-                &members,
-                g_combined,
-                now,
-            )?;
+            let launch = self.launch(state, lease, requests, &members, g_combined, now)?;
             state.launches += 1;
             state.running.push(launch);
         }
         Ok(())
     }
 
-    /// Finalize one serve loop's state into its report.
-    pub(crate) fn report(&self, state: ShardState) -> ServeReport {
+    /// Finalize one serve loop's state into its report, running the
+    /// window's response pass first.
+    pub(crate) fn report(&self, mut state: ShardState) -> ServeReport {
+        self.respond(&mut state);
         let ShardState { fleet, completions, queue_samples, launches, pool, .. } = state;
         let makespan = fleet.makespan();
         // Busy accounting comes straight off the fleet's admission records;
@@ -611,15 +663,19 @@ impl Server {
         }
     }
 
-    /// Execute one (possibly coalesced) launch and admit it to the fleet:
-    /// dispatch on the head's [`OpKind`] to the fully typed instantiation.
-    /// Every member shares the head's kind (the coalescer never mixes).
-    /// `members` are indices into `requests`.
-    #[allow(clippy::too_many_arguments)]
+    /// Execute one (possibly coalesced) launch, admit it to the fleet, and
+    /// resolve its members' responses. Every member shares the head's
+    /// kind (the coalescer never mixes). `members` are indices into
+    /// `requests`.
+    ///
+    /// Hit and cold launches share one response path: a member the
+    /// response memo holds takes its checksum now; every other member is
+    /// a miss the window-end response pass ([`Server::respond`]) answers.
+    /// Nothing is looked up with [`ServeConfig::keep_outputs`] set (the
+    /// memo holds checksums, not outputs) or with the plan cache off.
     fn launch(
         &self,
-        seq: usize,
-        fleet: &mut FleetTimeline,
+        state: &mut ShardState,
         lease: PoolLease,
         requests: &[ServeRequest],
         members: &[usize],
@@ -627,40 +683,61 @@ impl Server {
         now: f64,
     ) -> ScanResult<Launch> {
         debug_assert!(members.iter().all(|&m| requests[m].op == requests[members[0]].op));
-        match requests[members[0]].op {
-            OpKind::AddI32 => self
-                .launch_typed::<i32, _>(Add, seq, fleet, lease, requests, members, g_combined, now),
-            OpKind::MaxF64 => self
-                .launch_typed::<f64, _>(Max, seq, fleet, lease, requests, members, g_combined, now),
-            OpKind::SegSumI32 => self.launch_typed::<SegPair<i32>, _>(
-                SegmentedAdd,
-                seq,
-                fleet,
-                lease,
-                requests,
-                members,
-                g_combined,
-                now,
-            ),
-            OpKind::GatedF64 => self.launch_typed::<AffinePair<f64>, _>(
-                GatedOp, seq, fleet, lease, requests, members, g_combined, now,
-            ),
+        let fleet = &mut state.fleet;
+        let (admission, gpus) = with_kind!(requests[members[0]].op, |op: T| {
+            self.launch_typed::<T, _>(op, fleet, &lease, requests, members, g_combined, now)
+        })?;
+
+        let lookups = self.config.plan_cache && !self.config.keep_outputs;
+        let memo = lookups.then(|| self.responses.lock().expect("response memo poisoned"));
+        let first_miss = state.misses.len();
+        let mut completions = Vec::with_capacity(members.len());
+        for (slot, &m) in members.iter().enumerate() {
+            let r = &requests[m];
+            let key = (r.id, r.n, r.g, r.op);
+            let checksum = match memo.as_ref().and_then(|memo| memo.sums.get(&key)) {
+                Some(&sum) => {
+                    state.memo_hits += 1;
+                    sum
+                }
+                None => {
+                    state.misses.push(Miss { key, launch: state.launches, slot });
+                    0 // written by the response pass
+                }
+            };
+            completions.push(Completion {
+                dispatched: now,
+                started: admission.start,
+                finished: admission.finish,
+                coalesced: members.len(),
+                gpus: gpus.clone(),
+                checksum,
+                output: None,
+                request: r.clone(),
+            });
         }
+        Ok(Launch {
+            seq: state.launches,
+            lease,
+            finish: admission.finish,
+            completions,
+            misses: first_miss..state.misses.len(),
+        })
     }
 
-    /// The typed body of [`Server::launch`].
+    /// The typed body of [`Server::launch`]: plan the launch and admit its
+    /// graph into the fleet. Returns the admission and the GPUs it ran on.
     #[allow(clippy::too_many_arguments)]
     fn launch_typed<T: ServedElem, O: ScanOp<T>>(
         &self,
         op: O,
-        seq: usize,
         fleet: &mut FleetTimeline,
-        lease: PoolLease,
+        lease: &PoolLease,
         requests: &[ServeRequest],
         members: &[usize],
         g_combined: u32,
         now: f64,
-    ) -> ScanResult<Launch> {
+    ) -> ScanResult<(Admission, Arc<[usize]>)> {
         let head = &requests[members[0]];
         let problem = ProblemParams::new(head.n, g_combined);
         // Every GPU in a grant shares one generation (the pool never spans
@@ -680,254 +757,377 @@ impl Server {
 
         // One plan consultation per launch. The key carries `T` and `O`,
         // so a hit can only come from this operator's own entries. A hit
-        // needs no data path of its own: its shared graph is admitted
-        // directly (zero-copy — the fleet maps resources through the hit's
-        // remap table), and member responses come from the memo or from
-        // one batched sweep over the concatenated miss blocks.
+        // needs no data at all: its shared graph is admitted directly
+        // (zero-copy — the fleet maps resources through the hit's remap
+        // table).
         let mut cold_plan = None;
-        let hit = if self.config.plan_cache {
-            match self
-                .cache
-                .plan::<T, O>(
+        if self.config.plan_cache {
+            let planned = self.cache.plan::<T, O>(
+                device,
+                &self.fabric,
+                &gpu_lease,
+                problem,
+                self.tuple,
+                ScanKind::Inclusive,
+                &policy,
+            );
+            match planned.into_hit() {
+                Ok(hit) => {
+                    let admission = fleet.admit_shared(hit.graph, hit.remap, now, prefix);
+                    return Ok((admission, hit.gpus_used));
+                }
+                Err(planned) => cold_plan = Some(planned),
+            }
+        }
+        // A miss (or a server without a plan cache) simulates the batch on
+        // its members' concatenated inputs; a miss memoizes the plan as it
+        // finishes, so the next launch of this shape hits. The simulated
+        // output is not the response: responses come from the
+        // reference-order pass, which the cache layer's self-validation
+        // pins equal for the integer kinds and which is the canonical
+        // answer for the float kinds.
+        let leased = T::with_input(|input| {
+            for &m in members {
+                let m = &requests[m];
+                T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
+            }
+            debug_assert_eq!(input.len(), problem.total_elems());
+            match cold_plan {
+                Some(planned) => planned.run(op, input),
+                None => scan_on_lease(
+                    op,
+                    self.tuple,
                     device,
                     &self.fabric,
                     &gpu_lease,
                     problem,
-                    self.tuple,
+                    input,
                     ScanKind::Inclusive,
                     &policy,
-                )
-                .into_hit()
-            {
-                Ok(hit) => Some(hit),
-                Err(planned) => {
-                    cold_plan = Some(planned);
-                    None
-                }
+                ),
             }
-        } else {
-            None
-        };
+        })?;
+        let admission = fleet.admit_shared(Arc::new(leased.run.graph), empty_remap(), now, prefix);
+        Ok((admission, leased.gpus_used.into()))
+    }
 
-        // Per member: `(checksum, output if kept)`. Both paths compute the
-        // member's response in canonical sequential reference order, so a
-        // completion is bit-equal to an isolated CPU-reference run — and
-        // hit and cold paths agree bit-for-bit, for floats included.
-        let keep = self.config.keep_outputs;
-        let (admission, gpus_used, outputs) = match hit {
-            Some(hit) => {
-                let mut memo = self.responses.lock().expect("response memo poisoned");
-                // Steady-state fast path: every member already in the memo
-                // — one pass, no scratch buffers. `served` is committed
-                // only when the whole launch is warm, so bailing to the
-                // general path never double-counts.
-                let mut outputs: Vec<(u64, Option<ServedOutput>)> =
-                    Vec::with_capacity(members.len());
-                if !keep {
-                    for &m in members {
-                        let r = &requests[m];
-                        match memo.sums.get(&(r.id, r.n, r.g, r.op)) {
-                            Some(&sum) => outputs.push((sum, None)),
-                            None => break,
-                        }
-                    }
-                }
-                if outputs.len() == members.len() {
-                    memo.served += members.len() as u64;
-                } else {
-                    outputs.clear();
-                    let warm = self.warm_sums(&mut memo, requests, members, keep);
-                    // Memo misses concatenate into one pooled buffer and
-                    // hash in a single batched sweep, like the blocks of
-                    // one simulated launch rather than member by member.
-                    let mut spans: Vec<(usize, usize)> = Vec::new();
-                    let hashed = T::with_buffers(|input, _| {
-                        for (&m, w) in members.iter().zip(&warm) {
-                            if w.is_none() {
-                                let m = &requests[m];
-                                T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
-                                spans.push((m.problem().problem_size(), m.total_elems()));
-                            }
-                        }
-                        scanned_checksums_batch(op, input, &spans, keep)
-                    });
-                    let mut hashed = hashed.into_iter();
-                    outputs.extend(members.iter().zip(warm).map(|(&m, w)| match w {
-                        Some(sum) => (sum, None),
-                        None => {
-                            let (sum, out) = hashed.next().expect("every miss member is hashed");
-                            let m = &requests[m];
-                            memo.sums.insert((m.id, m.n, m.g, m.op), sum);
-                            (sum, out.map(T::wrap))
-                        }
-                    }));
-                }
-                drop(memo);
-                let admission = fleet.admit_shared(hit.graph, hit.remap, now, prefix);
-                (admission, hit.gpus_used, outputs)
-            }
-            None => T::with_buffers(|input, compacted| -> ScanResult<_> {
-                for &m in members {
-                    let m = &requests[m];
-                    T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
-                }
-                debug_assert_eq!(input.len(), problem.total_elems());
-                let leased = match cold_plan {
-                    // A cache miss runs cold and memoizes the plan as it
-                    // finishes; the next launch of this shape hits.
-                    Some(planned) => planned.run(op, input)?,
-                    None => scan_on_lease(
-                        op,
-                        self.tuple,
-                        device,
-                        &self.fabric,
-                        &gpu_lease,
-                        problem,
-                        input,
-                        ScanKind::Inclusive,
-                        &policy,
-                    )?,
-                };
-                // Responses are hashed from the reference-order scan of
-                // each member's own input slice rather than from
-                // `leased.data`: for the integer kinds the two are
-                // bit-identical (the cache layer self-validates the
-                // simulated output), and for float kinds the reference
-                // order is the canonical answer the hit path reproduces.
-                // Even on a plan miss (e.g. float kinds whose simulated
-                // bits aren't replayable, so their plans are never cached)
-                // the response itself memoizes: warm members are stepped
-                // over, the cold remainder hashes in one batched sweep.
-                let mut memo = self
-                    .config
-                    .plan_cache
-                    .then(|| self.responses.lock().expect("response memo poisoned"));
-                let warm = match memo.as_deref_mut() {
-                    Some(memo) => self.warm_sums(memo, requests, members, keep),
-                    None => vec![None; members.len()],
-                };
-                let mut spans: Vec<(usize, usize)> = Vec::new();
-                let all_cold = warm.iter().all(Option::is_none);
-                let mut offset = 0;
-                for (&m, w) in members.iter().zip(&warm) {
-                    let m = &requests[m];
-                    if w.is_none() {
-                        if !all_cold {
-                            compacted.extend_from_slice(&input[offset..offset + m.total_elems()]);
-                        }
-                        spans.push((m.problem().problem_size(), m.total_elems()));
-                    }
-                    offset += m.total_elems();
-                }
-                let batch_input: &[T] = if all_cold { &input[..] } else { &compacted[..] };
-                let mut hashed = scanned_checksums_batch(op, batch_input, &spans, keep).into_iter();
-                let outputs = members
-                    .iter()
-                    .zip(warm)
-                    .map(|(&m, w)| match w {
-                        Some(sum) => (sum, None),
-                        None => {
-                            let (sum, out) = hashed.next().expect("every cold member is hashed");
-                            if let Some(memo) = memo.as_deref_mut() {
-                                let m = &requests[m];
-                                memo.sums.insert((m.id, m.n, m.g, m.op), sum);
-                            }
-                            (sum, out.map(T::wrap))
-                        }
-                    })
-                    .collect();
-                let admission =
-                    fleet.admit_shared(Arc::new(leased.run.graph), empty_remap(), now, prefix);
-                Ok((admission, leased.gpus_used.into(), outputs))
-            })?,
-        };
-
-        let group = members.len();
-        let gpus: Arc<[usize]> = gpus_used;
-        let mut completions = Vec::with_capacity(group);
-        for (&m, (checksum, output)) in members.iter().zip(outputs) {
-            completions.push(Completion {
-                dispatched: now,
-                started: admission.start,
-                finished: admission.finish,
-                coalesced: group,
-                gpus: gpus.clone(),
-                checksum,
-                output,
-                request: requests[m].clone(),
+    /// The window-end response pass: compute every response the window's
+    /// launches missed, write each checksum (and kept output) into its
+    /// completion, then commit the window to the response memo — its
+    /// served count and, with the plan cache on, every computed checksum.
+    ///
+    /// A key an earlier launch of the window missed also answers a later
+    /// launch's member, which counts as served from the memo: exactly as
+    /// if the earlier launch had written the memo at dispatch. Members of
+    /// one launch never answer each other — they resolved against the
+    /// memo together, so a key repeated inside one launch stays cold.
+    fn respond(&self, state: &mut ShardState) {
+        debug_assert!(state.running.is_empty(), "every launch retires before the pass");
+        let misses = std::mem::take(&mut state.misses);
+        let lookups = self.config.plan_cache && !self.config.keep_outputs;
+        let shared = if lookups { shared_misses(&misses) } else { vec![None; misses.len()] };
+        let cold: Vec<ResponseKey> =
+            misses.iter().zip(&shared).filter(|(_, s)| s.is_none()).map(|(m, _)| m.key).collect();
+        let (cold_sums, mut outputs) =
+            response_pass(self.config.input_seed, &cold, self.config.keep_outputs, pass_workers);
+        let mut cold_sums = cold_sums.into_iter();
+        let mut sums = Vec::with_capacity(misses.len());
+        for share in &shared {
+            sums.push(match *share {
+                Some(first) => sums[first],
+                None => cold_sums.next().expect("one pass result per cold miss"),
             });
         }
-        Ok(Launch { seq, lease, finish: admission.finish, completions })
-    }
-
-    /// Resolve each member against the response memo: `Some(sum)` when its
-    /// checksum is already known (counted as served), `None` when its
-    /// block must be scanned. With `keep_outputs` on, every member is
-    /// cold — the memo holds checksums, not outputs.
-    fn warm_sums(
-        &self,
-        memo: &mut ResponseMemo,
-        requests: &[ServeRequest],
-        members: &[usize],
-        keep: bool,
-    ) -> Vec<Option<u64>> {
-        members
-            .iter()
-            .map(|&m| {
-                let m = &requests[m];
-                let key = (m.id, m.n, m.g, m.op);
-                let sum = (!keep).then(|| memo.sums.get(&key).copied()).flatten()?;
-                memo.served += 1;
-                Some(sum)
-            })
-            .collect()
+        // Kept outputs only exist without lookups, where every miss is cold.
+        for (i, miss) in misses.iter().enumerate() {
+            let completion = &mut state.completions[miss.slot];
+            completion.checksum = sums[i];
+            completion.output = outputs.get_mut(i).and_then(Option::take);
+        }
+        if self.config.plan_cache {
+            let mut memo = self.responses.lock().expect("response memo poisoned");
+            memo.served += state.memo_hits + shared.iter().flatten().count() as u64;
+            memo.sums.extend(misses.iter().map(|m| m.key).zip(sums));
+        }
     }
 }
 
-/// Inclusive-scan `input` row by row (rows of `n` elements) in canonical
-/// sequential order and FNV-1a the scanned values as they are produced —
-/// the same bits as `fnv1a(&expected_output)` without materializing the
-/// output (unless `keep` asks for it).
-fn scanned_checksum<T: ServedElem, O: ScanOp<T>>(
-    op: O,
-    input: &[T],
-    n: usize,
-    keep: bool,
-) -> (u64, Option<Vec<T>>) {
-    debug_assert_eq!(input.len() % n, 0);
-    let mut hash = FNV_OFFSET;
-    let mut out = keep.then(|| Vec::with_capacity(input.len()));
-    for row in input.chunks_exact(n) {
-        let mut acc = op.identity();
-        for &v in row {
-            acc = op.combine(acc, v);
-            hash = T::push(hash, acc);
-            if let Some(out) = out.as_mut() {
-                out.push(acc);
+/// Per miss, the earlier miss whose result it shares: the key's first miss
+/// in the window, when that came from an earlier launch.
+fn shared_misses(misses: &[Miss]) -> Vec<Option<usize>> {
+    let mut order: Vec<usize> = (0..misses.len()).collect();
+    order.sort_unstable_by_key(|&i| {
+        let (id, n, g, op) = misses[i].key;
+        (id, n, g, op as u8, i)
+    });
+    let mut shared = vec![None; misses.len()];
+    for group in order.chunk_by(|&a, &b| misses[a].key == misses[b].key) {
+        let first = group[0];
+        for &i in &group[1..] {
+            if misses[i].launch != misses[first].launch {
+                shared[i] = Some(first);
             }
         }
     }
-    (hash, out)
+    shared
 }
 
-/// [`scanned_checksum`] over a coalesced launch's concatenated blocks in
-/// one sweep: member `i` owns `spans[i].1` elements in rows of
-/// `spans[i].0`. Bit-identical to hashing each member's slice separately
-/// — rows reset the accumulator, so block boundaries carry no state.
-fn scanned_checksums_batch<T: ServedElem, O: ScanOp<T>>(
-    op: O,
-    input: &[T],
-    spans: &[(usize, usize)],
-    keep: bool,
-) -> Vec<(u64, Option<Vec<T>>)> {
-    debug_assert_eq!(input.len(), spans.iter().map(|&(_, elems)| elems).sum::<usize>());
-    let mut out = Vec::with_capacity(spans.len());
-    let mut offset = 0;
-    for &(n, elems) in spans {
-        out.push(scanned_checksum(op, &input[offset..offset + elems], n, keep));
-        offset += elems;
+/// Arrivals must be finite, non-negative and sorted: the loop's clock only
+/// moves forward from zero.
+pub(crate) fn check_arrivals(requests: &[ServeRequest]) -> ScanResult<()> {
+    if let Some(r) = requests.iter().find(|r| !(r.arrival.is_finite() && r.arrival >= 0.0)) {
+        return Err(ScanError::InvalidConfig(format!(
+            "request {}: arrival {} is not a finite, non-negative time",
+            r.id, r.arrival
+        )));
     }
-    out
+    if let Some(w) = requests.windows(2).find(|w| w[1].arrival < w[0].arrival) {
+        return Err(ScanError::InvalidConfig(format!(
+            "requests must be sorted by arrival: request {} at {} follows request {} at {}",
+            w[1].id, w[1].arrival, w[0].id, w[0].arrival
+        )));
+    }
+    Ok(())
+}
+
+/// Elements one response-pass worker should have before another is worth
+/// starting: a scoped thread costs tens of microseconds to spawn and
+/// join, about what a worker spends on this many elements.
+const ELEMS_PER_WORKER: usize = 1 << 16;
+
+/// Workers for a response pass over `elems` elements of one kind: the
+/// host's available parallelism (which honours the affinity mask), fewer
+/// for a small window, none beyond the calling thread for a tiny one.
+fn pass_workers(elems: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cores.min(elems / ELEMS_PER_WORKER).max(1)
+}
+
+/// Per key, its response checksum and — when `keep` — its output. Each
+/// operator kind's keys run as one typed pass on `workers(elements of
+/// that kind)` threads; no result depends on the worker count.
+fn response_pass(
+    seed: u64,
+    keys: &[ResponseKey],
+    keep: bool,
+    workers: impl Fn(usize) -> usize,
+) -> (Vec<u64>, Vec<Option<ServedOutput>>) {
+    let mut sums = vec![0; keys.len()];
+    let mut outputs: Vec<Option<ServedOutput>> = vec![None; if keep { keys.len() } else { 0 }];
+    for kind in OpKind::all() {
+        let (idx, members): (Vec<usize>, Vec<PassMember>) = keys
+            .iter()
+            .enumerate()
+            .filter(|(_, key)| key.3 == kind)
+            .map(|(i, &(id, n, g, _))| {
+                let problem = ProblemParams::new(n, g);
+                (i, PassMember { id, row: problem.problem_size(), len: problem.total_elems() })
+            })
+            .unzip();
+        if members.is_empty() {
+            continue;
+        }
+        let threads = workers(members.iter().map(|m| m.len).sum());
+        with_kind!(kind, |op: T| {
+            let (kind_sums, kind_outputs) = if keep {
+                kind_pass::<T, _, true>(op, seed, &members, threads)
+            } else {
+                kind_pass::<T, _, false>(op, seed, &members, threads)
+            };
+            for (&i, sum) in idx.iter().zip(kind_sums) {
+                sums[i] = sum;
+            }
+            for (&i, out) in idx.iter().zip(kind_outputs) {
+                outputs[i] = Some(T::wrap(out));
+            }
+        });
+    }
+    (sums, outputs)
+}
+
+/// One response the pass computes: whose input to generate, and its
+/// shape.
+#[derive(Debug, Clone, Copy)]
+struct PassMember {
+    id: usize,
+    /// Row length: the problem size `2^n`; each row scans independently.
+    row: usize,
+    /// Total elements, `2^g` rows.
+    len: usize,
+}
+
+/// One kind's response pass: per member, its checksum and (with `KEEP`)
+/// its output, in `members` order. The members split into `workers`
+/// contiguous runs of about equal element counts; every run but the last
+/// gets a scoped thread, the last runs on the calling thread. The calling
+/// thread allocates every worker's lane buffers up front, at the kind's
+/// largest member, so workers allocate nothing and the buffers are freed
+/// before the next kind's pass: at most workers × [`LANES`] member inputs
+/// exist at once.
+fn kind_pass<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
+    op: O,
+    seed: u64,
+    members: &[PassMember],
+    workers: usize,
+) -> (Vec<u64>, Vec<Vec<T>>) {
+    let mut sums = vec![0; members.len()];
+    let mut outputs = vec![Vec::new(); if KEEP { members.len() } else { 0 }];
+    let total: usize = members.iter().map(|m| m.len).sum();
+    let largest = members.iter().map(|m| m.len).max().unwrap_or(0);
+    let workers = workers.max(1);
+    let mut lane_sets: Vec<[Vec<T>; LANES]> =
+        (0..workers).map(|_| std::array::from_fn(|_| Vec::with_capacity(largest))).collect();
+    std::thread::scope(|scope| {
+        let (mut members, mut sums, mut outputs) = (members, &mut sums[..], &mut outputs[..]);
+        let mut taken = 0; // elements in the runs handed out so far
+        for (w, bufs) in (1..=workers).zip(&mut lane_sets) {
+            let mut len = 0;
+            while len < members.len() && (w == workers || taken < total * w / workers) {
+                taken += members[len].len;
+                len += 1;
+            }
+            let (run, rest) = members.split_at(len);
+            let (run_sums, rest_sums) = std::mem::take(&mut sums).split_at_mut(len);
+            let (run_outputs, rest_outputs) =
+                std::mem::take(&mut outputs).split_at_mut(if KEEP { len } else { 0 });
+            (members, sums, outputs) = (rest, rest_sums, rest_outputs);
+            if w == workers {
+                lanes::<T, O, KEEP>(op, seed, run, run_sums, run_outputs, bufs);
+            } else if !run.is_empty() {
+                scope
+                    .spawn(move || lanes::<T, O, KEEP>(op, seed, run, run_sums, run_outputs, bufs));
+            }
+        }
+    });
+    (sums, outputs)
+}
+
+/// Stream `members` through [`LANES`] interleaved lanes, one buffer
+/// each. A lane generates its member's input into its buffer; then every
+/// lane advances one element per step — combine into the row's running
+/// value, push that value into the member's FNV-1a chain — up to the
+/// nearest row end among them. A lane resets its running value at each
+/// row start, and at its member's end writes the checksum (with `KEEP`,
+/// the buffer scanned in place is the output) and takes the next member.
+/// The last members, fewer than `LANES`, finish one lane at a time. Each
+/// member's values are hashed in the same order as a sequential reference
+/// scan, so the checksum is the same bits.
+fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
+    op: O,
+    seed: u64,
+    members: &[PassMember],
+    sums: &mut [u64],
+    outputs: &mut [Vec<T>],
+    bufs: &mut [Vec<T>; LANES],
+) {
+    // Per lane: its member (`None` = idle), next element, running value
+    // and hash.
+    let mut member: [Option<usize>; LANES] = [None; LANES];
+    let mut pos = [0; LANES];
+    let mut acc = [op.identity(); LANES];
+    let mut hash = [FNV_OFFSET; LANES];
+    let mut finish = |i: usize, hash: u64, buf: &mut Vec<T>| {
+        sums[i] = hash;
+        if KEEP {
+            outputs[i] = std::mem::take(buf);
+        }
+    };
+    let mut next = 0;
+    loop {
+        for l in 0..LANES {
+            if member[l].is_none() && next < members.len() {
+                let m = members[next];
+                bufs[l].clear();
+                T::fetch_into(seed, m.id, m.len, &mut bufs[l]);
+                (member[l], pos[l], acc[l], hash[l]) = (Some(next), 0, op.identity(), FNV_OFFSET);
+                next += 1;
+            }
+        }
+        if member.contains(&None) {
+            break; // fewer than LANES members left
+        }
+        let busy = member.map(|m| m.expect("every lane is busy"));
+        let step = (0..LANES).map(|l| members[busy[l]].row - pos[l] % members[busy[l]].row);
+        let step = step.min().expect("LANES > 0");
+        let [b0, b1, b2, b3] = &mut *bufs;
+        let rows = [
+            &mut b0[pos[0]..pos[0] + step],
+            &mut b1[pos[1]..pos[1] + step],
+            &mut b2[pos[2]..pos[2] + step],
+            &mut b3[pos[3]..pos[3] + step],
+        ];
+        lockstep::<T, O, KEEP>(op, rows, &mut acc, &mut hash);
+        for l in 0..LANES {
+            let m = members[busy[l]];
+            pos[l] += step;
+            if pos[l] % m.row == 0 {
+                acc[l] = op.identity();
+            }
+            if pos[l] == m.len {
+                finish(busy[l], hash[l], &mut bufs[l]);
+                member[l] = None;
+            }
+        }
+    }
+    for l in 0..LANES {
+        let Some(i) = member[l] else { continue };
+        let m = members[i];
+        let (mut p, mut acc, mut hash) = (pos[l], acc[l], hash[l]);
+        while p < m.len {
+            let end = p + (m.row - p % m.row);
+            scan_hash::<T, O, KEEP>(op, &mut bufs[l][p..end], &mut acc, &mut hash);
+            (p, acc) = (end, op.identity());
+        }
+        finish(i, hash, &mut bufs[l]);
+    }
+}
+
+/// Advance all [`LANES`] lanes in lockstep over equally long row pieces:
+/// per element, combine into the lane's running value and push it into
+/// the lane's FNV-1a chain (with `KEEP`, also store it in place). The
+/// four chains are independent, so their multiplies overlap.
+#[inline(always)]
+fn lockstep<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
+    op: O,
+    [x0, x1, x2, x3]: [&mut [T]; LANES],
+    acc: &mut [T; LANES],
+    hash: &mut [u64; LANES],
+) {
+    let [mut a0, mut a1, mut a2, mut a3] = *acc;
+    let [mut h0, mut h1, mut h2, mut h3] = *hash;
+    let rows = x0.iter_mut().zip(x1.iter_mut()).zip(x2.iter_mut()).zip(x3.iter_mut());
+    for (((v0, v1), v2), v3) in rows {
+        a0 = op.combine(a0, *v0);
+        a1 = op.combine(a1, *v1);
+        a2 = op.combine(a2, *v2);
+        a3 = op.combine(a3, *v3);
+        h0 = T::push(h0, a0);
+        h1 = T::push(h1, a1);
+        h2 = T::push(h2, a2);
+        h3 = T::push(h3, a3);
+        if KEEP {
+            (*v0, *v1, *v2, *v3) = (a0, a1, a2, a3);
+        }
+    }
+    *acc = [a0, a1, a2, a3];
+    *hash = [h0, h1, h2, h3];
+}
+
+/// [`lockstep`] for one lane alone: the pass's tail.
+#[inline(always)]
+fn scan_hash<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
+    op: O,
+    xs: &mut [T],
+    acc: &mut T,
+    hash: &mut u64,
+) {
+    for x in xs {
+        *acc = op.combine(*acc, *x);
+        *hash = T::push(*hash, *acc);
+        if KEEP {
+            *x = *acc;
+        }
+    }
 }
 
 /// Append `v` in decimal — `write!("{v}")` without the formatting
@@ -950,8 +1150,8 @@ fn push_usize(out: &mut String, v: usize) {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over the byte encoding of the output values (see
-/// [`ServedOutput`] for per-type encodings). Test-only: the serving paths
-/// hash outputs incrementally through [`scanned_checksum`].
+/// [`ServedOutput`] for per-type encodings). Test-only: the response pass
+/// hashes outputs as it scans them.
 #[cfg(test)]
 fn fnv1a<T: ServedElem>(values: &[T]) -> u64 {
     values.iter().fold(FNV_OFFSET, |hash, &v| T::push(hash, v))
@@ -1249,6 +1449,119 @@ mod tests {
         config.policy = Policy::Fifo;
         let fifo = Server::new(config).run(&requests).unwrap();
         assert_eq!(fifo.completions[2].request.id, 2, "FIFO serves it last");
+    }
+
+    /// The scalar reference for one response key: the request's input
+    /// scanned row by row with `reference_inclusive`.
+    fn reference_output(seed: u64, (id, n, g, op): ResponseKey) -> ServedOutput {
+        let problem = ProblemParams::new(n, g);
+        let (len, row) = (problem.total_elems(), problem.problem_size());
+        fn rows<T: Scannable, O: ScanOp<T>>(op: O, input: &[T], row: usize) -> Vec<T> {
+            input.chunks(row).flat_map(|r| reference_inclusive(op, r)).collect()
+        }
+        match op {
+            OpKind::AddI32 => ServedOutput::I32(rows(Add, &request_input(seed, id, len), row)),
+            OpKind::MaxF64 => ServedOutput::F64(rows(Max, &request_input_f64(seed, id, len), row)),
+            OpKind::SegSumI32 => {
+                ServedOutput::SegI32(rows(SegmentedAdd, &request_input_seg(seed, id, len), row))
+            }
+            OpKind::GatedF64 => {
+                ServedOutput::GatedF64(rows(GatedOp, &request_input_gated(seed, id, len), row))
+            }
+        }
+    }
+
+    /// An output's checksum and raw value bits: equal bits, not just
+    /// equal values (`-0.0 == 0.0`).
+    fn output_bits(out: &ServedOutput) -> (u64, Vec<u64>) {
+        match out {
+            ServedOutput::I32(v) => (fnv1a(v), v.iter().map(|&x| x as u32 as u64).collect()),
+            ServedOutput::F64(v) => (fnv1a(v), v.iter().map(|x| x.to_bits()).collect()),
+            ServedOutput::SegI32(v) => {
+                (fnv1a(v), v.iter().map(|p| (p.v as u32 as u64) | (p.reset as u64) << 32).collect())
+            }
+            ServedOutput::GatedF64(v) => {
+                (fnv1a(v), v.iter().flat_map(|p| [p.a.to_bits(), p.b.to_bits()]).collect())
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The response pass against the scalar reference: random pending
+        /// lists over every kind, rows down to one element, 0–9 members so
+        /// lanes are often partly filled, on 1–3 forced workers. Every
+        /// checksum and kept output is bit-equal to the member's reference,
+        /// and nothing depends on the worker count.
+        #[test]
+        fn response_pass_is_bit_equal_to_the_scalar_reference(
+            members in proptest::prelude::prop::collection::vec(
+                (0usize..4, 0usize..64, 0u32..=12, 0u32..=3),
+                0..=9,
+            ),
+            keep in 0u8..2,
+        ) {
+            let keep = keep == 1;
+            let keys: Vec<ResponseKey> =
+                members.iter().map(|&(k, id, n, g)| (id, n, g, OpKind::all()[k])).collect();
+            let (sums, outputs) = response_pass(5, &keys, keep, |_| 1);
+            proptest::prop_assert_eq!(sums.len(), keys.len());
+            proptest::prop_assert_eq!(outputs.len(), if keep { keys.len() } else { 0 });
+            for (i, &key) in keys.iter().enumerate() {
+                let (sum, bits) = output_bits(&reference_output(5, key));
+                proptest::prop_assert_eq!(sums[i], sum, "member {} {:?}", i, key);
+                if keep {
+                    let kept = outputs[i].as_ref().expect("kept output");
+                    proptest::prop_assert_eq!(output_bits(kept), (sum, bits), "member {}", i);
+                }
+            }
+            let bits = |outputs: &[Option<ServedOutput>]| {
+                outputs.iter().map(|o| o.as_ref().map(output_bits)).collect::<Vec<_>>()
+            };
+            for workers in 2..=3 {
+                let (sums_w, outputs_w) = response_pass(5, &keys, keep, |_| workers);
+                proptest::prop_assert_eq!(&sums_w, &sums, "{} workers", workers);
+                proptest::prop_assert_eq!(bits(&outputs_w), bits(&outputs), "{} workers", workers);
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_windows_run_the_pass_on_the_calling_thread() {
+        assert_eq!(pass_workers(0), 1);
+        assert_eq!(pass_workers(ELEMS_PER_WORKER - 1), 1);
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(pass_workers(usize::MAX / 2), cores);
+    }
+
+    #[test]
+    fn malformed_arrivals_are_invalid_config_and_leave_the_server_untouched() {
+        let requests = small_workload(3, 12);
+        let server = Server::new(ServeConfig::new(Policy::Fifo, 3));
+        server.run(&requests).unwrap();
+        let before = server.response_stats();
+        let mut unsorted = requests.clone();
+        unsorted.swap(2, 9);
+        let mut negative = requests.clone();
+        negative[0].arrival = -1e-6;
+        let mut nan = requests.clone();
+        nan[4].arrival = f64::NAN;
+        let mut infinite = requests.clone();
+        infinite[11].arrival = f64::INFINITY;
+        for bad in [unsorted, negative, nan, infinite] {
+            let err = server.run(&bad).expect_err("malformed arrivals");
+            assert!(matches!(err, ScanError::InvalidConfig(_)), "{err:?}");
+            assert_eq!(server.response_stats(), before, "a failed call changes no memo state");
+        }
+        // The next valid window of fresh ids is reference-exact.
+        let fresh: Vec<ServeRequest> =
+            requests.iter().map(|r| ServeRequest { id: r.id + 100, ..r.clone() }).collect();
+        for c in &server.run(&fresh).unwrap().completions {
+            let out = reference_output(3, (c.request.id, c.request.n, c.request.g, c.request.op));
+            assert_eq!(c.checksum, output_bits(&out).0, "request {}", c.request.id);
+        }
+        assert_eq!(server.response_stats().entries, before.entries + 12);
     }
 
     #[test]

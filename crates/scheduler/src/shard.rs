@@ -9,17 +9,25 @@
 //! paths execute the same enqueue/dispatch/sample/advance/retire methods
 //! in the same order.
 //!
+//! A shard also owes the responses its launches could not answer from the
+//! response memo: [`ShardState::misses`] collects them while the window
+//! runs, and the window-end response pass (`Server::report`) computes
+//! them. Nothing reaches the memo before that pass, so a window that
+//! fails leaves its server exactly as it found it.
+//!
 //! The module also owns the cross-shard *steal* cost model: a stolen
 //! request's payload crosses the inter-shard InfiniBand fabric before its
 //! launch may start, modeled as an explicit transfer node admitted into
 //! the thief's timeline on the launch's own streams (resource exclusivity
 //! then delays the launch by the transfer time — see `docs/sharding.md`).
 
+use std::ops::Range;
+
 use gpu_sim::EventKind;
 use interconnect::{ExecGraph, FabricSpec, FleetTimeline, NodeMeta, Resource};
 
 use crate::pool::{DevicePool, PoolLease};
-use crate::request::ServeRequest;
+use crate::request::{OpKind, ServeRequest};
 use crate::serve::Completion;
 
 /// Virtual node-id base of the inter-shard steal fabric: steal-transfer
@@ -28,12 +36,29 @@ use crate::serve::Completion;
 /// trace track per shard pair.
 pub(crate) const STEAL_NODE_BASE: usize = 1 << 20;
 
+/// `(request id, n, g, op)`: with the server's fixed input seed, a
+/// response checksum is a pure function of this key.
+pub(crate) type ResponseKey = (usize, u32, u32, OpKind);
+
 /// One in-flight (possibly coalesced) launch.
 pub(crate) struct Launch {
     pub(crate) seq: usize,
     pub(crate) lease: PoolLease,
     pub(crate) finish: f64,
     pub(crate) completions: Vec<Completion>,
+    /// The entries of [`ShardState::misses`] this launch added.
+    pub(crate) misses: Range<usize>,
+}
+
+/// A launch member the response memo could not answer at dispatch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Miss {
+    pub(crate) key: ResponseKey,
+    /// Sequence number of the member's launch.
+    pub(crate) launch: usize,
+    /// The member's index in its launch until the launch retires, then
+    /// its completion's index in the shard's completion log.
+    pub(crate) slot: usize,
 }
 
 /// One queued request: its index into the window's request slice, plus
@@ -65,6 +90,11 @@ pub(crate) struct ShardState {
     pub(crate) stolen_ids: Vec<usize>,
     /// Completions already counted by the router's SLO accounting.
     pub(crate) accounted: usize,
+    /// Launch members the response memo did not hold at dispatch, in
+    /// dispatch order; the window-end response pass answers them.
+    pub(crate) misses: Vec<Miss>,
+    /// Launch members the response memo answered at dispatch.
+    pub(crate) memo_hits: u64,
 }
 
 impl ShardState {
@@ -85,6 +115,8 @@ impl ShardState {
             launches: 0,
             stolen_ids: Vec::new(),
             accounted: 0,
+            misses: Vec::new(),
+            memo_hits: 0,
         }
     }
 
@@ -119,6 +151,9 @@ impl ShardState {
             let Some(i) = done else { break };
             let launch = self.running.remove(i);
             self.pool.release(launch.lease);
+            for miss in &mut self.misses[launch.misses] {
+                miss.slot += self.completions.len();
+            }
             self.completions.extend(launch.completions);
         }
     }

@@ -13,14 +13,18 @@
 //! * parallel shard stepping (the scoped worker pool) is **byte-equal** to
 //!   [`RouterConfig::serial_stepping`] across seeds × policies ×
 //!   placements × shard counts, including windows with steals, redirects
-//!   and SLO escalations.
+//!   and SLO escalations;
+//! * a repeated window is served entirely from the shards' response memos
+//!   and is byte-equal to the first, and malformed arrivals are a typed
+//!   error that leaves the router as it was.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use multigpu_scan::prelude::*;
-use multigpu_scan::serve::ShardedReport;
+use multigpu_scan::scan::ScanError;
+use multigpu_scan::serve::{ResponseStats, ShardedReport};
 
 fn mixed_workload(seed: u64, count: usize) -> Vec<ServeRequest> {
     let mut spec = WorkloadSpec::mixed_ops_for(seed, count);
@@ -504,5 +508,56 @@ fn incremental_admission_matches_reference_engine() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn repeated_sharded_window_is_served_from_the_memo_byte_equal() {
+    let requests = mixed_workload(11, 48);
+    let mut config = RouterConfig::new(3, Policy::Edf, 11);
+    config.queue_capacity = Some(8);
+    let router = Router::new(config).unwrap();
+    let first = router.run(&requests).unwrap();
+    let served = first.completions().len() as u64;
+    assert_eq!(
+        router.response_stats().served,
+        0,
+        "a window of distinct ids computes every response"
+    );
+    let entries = router.response_stats().entries;
+    assert_eq!(entries as u64, served, "each shard memoizes the responses it computed");
+    let second = router.run(&requests).unwrap();
+    assert_eq!(deep_snapshot(&first), deep_snapshot(&second));
+    assert_eq!(
+        router.response_stats(),
+        ResponseStats { served, entries },
+        "the repeat is served entirely from the shards' memos"
+    );
+}
+
+#[test]
+fn malformed_arrivals_are_invalid_config_and_leave_the_router_untouched() {
+    let requests = mixed_workload(5, 24);
+    let router = Router::new(RouterConfig::new(2, Policy::Fifo, 5)).unwrap();
+    router.run(&requests).unwrap();
+    let before = router.response_stats();
+    let mut unsorted = requests.clone();
+    unsorted.swap(1, 20);
+    let mut negative = requests.clone();
+    negative[0].arrival = -1.0;
+    let mut nan = requests.clone();
+    nan[3].arrival = f64::NAN;
+    for bad in [unsorted, negative, nan] {
+        assert!(matches!(router.run(&bad), Err(ScanError::InvalidConfig(_))));
+        assert_eq!(router.response_stats(), before, "a failed call changes no memo state");
+    }
+    // The next valid window of fresh ids is reference-exact.
+    let fresh: Vec<ServeRequest> =
+        requests.iter().map(|r| ServeRequest { id: r.id + 1000, ..r.clone() }).collect();
+    let expected = isolated_checksums(&fresh, 5);
+    let report = router.run(&fresh).unwrap();
+    assert_eq!(report.completions().len(), fresh.len());
+    for c in report.completions() {
+        assert_eq!(c.checksum, expected[&c.request.id], "request {}", c.request.id);
     }
 }
