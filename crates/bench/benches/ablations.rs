@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceSpec, Gpu, LaunchConfig};
-use scan_core::{premises, scan_sp, ProblemParams};
+use scan_core::{premises, ProblemParams, ScanRequest};
 use skeletons::{shared_scan::warp_scan_inclusive_shared, warp_scan_inclusive, Add, SplkTuple};
 
 fn input_for(problem: ProblemParams) -> Vec<i32> {
@@ -22,8 +22,9 @@ fn bench_k_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("k_sweep_premise3");
     group.sample_size(10);
     for k in space {
-        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap());
+        let sp = ScanRequest::new(Add, problem).tuple(base.with_k(k));
+        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
+            b.iter(|| sp.run(&input).unwrap());
         });
     }
     group.finish();
@@ -31,15 +32,14 @@ fn bench_k_sweep(c: &mut Criterion) {
 
 /// Premise 2 ablation: Scan-SP across p (register elements per thread).
 fn bench_p_sweep(c: &mut Criterion) {
-    let device = DeviceSpec::tesla_k80();
     let problem = ProblemParams::fixed_total(18, 18);
     let input = input_for(problem);
     let mut group = c.benchmark_group("p_sweep_premise2");
     group.sample_size(10);
     for p in [1u32, 2, 3, 4] {
-        let tuple = SplkTuple::new(5, p, 7, 1).unwrap();
+        let sp = ScanRequest::new(Add, problem).tuple(SplkTuple::new(5, p, 7, 1).unwrap());
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, _| {
-            b.iter(|| scan_sp(Add, tuple, &device, problem, &input).unwrap());
+            b.iter(|| sp.run(&input).unwrap());
         });
     }
     group.finish();

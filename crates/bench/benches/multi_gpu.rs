@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::DeviceSpec;
-use interconnect::Fabric;
-use scan_core::{premises, scan_mppc, scan_mps, scan_mps_multinode, NodeConfig, ProblemParams};
+use scan_core::{premises, NodeConfig, ProblemParams, Proposal, ScanRequest};
 use skeletons::Add;
 
 fn input_for(problem: ProblemParams) -> Vec<i32> {
@@ -14,7 +13,6 @@ fn input_for(problem: ProblemParams) -> Vec<i32> {
 /// Scan-MPS (Fig. 9): sweep W at a fixed 2^18 total, n = 15.
 fn bench_mps(c: &mut Criterion) {
     let device = DeviceSpec::tesla_k80();
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::fixed_total(18, 15);
     let input = input_for(problem);
     let base = premises::derive_tuple(&device, 4, 0);
@@ -23,11 +21,12 @@ fn bench_mps(c: &mut Criterion) {
     group.throughput(Throughput::Elements(problem.total_elems() as u64));
     for (w, v, y) in [(1usize, 1usize, 1usize), (2, 2, 1), (4, 4, 1), (8, 4, 2)] {
         let k = premises::default_k(&device, &problem, &base, w).unwrap_or(0);
-        let cfg = NodeConfig::new(w, v, y, 1).unwrap();
+        let mps = ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .devices(NodeConfig::new(w, v, y, 1).unwrap())
+            .tuple(base.with_k(k));
         group.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, _| {
-            b.iter(|| {
-                scan_mps(Add, base.with_k(k), &device, &fabric, cfg, problem, &input).unwrap()
-            });
+            b.iter(|| mps.run(&input).unwrap());
         });
     }
     group.finish();
@@ -36,7 +35,6 @@ fn bench_mps(c: &mut Criterion) {
 /// Scan-MP-PC (Fig. 10): the paper's two configurations.
 fn bench_mppc(c: &mut Criterion) {
     let device = DeviceSpec::tesla_k80();
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::fixed_total(18, 15);
     let input = input_for(problem);
     let base = premises::derive_tuple(&device, 4, 0);
@@ -45,11 +43,12 @@ fn bench_mppc(c: &mut Criterion) {
     group.throughput(Throughput::Elements(problem.total_elems() as u64));
     for (w, v, y) in [(4usize, 2usize, 2usize), (8, 4, 2)] {
         let k = premises::default_k(&device, &problem, &base, v).unwrap_or(0);
-        let cfg = NodeConfig::new(w, v, y, 1).unwrap();
+        let mppc = ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mppc)
+            .devices(NodeConfig::new(w, v, y, 1).unwrap())
+            .tuple(base.with_k(k));
         group.bench_with_input(BenchmarkId::new("WV", format!("{w}x{v}")), &w, |b, _| {
-            b.iter(|| {
-                scan_mppc(Add, base.with_k(k), &device, &fabric, cfg, problem, &input).unwrap()
-            });
+            b.iter(|| mppc.run(&input).unwrap());
         });
     }
     group.finish();
@@ -58,19 +57,19 @@ fn bench_mppc(c: &mut Criterion) {
 /// Multi-node Scan-MPS (Fig. 13/14): M=2, W=4.
 fn bench_multinode(c: &mut Criterion) {
     let device = DeviceSpec::tesla_k80();
-    let fabric = Fabric::tsubame_kfc(2);
     let problem = ProblemParams::fixed_total(18, 15);
     let input = input_for(problem);
     let base = premises::derive_tuple(&device, 4, 0);
     let k = premises::default_k(&device, &problem, &base, 8).unwrap_or(0);
-    let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
+    let multinode = ScanRequest::new(Add, problem)
+        .proposal(Proposal::MpsMultinode)
+        .devices(NodeConfig::new(4, 4, 1, 2).unwrap())
+        .tuple(base.with_k(k));
     let mut group = c.benchmark_group("scan_multinode_fig13");
     group.sample_size(10);
     group.throughput(Throughput::Elements(problem.total_elems() as u64));
     group.bench_function("M2_W4", |b| {
-        b.iter(|| {
-            scan_mps_multinode(Add, base.with_k(k), &device, &fabric, cfg, problem, &input).unwrap()
-        });
+        b.iter(|| multinode.run(&input).unwrap());
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 use baselines::{Cub, Cudpp, LightScan, ModernGpu, ScanLibrary, Thrust};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::DeviceSpec;
-use scan_core::{premises, scan_sp, ProblemParams};
+use scan_core::{premises, ProblemParams, ScanRequest};
 use skeletons::Add;
 
 fn input_for(problem: ProblemParams) -> Vec<i32> {
@@ -25,8 +25,9 @@ fn bench_scan_sp(c: &mut Criterion) {
         let base = premises::derive_tuple(&device, 4, 0);
         let k = premises::default_k(&device, &problem, &base, 1).unwrap_or(0);
         group.throughput(Throughput::Elements(problem.total_elems() as u64));
+        let sp = ScanRequest::new(Add, problem).tuple(base.with_k(k));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap());
+            b.iter(|| sp.run(&input).unwrap());
         });
     }
     group.finish();
@@ -74,8 +75,9 @@ fn bench_libraries_batch(c: &mut Criterion) {
     });
     let base = premises::derive_tuple(&device, 4, 0);
     let k = premises::default_k(&device, &problem, &base, 1).unwrap_or(0);
+    let sp = ScanRequest::new(Add, problem).tuple(base.with_k(k));
     group.bench_function("ours_scan_sp", |b| {
-        b.iter(|| scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap());
+        b.iter(|| sp.run(&input).unwrap());
     });
     group.finish();
 }

@@ -4,8 +4,7 @@
 //! figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR]
 //!         [--seed N] [--requests N] [--policy fifo|sjf|edf|all]
 //!         [--pool-gpus N] [--no-coalesce] [--shards N] [--threads N]
-//!         [--serial-stepping] [--out DIR] [--workload FILE] [--op-mix]
-//!         [CMD...]
+//!         [--out DIR] [--workload FILE] [--op-mix] [CMD...]
 //!
 //! CMD: table3 fig1 fig9 fig10 fig11 fig12 fig13 fig14 mw-sweep k-sweep
 //!      ablations trace serve bench-scan self all (default: all)
@@ -36,9 +35,9 @@
 //! placement, work stealing on) and appends a `"sharded"` section to the
 //! JSON — the unsharded section stays byte-identical, so point `--out`
 //! elsewhere to keep the committed golden. `--threads N` sizes the
-//! router's worker pool (0 = one per core) and `--serial-stepping`
-//! forces the retained serial engine; both produce byte-identical
-//! output, which CI pins by diffing the two. See `docs/sharding.md`.
+//! router's worker pool (0 = one per core, 1 = the serial engine); every
+//! count produces byte-identical output, which CI pins by diffing
+//! `--threads 1` against the default. See `docs/sharding.md`.
 //!
 //! `bench-scan` runs a pinned set of single-scan configurations
 //! (independent of the sweep flags, so the output is byte-stable) and
@@ -139,7 +138,6 @@ fn main() {
                 i += 1;
                 serve_opts.threads = args[i].parse().expect("--threads takes an integer");
             }
-            "--serial-stepping" => serve_opts.serial_stepping = true,
             "--out" => {
                 i += 1;
                 serve_opts.out = args[i].clone();
@@ -163,7 +161,7 @@ fn main() {
                 println!(
                     "figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR] \
                      [--seed N] [--requests N] [--policy fifo|sjf|edf|all] [--pool-gpus N] \
-                     [--no-coalesce] [--shards N] [--threads N] [--serial-stepping] [--out DIR] \
+                     [--no-coalesce] [--shards N] [--threads N] [--out DIR] \
                      [--workload FILE] [--op-mix] \
                      [--fabric-sweep] [--devices model:count,...] \
                      [--fabric pcie|nvlink|nvswitch|dgx1|dgx2] \
@@ -417,7 +415,6 @@ struct ServeOpts {
     coalesce: bool,
     shards: usize,
     threads: usize,
-    serial_stepping: bool,
     out: String,
     workload: Option<String>,
     op_mix: bool,
@@ -436,7 +433,6 @@ impl Default for ServeOpts {
             coalesce: true,
             shards: 1,
             threads: 0,
-            serial_stepping: false,
             out: String::from("."),
             workload: None,
             op_mix: false,
@@ -555,7 +551,6 @@ fn serve(opts: &ServeOpts, trace_dir: &str) {
             opts.pool_gpus,
             opts.coalesce,
             opts.threads,
-            opts.serial_stepping,
         )
     });
     if let Some(sharded) = &sharded {
@@ -821,17 +816,16 @@ fn bench_self(opts: &ServeOpts) {
     const PAR_SHARDS: usize = 4;
     const PAR_THREADS: usize = 4;
     const PAR_WINDOWS: usize = 5;
-    let run_sharded = |serial: bool| {
+    let run_sharded = |threads: usize| {
         let mut config = scan_serve::RouterConfig::new(PAR_SHARDS, Policy::Fifo, opts.seed);
-        config.serial_stepping = serial;
-        config.threads = PAR_THREADS;
+        config.threads = threads;
         scan_serve::Router::new(config)
             .expect("valid shard topology")
             .run(&requests)
             .expect("sharded serve")
     };
-    let serial_report = run_sharded(true);
-    let parallel_report = run_sharded(false);
+    let serial_report = run_sharded(1);
+    let parallel_report = run_sharded(PAR_THREADS);
     assert_eq!(
         serial_report.metrics.to_json(),
         parallel_report.metrics.to_json(),
@@ -844,12 +838,12 @@ fn bench_self(opts: &ServeOpts) {
     );
     let t = Instant::now();
     for _ in 0..PAR_WINDOWS {
-        run_sharded(true);
+        run_sharded(1);
     }
     let serial_s = t.elapsed().as_secs_f64() / PAR_WINDOWS as f64;
     let t = Instant::now();
     for _ in 0..PAR_WINDOWS {
-        run_sharded(false);
+        run_sharded(PAR_THREADS);
     }
     let parallel_s = t.elapsed().as_secs_f64() / PAR_WINDOWS as f64;
     let serial_rps = requests.len() as f64 / serial_s;

@@ -12,8 +12,8 @@ use devices::FabricPreset;
 use gpu_sim::DeviceSpec;
 use interconnect::Fabric;
 use scan_core::{
-    premises, scan_mppc, scan_mps, scan_mps_multinode, scan_sp, verify::verify_batch, Breakdown,
-    NodeConfig, ProblemParams, ScanOutput,
+    premises, verify::verify_batch, Breakdown, NodeConfig, ProblemParams, Proposal, ScanOutput,
+    ScanRequest,
 };
 use skeletons::{Add, SplkTuple};
 
@@ -98,26 +98,39 @@ impl Harness {
         }
     }
 
-    /// Scan-SP at size `n`; `None` if infeasible.
-    pub fn run_sp(&self, n: u32) -> Option<ScanOutput<i32>> {
+    /// `proposal` at size `n` on the `cfg` GPUs (`None` for Scan-SP),
+    /// with the premise tuple for `parts` GPUs per problem; `None` if
+    /// infeasible.
+    fn run_proposal(
+        &self,
+        n: u32,
+        proposal: Proposal,
+        cfg: Option<NodeConfig>,
+        parts: usize,
+    ) -> Option<ScanOutput<i32>> {
         let problem = self.problem(n);
-        let tuple = self.tuple_for(&problem, 1)?;
+        let tuple = self.tuple_for(&problem, parts)?;
+        let mut request = ScanRequest::new(Add, problem)
+            .proposal(proposal)
+            .device(self.device.clone())
+            .tuple(tuple);
+        if let Some(cfg) = cfg {
+            request = request.devices(cfg).fabric(self.fabric(cfg.m()));
+        }
         let input = self.input(problem);
-        let out = scan_sp(Add, tuple, &self.device, problem, &input).ok()?;
+        let out = request.run(&input).ok()?;
         self.check(problem, &input, &out);
         Some(out)
     }
 
+    /// Scan-SP at size `n`; `None` if infeasible.
+    pub fn run_sp(&self, n: u32) -> Option<ScanOutput<i32>> {
+        self.run_proposal(n, Proposal::Sp, None, 1)
+    }
+
     /// Scan-MPS at size `n` with `(w, v, y)` on one node.
     pub fn run_mps(&self, n: u32, w: usize, v: usize, y: usize) -> Option<ScanOutput<i32>> {
-        let problem = self.problem(n);
-        let tuple = self.tuple_for(&problem, w)?;
-        let cfg = NodeConfig::new(w, v, y, 1).ok()?;
-        let fabric = self.fabric(1);
-        let input = self.input(problem);
-        let out = scan_mps(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_proposal(n, Proposal::Mps, Some(NodeConfig::new(w, v, y, 1).ok()?), w)
     }
 
     /// Scan-MP-PC at size `n` with `(w, v, y)` over `m` nodes.
@@ -129,14 +142,7 @@ impl Harness {
         y: usize,
         m: usize,
     ) -> Option<ScanOutput<i32>> {
-        let problem = self.problem(n);
-        let tuple = self.tuple_for(&problem, v)?;
-        let cfg = NodeConfig::new(w, v, y, m).ok()?;
-        let fabric = self.fabric(m);
-        let input = self.input(problem);
-        let out = scan_mppc(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_proposal(n, Proposal::Mppc, Some(NodeConfig::new(w, v, y, m).ok()?), v)
     }
 
     /// Multi-node Scan-MPS at size `n` with `(w, v, y)` over `m ≥ 2` nodes.
@@ -148,15 +154,8 @@ impl Harness {
         y: usize,
         m: usize,
     ) -> Option<ScanOutput<i32>> {
-        let problem = self.problem(n);
-        let tuple = self.tuple_for(&problem, w * m)?;
         let cfg = NodeConfig::new(w, v, y, m).ok()?;
-        let fabric = self.fabric(m);
-        let input = self.input(problem);
-        let out =
-            scan_mps_multinode(Add, tuple, &self.device, &fabric, cfg, problem, &input).ok()?;
-        self.check(problem, &input, &out);
-        Some(out)
+        self.run_proposal(n, Proposal::MpsMultinode, Some(cfg), w * m)
     }
 
     /// The best single-node proposal at size `n` — the paper picks, per
@@ -373,12 +372,12 @@ impl Harness {
         let base = premises::derive_tuple(&self.device, 4, 0);
         let space = premises::k_search_space(&self.device, &problem, &base, 1);
         let input = self.input(problem);
+        let sp = ScanRequest::new(Add, problem).device(self.device.clone());
         space
             .into_iter()
             .filter_map(|k| {
-                scan_sp(Add, base.with_k(k), &self.device, problem, &input)
-                    .ok()
-                    .map(|out| (k, out.report.seconds()))
+                let out = sp.clone().tuple(base.with_k(k)).run(&input).ok()?;
+                Some((k, out.report.seconds()))
             })
             .collect()
     }

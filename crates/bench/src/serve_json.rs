@@ -42,11 +42,10 @@ pub fn serve_windows(
 /// Run `requests` through a `shards`-way [`Router`] under every
 /// [`Policy`] (hash placement, stealing on — the benchmark defaults).
 ///
-/// `threads` and `serial_stepping` select the stepping engine
-/// ([`RouterConfig`] semantics: 0 threads = auto). The report — and so
-/// the JSON — is byte-identical either way; the knobs only change how
-/// the window is computed, which is exactly what CI's differential
-/// byte-compare pins.
+/// `threads` selects the stepping engine ([`RouterConfig`] semantics:
+/// 0 = auto, 1 = serial). The report — and so the JSON — is
+/// byte-identical either way; the knob only changes how the window is
+/// computed, which is exactly what CI's differential byte-compare pins.
 pub fn sharded_windows(
     requests: &[ServeRequest],
     seed: u64,
@@ -54,7 +53,6 @@ pub fn sharded_windows(
     gpus_per_shard: usize,
     coalesce: bool,
     threads: usize,
-    serial_stepping: bool,
 ) -> Vec<(Policy, ShardedReport)> {
     Policy::all()
         .iter()
@@ -63,7 +61,6 @@ pub fn sharded_windows(
             config.gpus_per_shard = gpus_per_shard;
             config.coalesce = coalesce;
             config.threads = threads;
-            config.serial_stepping = serial_stepping;
             let router = Router::new(config).expect("valid shard topology");
             (policy, router.run(requests).expect("serve the sharded window"))
         })

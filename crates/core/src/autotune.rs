@@ -11,10 +11,11 @@ use gpu_sim::DeviceSpec;
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::params::ProblemParams;
+use crate::exec::Launch;
+use crate::params::{ProblemParams, ScanKind};
 use crate::premises;
 use crate::report::ScanOutput;
-use crate::single::scan_sp;
+use crate::single::{scan_sp, single_gpu_fabric};
 
 /// Outcome of a `K` sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,10 +78,18 @@ pub fn autotune_scan_sp<T: Scannable, O: ScanOp<T>>(
             "problem too small for the premise tuple on one GPU".into(),
         ));
     }
-    let tune = autotune_k(&space, |k| {
-        scan_sp(op, base.with_k(k), device, problem, input).map(|o| o.report.seconds())
-    })?;
-    let best = scan_sp(op, base.with_k(tune.best_k), device, problem, input)?;
+    let fabric = single_gpu_fabric();
+    let launch = |k: u32| Launch {
+        op,
+        problem,
+        tuple: base.with_k(k),
+        kind: ScanKind::Inclusive,
+        policy: Default::default(),
+        device,
+        fabric: &fabric,
+    };
+    let tune = autotune_k(&space, |k| scan_sp(&launch(k), input).map(|o| o.report.seconds()))?;
+    let best = scan_sp(&launch(tune.best_k), input)?;
     Ok((best, tune))
 }
 

@@ -174,7 +174,7 @@ pub enum DeviceSel {
     /// contention depend only on link classes, and the scheduler breaks
     /// ties by node index), so a plan built on `[0, 1]` is replayed for
     /// `[2, 3]` with its resources remapped — see
-    /// [`scan_on_lease_cached`]. The stream id is likewise remapped on
+    /// [`PlanCache::plan`]. The stream id is likewise remapped on
     /// hit, not keyed.
     Lease {
         /// Granted GPU count.
@@ -409,26 +409,11 @@ thread_local! {
     static SCRATCH_KEY: RefCell<Option<CacheKey>> = const { RefCell::new(None) };
 }
 
-/// The cache key of a lease-path run: the lease enters as its topological
-/// shape (width + pairwise link classes), not its raw GPU ids. The
-/// operator and element type are part of the key — see [`CacheKey::op`].
-pub(crate) fn lease_key<T: Scannable, O: ScanOp<T>>(
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    lease: &GpuLease,
-    problem: ProblemParams,
-    tuple: SplkTuple,
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-) -> CacheKey {
-    let mut slot = None;
-    lease_key_into::<T, O>(&mut slot, device, fabric, lease, problem, tuple, kind, policy);
-    slot.expect("lease_key_into always fills the slot")
-}
-
-/// Build (or rebuild, in place) the lease cache key into `slot`, recycling
-/// the previous key's `classes`/`structure` vector capacity. The filled
-/// key is identical to what [`lease_key`] returns.
+/// Build (or rebuild, in place) the cache key of a lease-path run into
+/// `slot`, recycling the previous key's `classes`/`structure` vector
+/// capacity. The lease enters as its topological shape (width + pairwise
+/// link classes), not its raw GPU ids; the operator and element type are
+/// part of the key — see [`CacheKey::op`].
 #[allow(clippy::too_many_arguments)]
 fn lease_key_into<T: Scannable, O: ScanOp<T>>(
     slot: &mut Option<CacheKey>,
@@ -697,8 +682,7 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
     }
 
     /// Materialize a hit as a standalone [`PipelineRun`]: clone the arena
-    /// graph and rewrite its resources through the remap table (the
-    /// compatibility view the deprecated two-call API exposed).
+    /// graph and rewrite its resources through the remap table.
     fn replay(&self) -> Option<(PipelineRun, Vec<usize>)> {
         let plan = self.plan.as_ref()?;
         let mut graph = (*plan.graph).clone();
@@ -785,69 +769,6 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     );
 }
 
-/// [`scan_on_lease`] through a [`PlanCache`]: replay the memoized graph
-/// when this shape has run before, otherwise run cold and memoize —
-/// [`PlanCache::plan`] + [`PlannedLaunch::run`] in one call.
-///
-/// Hit or miss, the returned [`LeaseRun`] is bit-identical to what
-/// [`scan_on_lease`] would produce for the same arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_on_lease_cached<T: Scannable, O: ScanOp<T>>(
-    cache: &PlanCache,
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    lease: &GpuLease,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-) -> ScanResult<LeaseRun<T>> {
-    cache.plan::<T, O>(device, fabric, lease, problem, tuple, kind, policy).run(op, input)
-}
-
-/// The planning half of the old two-call serving API, superseded by
-/// [`PlanCache::plan`] (whose hits admit shared storage instead of cloning
-/// node vectors). This shim materializes the hit by cloning.
-#[deprecated(note = "use PlanCache::plan and PlannedLaunch")]
-#[allow(clippy::too_many_arguments)]
-pub fn lease_plan_cached<T: Scannable, O: ScanOp<T>>(
-    cache: &PlanCache,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    lease: &GpuLease,
-    problem: ProblemParams,
-    tuple: SplkTuple,
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-) -> Option<(PipelineRun, Vec<usize>)> {
-    cache.plan::<T, O>(device, fabric, lease, problem, tuple, kind, policy).replay()
-}
-
-/// The cold half of the old two-call serving API, superseded by
-/// [`PlannedLaunch::run`] (which memoizes as it finishes). Performs no
-/// lookup of its own — the caller has just missed, or chose to bypass.
-#[deprecated(note = "use PlanCache::plan and PlannedLaunch::run")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_and_memoize_lease<T: Scannable, O: ScanOp<T>>(
-    cache: &PlanCache,
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    lease: &GpuLease,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-) -> ScanResult<LeaseRun<T>> {
-    let key = lease_key::<T, O>(device, fabric, lease, problem, tuple, kind, policy);
-    let cold = scan_on_lease(op, tuple, device, fabric, lease, problem, input, kind, policy)?;
-    memoize_cold(cache, key, lease, op, problem, input, kind, &cold);
-    Ok(cold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -857,25 +778,30 @@ mod tests {
         (0..n).map(|i| ((i as i64 * 48271 + 3) % 199) as i32 - 99).collect()
     }
 
+    /// Plan `lease` through `cache` and run it: a replay on a hit, a cold
+    /// run that memoizes on a miss.
+    fn run_planned(
+        cache: &PlanCache,
+        fabric: &Fabric,
+        lease: &GpuLease,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> LeaseRun<i32> {
+        let (device, policy) = (DeviceSpec::tesla_k80(), PipelinePolicy::default());
+        let tuple = SplkTuple::kepler_premises(0);
+        cache
+            .plan::<i32, Add>(&device, fabric, lease, problem, tuple, ScanKind::Inclusive, &policy)
+            .run(Add, input)
+            .unwrap()
+    }
+
     fn run_cached(
         cache: &PlanCache,
         problem: ProblemParams,
         input: &[i32],
         stream: usize,
     ) -> LeaseRun<i32> {
-        scan_on_lease_cached(
-            cache,
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &Fabric::tsubame_kfc(1),
-            &GpuLease::new(vec![0, 1], stream).unwrap(),
-            problem,
-            input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap()
+        run_cached_on(cache, problem, input, &[0, 1], stream)
     }
 
     #[test]
@@ -953,19 +879,8 @@ mod tests {
         ids: &[usize],
         stream: usize,
     ) -> LeaseRun<i32> {
-        scan_on_lease_cached(
-            cache,
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &Fabric::tsubame_kfc(1),
-            &GpuLease::new(ids.to_vec(), stream).unwrap(),
-            problem,
-            input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap()
+        let lease = GpuLease::new(ids.to_vec(), stream).unwrap();
+        run_planned(cache, &Fabric::tsubame_kfc(1), &lease, problem, input)
     }
 
     /// The hit must be indistinguishable from a cold run on the actual
@@ -1068,19 +983,7 @@ mod tests {
     ) -> LeaseRun<i32> {
         let lease = GpuLease::new(ids.to_vec(), 0).unwrap();
         match cache {
-            Some(cache) => scan_on_lease_cached(
-                cache,
-                Add,
-                SplkTuple::kepler_premises(0),
-                &DeviceSpec::tesla_k80(),
-                fabric,
-                &lease,
-                problem,
-                input,
-                ScanKind::Inclusive,
-                &PipelinePolicy::default(),
-            )
-            .unwrap(),
+            Some(cache) => run_planned(cache, fabric, &lease, problem, input),
             None => scan_on_lease(
                 Add,
                 SplkTuple::kepler_premises(0),

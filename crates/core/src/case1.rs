@@ -9,28 +9,25 @@
 //! The batch is split across all `M · W` selected GPUs; each runs the
 //! full single-GPU pipeline on its share, with no communication at all.
 
-use gpu_sim::DeviceSpec;
-use interconnect::{ExecGraph, Fabric};
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use interconnect::ExecGraph;
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
-use crate::params::{NodeConfig, ProblemParams, ScanKind};
+use crate::exec::{Launch, PipelineRun};
+use crate::params::{NodeConfig, ProblemParams};
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan with one-problem-set-per-GPU distribution.
+/// Batch scan with one-problem-set-per-GPU distribution.
 ///
 /// Requires `G ≥ total GPUs` (each GPU gets at least one whole problem).
-pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    cfg.validate_against(fabric.topology())?;
+    let problem = launch.problem;
+    let topology = launch.fabric.topology();
+    cfg.validate_against(topology)?;
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
             "input holds {} elements but G·N = {}",
@@ -38,7 +35,7 @@ pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
             problem.total_elems()
         )));
     }
-    let gpus = cfg.selected_gpus(fabric.topology());
+    let gpus = cfg.selected_gpus(topology);
     if problem.batch() < gpus.len() {
         return Err(ScanError::InvalidConfig(format!(
             "Case 1 needs at least one problem per GPU: G = {} < {} GPUs",
@@ -56,23 +53,10 @@ pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
     // them (with identical shares, the makespan equals the phase-wise
     // maximum the old model reported).
     let mut merged: Option<ExecGraph> = None;
-    let policy = PipelinePolicy::default();
     for (i, &gid) in gpus.iter().enumerate() {
-        let start = i * per_gpu * n;
-        let end = start + per_gpu * n;
-        let graph = build_pipeline_graph(
-            op,
-            tuple,
-            device,
-            fabric,
-            &[gid],
-            0,
-            sub_problem,
-            &input[start..end],
-            ScanKind::Inclusive,
-            &policy,
-            &mut data[start..end],
-        )?;
+        let (start, end) = (i * per_gpu * n, (i + 1) * per_gpu * n);
+        let graph =
+            launch.build_graph(&[gid], sub_problem, &input[start..end], &mut data[start..end])?;
         match merged.as_mut() {
             None => merged = Some(graph),
             Some(g) => {
@@ -96,68 +80,51 @@ pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
 mod tests {
     use super::*;
     use crate::verify::verify_batch;
-    use skeletons::Add;
+    use crate::{Proposal, ScanRequest};
+    use skeletons::{Add, SplkTuple};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 131 + 17) % 191) as i32 - 95).collect()
     }
 
+    /// Case 1 of `Add` over `cfg` with the request defaults at tuple `k`.
+    fn case1(
+        k: u32,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> ScanResult<ScanOutput<i32>> {
+        ScanRequest::new(Add, problem)
+            .proposal(Proposal::Case1)
+            .devices(cfg)
+            .tuple(SplkTuple::kepler_premises(k))
+            .run(input)
+    }
+
     #[test]
     fn independent_problems_scan_correctly() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 3); // 8 problems over 4 GPUs
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-        let out = scan_case1(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = case1(0, NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input).unwrap();
         verify_batch(Add, problem, &input, &out.data).unwrap();
         assert!(out.report.label.contains("4 GPUs"));
     }
 
     #[test]
     fn no_communication_phases() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let out = scan_case1(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = case1(0, NodeConfig::new(2, 2, 1, 1).unwrap(), problem, &input).unwrap();
         assert_eq!(out.report.timeline.seconds_with_prefix("comm:"), 0.0);
         assert_eq!(out.report.timeline.seconds_with_prefix("MPI"), 0.0);
     }
 
     #[test]
     fn too_few_problems_rejected() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 1); // 2 problems, 4 GPUs
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         assert!(matches!(
-            scan_case1(
-                Add,
-                SplkTuple::kepler_premises(0),
-                &DeviceSpec::tesla_k80(),
-                &fabric,
-                cfg,
-                problem,
-                &input
-            ),
+            case1(0, NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input),
             Err(ScanError::InvalidConfig(_))
         ));
     }
@@ -165,23 +132,10 @@ mod tests {
     #[test]
     fn scales_throughput_with_gpus() {
         // Large enough that memory time, not launch overhead, dominates.
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(16, 6);
         let input = pseudo(problem.total_elems());
-        let t = SplkTuple::kepler_premises(1);
-        let device = DeviceSpec::tesla_k80();
-        let one = scan_case1(Add, t, &device, &fabric, NodeConfig::single_gpu(), problem, &input)
-            .unwrap();
-        let four = scan_case1(
-            Add,
-            t,
-            &device,
-            &fabric,
-            NodeConfig::new(4, 4, 1, 1).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
+        let one = case1(1, NodeConfig::single_gpu(), problem, &input).unwrap();
+        let four = case1(1, NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input).unwrap();
         assert!(
             four.report.seconds() < one.report.seconds() / 2.0,
             "4 independent GPUs must be much faster ({} vs {})",

@@ -92,6 +92,67 @@ impl PipelineRun {
     }
 }
 
+/// A validated [`crate::ScanRequest`] with its defaults resolved: the one
+/// argument every proposal body takes. Sp runs on a single-GPU fabric;
+/// every other proposal on the request's fabric.
+pub(crate) struct Launch<'a, O> {
+    pub(crate) op: O,
+    pub(crate) problem: ProblemParams,
+    pub(crate) tuple: SplkTuple,
+    pub(crate) kind: ScanKind,
+    pub(crate) policy: PipelinePolicy,
+    pub(crate) device: &'a DeviceSpec,
+    pub(crate) fabric: &'a Fabric,
+}
+
+impl<O> Launch<'_, O> {
+    /// The full pipeline over one group of GPUs sharing every problem:
+    /// Stage 1 in parallel, auxiliary gather to the group root, Stage 2 on
+    /// the root ("executing this second kernel on a single GPU has better
+    /// performance than splitting it", §4.1), offsets scatter, Stage 3 in
+    /// parallel. Returns the scanned batch (problem-major) and the
+    /// scheduled [`PipelineRun`].
+    pub(crate) fn run_group<T: Scannable>(
+        &self,
+        gpu_ids: &[usize],
+        input: &[T],
+    ) -> ScanResult<(Vec<T>, PipelineRun)>
+    where
+        O: ScanOp<T>,
+    {
+        let mut out = vec![T::default(); self.problem.total_elems()];
+        let graph = self.build_graph(gpu_ids, self.problem, input, &mut out)?;
+        Ok((out, PipelineRun::from_graph(graph)))
+    }
+
+    /// [`build_pipeline_graph`] on stream 0 with this launch's operator,
+    /// tuple, device, fabric, semantics and policy.
+    pub(crate) fn build_graph<T: Scannable>(
+        &self,
+        gpu_ids: &[usize],
+        problem: ProblemParams,
+        input: &[T],
+        out: &mut [T],
+    ) -> ScanResult<ExecGraph>
+    where
+        O: ScanOp<T>,
+    {
+        build_pipeline_graph(
+            self.op,
+            self.tuple,
+            self.device,
+            self.fabric,
+            gpu_ids,
+            0,
+            problem,
+            input,
+            self.kind,
+            &self.policy,
+            out,
+        )
+    }
+}
+
 /// Largest power of two ≤ `requested`, clamped to `[1, batch]` (`batch` is
 /// itself a power of two, so the result always divides it).
 pub(crate) fn effective_batches(requested: usize, batch: usize) -> usize {

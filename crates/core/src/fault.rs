@@ -1,8 +1,9 @@
 //! Fault-injected scan runs with degraded-mode replanning.
 //!
-//! The faulted entry points mirror the healthy proposals — [`scan_sp_faulted`],
-//! [`scan_mps_faulted`], [`scan_mppc_faulted`], [`scan_mps_multinode_faulted`]
-//! — but execute under a seeded [`FaultPlan`]:
+//! A [`crate::ScanRequest`] given a plan through
+//! [`crate::ScanRequest::faults`] runs its proposal's fault-injected twin —
+//! Sp, Mps, Mppc and MpsMultinode each have one — under that seeded
+//! [`FaultPlan`]:
 //!
 //! * **SM throttles** slow the affected GPU's kernels (applied by the
 //!   `gpu-sim` layer, so the throttled durations flow into the execution
@@ -24,28 +25,20 @@
 //! seeds, plans and proposals). A [`FaultReport`] records what was
 //! injected, what retried and what was replanned.
 
-use gpu_sim::{DeviceSpec, EventKind, SimError};
+use gpu_sim::{EventKind, SimError};
 use interconnect::{
-    apply_link_faults, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId, Resource,
+    apply_link_faults, ExecGraph, FaultEvent, FaultPlan, FaultReport, NodeId, Resource,
 };
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{append_sub_batch, effective_batches, PipelinePolicy, PipelineRun};
+use crate::exec::{append_sub_batch, effective_batches, Launch, PipelineRun};
 use crate::multi_gpu::{build_workers, parallel_phase_results};
 use crate::multinode::build_multinode_graph;
-use crate::params::{NodeConfig, ProblemParams, ScanKind};
+use crate::params::{NodeConfig, ProblemParams};
 use crate::plan::ExecutionPlan;
 use crate::report::{RunReport, ScanOutput};
 use crate::stage1::run_stage1;
-
-/// Result of a fault-injected scan.
-///
-/// Since the fault record moved into [`ScanOutput`] as an
-/// `Option<FaultReport>` field, the faulted entry points return the same
-/// type as the healthy ones (with `faults` always `Some`). This alias is
-/// kept so pre-unification call sites keep compiling.
-pub type FaultyScanOutput<T> = ScanOutput<T>;
 
 /// Largest power of two ≤ `n` (0 maps to 0). Shared with the lease
 /// planner, whose partial-lease rule is the same largest-feasible-subset
@@ -100,19 +93,15 @@ fn finish<T>(
 #[allow(clippy::too_many_arguments)]
 fn faulted_group_pipeline<T: Scannable, O: ScanOp<T>>(
     graph: &mut ExecGraph,
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+    launch: &Launch<'_, O>,
     gpu_ids: &[usize],
     problem: ProblemParams,
     input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
     fault_plan: &FaultPlan,
     report: &mut FaultReport,
     out: &mut [T],
 ) -> ScanResult<()> {
+    let Launch { op, tuple, kind, policy, device, fabric, .. } = *launch;
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
             "input holds {} elements but G·N = {}",
@@ -246,30 +235,22 @@ fn faulted_group_pipeline<T: Scannable, O: ScanOp<T>>(
 /// A single GPU has no links, so only SM throttles apply — and evicting
 /// GPU 0 is always "evicting the last GPU", surfaced as
 /// [`ScanError::InvalidConfig`].
-pub fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
+pub(crate) fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     input: &[T],
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
-    let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
+) -> ScanResult<ScanOutput<T>> {
+    let problem = launch.problem;
     let mut faults = FaultReport::new(fault_plan);
     record_throttles(fault_plan, &[0], &mut faults);
     let mut data = vec![T::default(); problem.total_elems()];
     let mut graph = ExecGraph::new();
     faulted_group_pipeline(
         &mut graph,
-        op,
-        tuple,
-        device,
-        &fabric,
+        launch,
         &[0],
         problem,
         input,
-        ScanKind::Inclusive,
-        &PipelinePolicy::barrier_synchronous(),
         fault_plan,
         &mut faults,
         &mut data,
@@ -279,45 +260,33 @@ pub fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
 
 /// Fault-injected Scan-MPS (single node) with degraded-mode replanning.
 ///
-/// `policy` controls the sub-batch split exactly as in
-/// [`crate::mps::scan_mps_with`]; an eviction aborts the sub-batch it
-/// lands on and replans the remaining work over the survivors.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+/// The launch's policy controls the sub-batch split exactly as in the
+/// healthy proposal; an eviction aborts the sub-batch it lands on and
+/// replans the remaining work over the survivors.
+pub(crate) fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
-    policy: &PipelinePolicy,
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     if cfg.m() != 1 {
         return Err(ScanError::InvalidConfig(
-            "scan_mps_faulted is the single-node proposal; use scan_mps_multinode_faulted for \
-             M > 1"
-                .into(),
+            "faulted Mps is the single-node proposal; use Proposal::MpsMultinode for M > 1".into(),
         ));
     }
-    cfg.validate_against(fabric.topology())?;
-    let gpu_ids = cfg.selected_gpus(fabric.topology());
+    let (topology, problem) = (launch.fabric.topology(), launch.problem);
+    cfg.validate_against(topology)?;
+    let gpu_ids = cfg.selected_gpus(topology);
     let mut faults = FaultReport::new(fault_plan);
     record_throttles(fault_plan, &gpu_ids, &mut faults);
     let mut data = vec![T::default(); problem.total_elems()];
     let mut graph = ExecGraph::new();
     faulted_group_pipeline(
         &mut graph,
-        op,
-        tuple,
-        device,
-        fabric,
+        launch,
         &gpu_ids,
         problem,
         input,
-        ScanKind::Inclusive,
-        policy,
         fault_plan,
         &mut faults,
         &mut data,
@@ -335,24 +304,19 @@ pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
 /// Fault-injected Scan-MP-PC: each network group runs under the plan, and
 /// an eviction replans only the group that lost the device.
 ///
-/// Unlike the healthy [`crate::mppc::scan_mppc`], the group subgraphs are
-/// appended sequentially into one shared graph instead of being merged by
-/// phase index — a replanned group grows extra `recovery:` phases that
+/// Unlike the healthy proposal, the group subgraphs are appended
+/// sequentially into one shared graph instead of being merged by phase
+/// index — a replanned group grows extra `recovery:` phases that
 /// index-matching could not align. Groups still share no stream or link,
 /// so the schedule overlaps them fully either way.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+pub(crate) fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
-    policy: &PipelinePolicy,
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
-    cfg.validate_against(fabric.topology())?;
+) -> ScanResult<ScanOutput<T>> {
+    let (topology, problem) = (launch.fabric.topology(), launch.problem);
+    cfg.validate_against(topology)?;
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
             "input holds {} elements but G·N = {}",
@@ -367,26 +331,21 @@ pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
     let n = problem.problem_size();
 
     let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &cfg.selected_gpus(fabric.topology()), &mut faults);
+    record_throttles(fault_plan, &cfg.selected_gpus(topology), &mut faults);
     let mut data = vec![T::default(); problem.total_elems()];
     let mut graph = ExecGraph::new();
     for (group, out_chunk) in data.chunks_mut(problems_per_group * n).enumerate() {
         let node = group / cfg.y();
         let network = group % cfg.y();
         let gpu_ids: Vec<usize> =
-            (0..cfg.v()).map(|slot| fabric.topology().gpu_at(node, network, slot)).collect();
+            (0..cfg.v()).map(|slot| topology.gpu_at(node, network, slot)).collect();
         let start = group * problems_per_group * n;
         faulted_group_pipeline(
             &mut graph,
-            op,
-            tuple,
-            device,
-            fabric,
+            launch,
             &gpu_ids,
             group_problem,
             &input[start..start + problems_per_group * n],
-            ScanKind::Inclusive,
-            policy,
             fault_plan,
             &mut faults,
             out_chunk,
@@ -414,17 +373,12 @@ pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
 /// (including InfiniBand degradation and loss) apply; device evictions are
 /// rejected — there is no replanning protocol across MPI ranks, so an
 /// eviction plan is an invalid configuration rather than a panic.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+pub(crate) fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
     fault_plan: &FaultPlan,
-) -> ScanResult<FaultyScanOutput<T>> {
+) -> ScanResult<ScanOutput<T>> {
     if !fault_plan.evictions().is_empty() {
         return Err(ScanError::InvalidConfig(
             "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
@@ -433,12 +387,11 @@ pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
         ));
     }
     let mut faults = FaultReport::new(fault_plan);
-    record_throttles(fault_plan, &cfg.selected_gpus(fabric.topology()), &mut faults);
-    let (data, graph) =
-        build_multinode_graph(op, tuple, device, fabric, cfg, problem, input, Some(fault_plan))?;
+    record_throttles(fault_plan, &cfg.selected_gpus(launch.fabric.topology()), &mut faults);
+    let (data, graph) = build_multinode_graph(launch, cfg, input, Some(fault_plan))?;
     finish(
         format!("Scan-MPS multi-node M={} W={} [faulted]", cfg.m(), cfg.w()),
-        problem.total_elems(),
+        launch.problem.total_elems(),
         data,
         graph,
         fault_plan,
@@ -449,14 +402,17 @@ pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelinePolicy, Proposal, ScanRequest};
     use skeletons::{reference_inclusive, Add};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 69069 + 5) % 199) as i32 - 99).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    /// `proposal` of `Add` over `cfg` with the request defaults (K80,
+    /// Kepler premises, TSUBAME-KFC fabric).
+    fn request(proposal: Proposal, cfg: NodeConfig, problem: ProblemParams) -> ScanRequest<Add> {
+        ScanRequest::new(Add, problem).proposal(proposal).devices(cfg)
     }
 
     fn verify_batch(out: &[i32], input: &[i32], problem: ProblemParams) {
@@ -478,25 +434,11 @@ mod tests {
 
     #[test]
     fn empty_plan_matches_healthy_mps_bit_for_bit() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
-        let healthy =
-            crate::mps::scan_mps(Add, tuple, &k80(), &fabric, cfg, problem, &input).unwrap();
-        let faulted = scan_mps_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
+        let mps = request(Proposal::Mps, NodeConfig::new(2, 2, 1, 1).unwrap(), problem);
+        let healthy = mps.run(&input).unwrap();
+        let faulted = mps.faults(FaultPlan::none()).run(&input).unwrap();
         assert_eq!(faulted.data, healthy.data);
         assert_eq!(
             faulted.report.makespan.to_bits(),
@@ -508,25 +450,11 @@ mod tests {
 
     #[test]
     fn throttle_slows_schedule_but_not_data() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
-        let healthy =
-            crate::mps::scan_mps(Add, tuple, &k80(), &fabric, cfg, problem, &input).unwrap();
-        let faulted = scan_mps_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::new(3).throttle_gpu(1, 4.0),
-        )
-        .unwrap();
+        let mps = request(Proposal::Mps, NodeConfig::new(2, 2, 1, 1).unwrap(), problem);
+        let healthy = mps.run(&input).unwrap();
+        let faulted = mps.faults(FaultPlan::new(3).throttle_gpu(1, 4.0)).run(&input).unwrap();
         assert_eq!(faulted.data, healthy.data, "throttling is timing-only");
         assert!(
             faulted.report.makespan > healthy.report.makespan,
@@ -542,23 +470,13 @@ mod tests {
 
     #[test]
     fn eviction_replans_and_reports_recovery() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
-        let faulted = scan_mps_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::batched_barrier(4),
-            &FaultPlan::new(11).evict_gpu(2, 1),
-        )
-        .unwrap();
+        let faulted = request(Proposal::Mps, NodeConfig::new(4, 4, 1, 1).unwrap(), problem)
+            .pipeline(PipelinePolicy::batched_barrier(4))
+            .faults(FaultPlan::new(11).evict_gpu(2, 1))
+            .run(&input)
+            .unwrap();
         verify_batch(&faulted.data, &input, problem);
         let fault_report = faulted.faults.as_ref().expect("faulted runs carry a report");
         assert!(fault_report.any_eviction());
@@ -587,15 +505,10 @@ mod tests {
     fn evicting_the_only_gpu_errors_cleanly() {
         let problem = ProblemParams::new(13, 0);
         let input = pseudo(problem.total_elems());
-        let err = scan_sp_faulted(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            problem,
-            &input,
-            &FaultPlan::new(0).evict_gpu(0, 0),
-        )
-        .unwrap_err();
+        let err = ScanRequest::new(Add, problem)
+            .faults(FaultPlan::new(0).evict_gpu(0, 0))
+            .run(&input)
+            .unwrap_err();
         match err {
             ScanError::InvalidConfig(msg) => assert!(msg.contains("last GPU"), "got: {msg}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -604,24 +517,13 @@ mod tests {
 
     #[test]
     fn mppc_eviction_only_replans_the_losing_group() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 3);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
         // GPU 4 is in the second network's group.
-        let faulted = scan_mppc_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::barrier_synchronous(),
-            &FaultPlan::new(5).evict_gpu(4, 0),
-        )
-        .unwrap();
+        let faulted = request(Proposal::Mppc, NodeConfig::new(4, 2, 2, 1).unwrap(), problem)
+            .faults(FaultPlan::new(5).evict_gpu(4, 0))
+            .run(&input)
+            .unwrap();
         verify_batch(&faulted.data, &input, problem);
         let fault_report = faulted.faults.as_ref().expect("faulted runs carry a report");
         assert_eq!(fault_report.replans(), 1);
@@ -638,38 +540,18 @@ mod tests {
 
     #[test]
     fn multinode_rejects_evictions_but_takes_link_faults() {
-        let fabric = Fabric::tsubame_kfc(2);
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-        let tuple = SplkTuple::kepler_premises(0);
-        let err = scan_mps_multinode_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &FaultPlan::new(0).evict_gpu(0, 0),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ScanError::InvalidConfig(_)));
+        let multinode =
+            request(Proposal::MpsMultinode, NodeConfig::new(2, 2, 1, 2).unwrap(), problem);
+        let err = multinode.clone().faults(FaultPlan::new(0).evict_gpu(0, 0)).run(&input);
+        assert!(matches!(err, Err(ScanError::InvalidConfig(_))));
 
-        let healthy =
-            crate::multinode::scan_mps_multinode(Add, tuple, &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
-        let degraded = scan_mps_multinode_faulted(
-            Add,
-            tuple,
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &FaultPlan::new(9).degrade_link(Resource::ib(0, 1), 8.0),
-        )
-        .unwrap();
+        let healthy = multinode.clone().run(&input).unwrap();
+        let degraded = multinode
+            .faults(FaultPlan::new(9).degrade_link(Resource::ib(0, 1), 8.0))
+            .run(&input)
+            .unwrap();
         assert_eq!(degraded.data, healthy.data);
         assert!(
             degraded.report.makespan > healthy.report.makespan,

@@ -6,9 +6,9 @@
 //! planned over the leased subset instead of a whole [`NodeConfig`]
 //! selection. A lease may be *partial* (fewer GPUs than the request asked
 //! for, because the pool was busy); planning then reuses the degraded-mode
-//! rule of the fault replanner ([`crate::fault`]): run on the largest
-//! power-of-two prefix of the granted GPUs, shrinking further if the
-//! `(s, p, l, K)` plan cannot split the problem that wide.
+//! rule of the fault replanner (see [`crate::ScanRequest::faults`]): run
+//! on the largest power-of-two prefix of the granted GPUs, shrinking
+//! further if the `(s, p, l, K)` plan cannot split the problem that wide.
 //!
 //! [`NodeConfig`]: crate::params::NodeConfig
 
@@ -257,20 +257,13 @@ mod tests {
             &PipelinePolicy::default(),
         )
         .unwrap();
-        let cfg = crate::params::NodeConfig::new(2, 2, 1, 1).unwrap();
-        let legacy = crate::mps::scan_mps_with(
-            Add,
-            tuple,
-            &device,
-            &fabric,
-            cfg,
-            problem,
-            &input,
-            &PipelinePolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(leased.data, legacy.data);
-        assert_eq!(leased.run.makespan.to_bits(), legacy.report.makespan.to_bits());
+        let by_cfg = crate::ScanRequest::new(Add, problem)
+            .proposal(crate::Proposal::Mps)
+            .devices(crate::params::NodeConfig::new(2, 2, 1, 1).unwrap())
+            .run(&input)
+            .unwrap();
+        assert_eq!(leased.data, by_cfg.data);
+        assert_eq!(leased.run.makespan.to_bits(), by_cfg.report.makespan.to_bits());
         assert_eq!(leased.gpus_used, vec![0, 1]);
     }
 

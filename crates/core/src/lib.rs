@@ -8,24 +8,24 @@
 //!
 //! ## Proposals
 //!
-//! * [`scan_sp`] — **Scan-SP**, the single-GPU batch pipeline;
-//! * [`scan_mps`] — **Scan-MPS**, Multi-GPU Problem Scattering: every
+//! One entry point, [`ScanRequest`], runs every proposal — they are the
+//! same three-kernel pipeline over different `(W, V, Y, M)` GPU
+//! selections, named by [`Proposal`]:
+//!
+//! * [`Proposal::Sp`] — **Scan-SP**, the single-GPU batch pipeline;
+//! * [`Proposal::Mps`] — **Scan-MPS**, Multi-GPU Problem Scattering: every
 //!   problem split across all `W` GPUs of a node (Fig. 7);
-//! * [`scan_mppc`] — **Scan-MP-PC**, Prioritized Communications: each PCIe
-//!   network's `V` GPUs take a slice of the batch, so no transfer ever
+//! * [`Proposal::Mppc`] — **Scan-MP-PC**, Prioritized Communications: each
+//!   PCIe network's `V` GPUs take a slice of the batch, so no transfer ever
 //!   leaves a network (Fig. 8);
-//! * [`scan_mps_multinode`] — Scan-MPS across nodes with
+//! * [`Proposal::MpsMultinode`] — Scan-MPS across nodes with
 //!   MPI_Gather/MPI_Scatter collectives (§4.1);
-//! * [`scan_case1`] — the trivial no-communication distribution (Case 1).
+//! * [`Proposal::Case1`] — the trivial no-communication distribution
+//!   (Case 1).
 //!
-//! Each proposal also has a fault-injected twin ([`scan_sp_faulted`],
-//! [`scan_mps_faulted`], [`scan_mppc_faulted`],
-//! [`scan_mps_multinode_faulted`]) that runs under a seeded
-//! [`interconnect::FaultPlan`] with degraded-mode replanning — see
-//! [`fault`].
-//!
-//! All of the above are also reachable through one builder,
-//! [`ScanRequest`], which additionally captures execution traces
+//! Every proposal but Case 1 also runs under a seeded
+//! [`interconnect::FaultPlan`] ([`ScanRequest::faults`]) with
+//! degraded-mode replanning, and a request can capture execution traces
 //! ([`TraceOptions`]) for Chrome-trace export, per-resource utilization
 //! and critical-path attribution — see [`request`] and [`report`].
 //!
@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use gpu_sim::DeviceSpec;
-//! use scan_core::{premises, scan_sp, verify, ProblemParams};
+//! use scan_core::{premises, verify, ProblemParams, ScanRequest};
 //! use skeletons::Add;
 //!
 //! // 8 problems of 4096 elements, batched in one invocation.
@@ -45,7 +45,7 @@
 //! let base = premises::derive_tuple(&device, 4, 0);
 //! let k = premises::default_k(&device, &problem, &base, 1).unwrap_or(0);
 //!
-//! let out = scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap();
+//! let out = ScanRequest::new(Add, problem).tuple(base.with_k(k)).run(&input).unwrap();
 //! verify::verify_batch(Add, problem, &input, &out.data).unwrap();
 //! println!("{:.1} Melem/s", out.report.throughput() / 1e6);
 //! ```
@@ -58,22 +58,22 @@
 pub mod autotune;
 pub mod breakdown;
 pub mod cache;
-pub mod case1;
+mod case1;
 pub mod error;
 pub mod exec;
-pub mod fault;
+mod fault;
 pub mod lease;
-pub mod mppc;
-pub mod mps;
+mod mppc;
+mod mps;
 pub mod multi_gpu;
-pub mod multinode;
+mod multinode;
 pub mod params;
 pub mod plan;
 pub mod premises;
 pub mod reduce;
 pub mod report;
 pub mod request;
-pub mod single;
+mod single;
 pub mod stage1;
 pub mod stage2;
 pub mod stage3;
@@ -81,23 +81,12 @@ pub mod verify;
 
 pub use autotune::{autotune_k, autotune_scan_sp, TuneResult};
 pub use breakdown::{Breakdown, BreakdownRow};
-#[allow(deprecated)]
-pub use cache::{lease_plan_cached, run_and_memoize_lease};
-pub use cache::{scan_on_lease_cached, CacheStats, PlanCache, PlanHit, PlannedLaunch};
-pub use case1::scan_case1;
+pub use cache::{CacheStats, PlanCache, PlanHit, PlannedLaunch};
 pub use error::{ScanError, ScanResult};
 pub use exec::{PipelinePolicy, PipelineRun};
-pub use fault::{
-    scan_mppc_faulted, scan_mps_faulted, scan_mps_multinode_faulted, scan_sp_faulted,
-    FaultyScanOutput,
-};
 pub use lease::{scan_on_lease, GpuLease, LeaseRun};
-pub use mppc::{scan_mppc, scan_mppc_with};
-pub use mps::{scan_mps, scan_mps_exclusive, scan_mps_with};
-pub use multinode::scan_mps_multinode;
 pub use params::{NodeConfig, ProblemParams, ScanKind};
 pub use plan::ExecutionPlan;
 pub use reduce::{reduce_sp, ReduceOutput};
 pub use report::{RunReport, ScanOutput, TraceHandle};
 pub use request::{Proposal, ScanRequest, TraceOptions};
-pub use single::{scan_sp, scan_sp_exclusive};

@@ -14,47 +14,28 @@
 //! When the batch has fewer problems than there are network groups, "the
 //! number of PCI-e \[networks\] being used has to be reduced".
 
-use gpu_sim::DeviceSpec;
-use interconnect::{ExecGraph, Fabric};
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use interconnect::ExecGraph;
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
-use crate::params::{NodeConfig, ProblemParams, ScanKind};
+use crate::exec::{Launch, PipelineRun};
+use crate::params::{NodeConfig, ProblemParams};
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan with the Prioritized Communications approach.
+/// Batch scan with the Prioritized Communications approach.
 ///
 /// Uses `M · Y` independent network groups of `V` GPUs each; groups run
-/// concurrently with no inter-group communication. Each group builds its
-/// own execution subgraph on a scoped host thread; the subgraphs are merged
-/// into one graph whose schedule gives the run's makespan (groups never
-/// share a stream or link, so they overlap fully).
-pub fn scan_mppc<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+/// concurrently with no inter-group communication, each applying the
+/// launch's [`crate::PipelinePolicy`]. Each group builds its own execution
+/// subgraph on a scoped host thread; the subgraphs are merged into one
+/// graph whose schedule gives the run's makespan (groups never share a
+/// stream or link, so they overlap fully).
+pub(crate) fn scan_mppc<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    scan_mppc_with(op, tuple, device, fabric, cfg, problem, input, &Default::default())
-}
-
-/// Scan-MP-PC with an explicit [`PipelinePolicy`] applied inside every
-/// network group.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mppc_with<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    policy: &PipelinePolicy,
-) -> ScanResult<ScanOutput<T>> {
+    let (fabric, problem) = (launch.fabric, launch.problem);
     cfg.validate_against(fabric.topology())?;
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
@@ -90,19 +71,7 @@ pub fn scan_mppc_with<T: Scannable, O: ScanOp<T>>(
                 let start = group * problems_per_group * n;
                 let group_input = &input[start..start + problems_per_group * n];
                 scope.spawn(move || {
-                    build_pipeline_graph(
-                        op,
-                        tuple,
-                        device,
-                        fabric,
-                        &gpu_ids,
-                        0,
-                        sub_problem,
-                        group_input,
-                        ScanKind::Inclusive,
-                        policy,
-                        out_chunk,
-                    )
+                    launch.build_graph(&gpu_ids, sub_problem, group_input, out_chunk)
                 })
             })
             .collect();
@@ -141,14 +110,22 @@ pub fn scan_mppc_with<T: Scannable, O: ScanOp<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Proposal, ScanRequest};
     use skeletons::{reference_inclusive, Add};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 65497 + 7) % 173) as i32 - 86).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    /// `proposal` over `cfg` with the request defaults (K80, Kepler
+    /// premises, TSUBAME-KFC fabric).
+    fn run(
+        proposal: Proposal,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> ScanOutput<i32> {
+        ScanRequest::new(Add, problem).proposal(proposal).devices(cfg).run(input).unwrap()
     }
 
     fn verify_batch(out: &[i32], input: &[i32], problem: ProblemParams) {
@@ -162,13 +139,9 @@ mod tests {
     #[test]
     fn w4_v2_two_groups() {
         // The paper's first MP-PC test: W=4, V=2 (two networks of two).
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 3);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
-        let out =
-            scan_mppc(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = run(Proposal::Mppc, NodeConfig::new(4, 2, 2, 1).unwrap(), problem, &input);
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("2 groups"));
     }
@@ -176,13 +149,9 @@ mod tests {
     #[test]
     fn w8_v4_two_groups() {
         // The paper's second MP-PC test: W=8, V=4.
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-        let out =
-            scan_mppc(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = run(Proposal::Mppc, NodeConfig::new(8, 4, 2, 1).unwrap(), problem, &input);
         verify_batch(&out.data, &input, problem);
     }
 
@@ -191,13 +160,11 @@ mod tests {
         // For the same W=8, MP-PC's comm must be far cheaper than MPS's,
         // because no transfer leaves a PCIe network (the Fig. 10 vs Fig. 9
         // story).
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 5);
         let input = pseudo(problem.total_elems());
-        let t = SplkTuple::kepler_premises(0);
         let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-        let mppc = scan_mppc(Add, t, &k80(), &fabric, cfg, problem, &input).unwrap();
-        let mps = crate::mps::scan_mps(Add, t, &k80(), &fabric, cfg, problem, &input).unwrap();
+        let mppc = run(Proposal::Mppc, cfg, problem, &input);
+        let mps = run(Proposal::Mps, cfg, problem, &input);
         let comm_mppc = mppc.report.timeline.seconds_with_prefix("comm:");
         let comm_mps = mps.report.timeline.seconds_with_prefix("comm:");
         assert!(
@@ -212,13 +179,9 @@ mod tests {
         // G = 1 problem with 2 networks available: only one group runs
         // ("the Scan-MP-PC proposal is executed on a V=1 PCI-e network",
         // i.e. it degenerates to MPS on one network).
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(14, 0);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
-        let out =
-            scan_mppc(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = run(Proposal::Mppc, NodeConfig::new(4, 2, 2, 1).unwrap(), problem, &input);
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("(1 group)"), "label: {}", out.report.label);
         assert!(!out.report.label.contains("(1 groups)"), "label: {}", out.report.label);
@@ -227,13 +190,9 @@ mod tests {
     #[test]
     fn multinode_mppc_runs_without_mpi() {
         // M = 2: four groups across two nodes, still no MPI phases.
-        let fabric = Fabric::tsubame_kfc(2);
         let problem = ProblemParams::new(13, 4);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 2, 2, 2).unwrap();
-        let out =
-            scan_mppc(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = run(Proposal::Mppc, NodeConfig::new(4, 2, 2, 2).unwrap(), problem, &input);
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("4 groups"));
         assert_eq!(

@@ -10,110 +10,40 @@
 //! choice of `W` vs. `Y` decides whether the aux exchange rides P2P or host
 //! staging, which is the entire story of Fig. 9.
 
-use gpu_sim::DeviceSpec;
-use interconnect::Fabric;
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::PipelinePolicy;
-use crate::multi_gpu::run_pipeline_group_policy;
-use crate::params::{NodeConfig, ProblemParams, ScanKind};
+use crate::exec::Launch;
+use crate::params::NodeConfig;
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan with the Multi-GPU Problem Scattering approach on a
-/// single node.
-///
-/// `cfg` selects the GPUs (`W = Y · V` on node 0, `M` must be 1 — use
-/// [`crate::multinode::scan_mps_multinode`] for several nodes). All `W`
+/// Batch scan with the Multi-GPU Problem Scattering approach on a single
+/// node: `cfg` selects the GPUs (`W = Y · V` on node 0; `M` must be 1 —
+/// [`crate::Proposal::MpsMultinode`] covers several nodes), and all `W`
 /// GPUs collaborate on every problem.
-pub fn scan_mps<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<ScanOutput<T>> {
-    scan_mps_kind(op, tuple, device, fabric, cfg, problem, input, ScanKind::Inclusive)
-}
-
-/// Scan-MPS with exclusive semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mps_exclusive<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<ScanOutput<T>> {
-    scan_mps_kind(op, tuple, device, fabric, cfg, problem, input, ScanKind::Exclusive)
-}
-
-/// Scan-MPS with explicit semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mps_kind<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-) -> ScanResult<ScanOutput<T>> {
-    scan_mps_with_kind(op, tuple, device, fabric, cfg, problem, input, kind, &Default::default())
-}
-
-/// Scan-MPS with an explicit [`PipelinePolicy`] (inclusive semantics).
 ///
 /// A pipelined policy splits the batch into sub-batches and lets the
 /// auxiliary-array exchange of one sub-batch overlap Stage-1 compute of the
-/// next; the default barrier-synchronous policy reproduces the paper's model
-/// exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_mps_with<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+/// next; the default barrier-synchronous policy reproduces the paper's
+/// model exactly.
+pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
-    policy: &PipelinePolicy,
-) -> ScanResult<ScanOutput<T>> {
-    scan_mps_with_kind(op, tuple, device, fabric, cfg, problem, input, ScanKind::Inclusive, policy)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_mps_with_kind<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    cfg: NodeConfig,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
 ) -> ScanResult<ScanOutput<T>> {
     if cfg.m() != 1 {
         return Err(ScanError::InvalidConfig(
-            "scan_mps is the single-node proposal; use scan_mps_multinode for M > 1".into(),
+            "Mps is the single-node proposal; use Proposal::MpsMultinode for M > 1".into(),
         ));
     }
-    cfg.validate_against(fabric.topology())?;
-    let gpu_ids = cfg.selected_gpus(fabric.topology());
-    let (data, run) = run_pipeline_group_policy(
-        op, tuple, device, fabric, &gpu_ids, problem, input, kind, policy,
-    )?;
+    let topology = launch.fabric.topology();
+    cfg.validate_against(topology)?;
+    let (data, run) = launch.run_group(&cfg.selected_gpus(topology), input)?;
     Ok(ScanOutput::new(
         data,
         RunReport::from_run(
             format!("Scan-MPS W={} V={} Y={}", cfg.w(), cfg.v(), cfg.y()),
-            problem.total_elems(),
+            launch.problem.total_elems(),
             run,
         ),
     ))
@@ -122,14 +52,16 @@ pub(crate) fn scan_mps_with_kind<T: Scannable, O: ScanOp<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ProblemParams, Proposal, ScanRequest};
     use skeletons::{reference_inclusive, Add};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 37 + 11) % 251) as i32 - 125).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    /// Scan-MPS of `Add` with the request defaults (K80, Kepler premises).
+    fn mps(cfg: NodeConfig, problem: ProblemParams, input: &[i32]) -> ScanResult<ScanOutput<i32>> {
+        ScanRequest::new(Add, problem).proposal(Proposal::Mps).devices(cfg).run(input)
     }
 
     fn verify_batch(out: &[i32], input: &[i32], problem: ProblemParams) {
@@ -142,26 +74,18 @@ mod tests {
 
     #[test]
     fn w2_same_network() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-        let out =
-            scan_mps(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = mps(NodeConfig::new(2, 2, 1, 1).unwrap(), problem, &input).unwrap();
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("W=2"));
     }
 
     #[test]
     fn w8_crosses_networks_and_still_scans_correctly() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-        let out =
-            scan_mps(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap();
+        let out = mps(NodeConfig::new(8, 4, 2, 1).unwrap(), problem, &input).unwrap();
         verify_batch(&out.data, &input, problem);
     }
 
@@ -169,30 +93,10 @@ mod tests {
     fn w8_pays_host_staging_w4_does_not() {
         // The Fig. 9 mechanism: at the same problem shape, W=8 (two PCIe
         // networks) must spend far more on the aux exchange than W=4.
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 5); // many problems -> many segments
         let input = pseudo(problem.total_elems());
-        let t = SplkTuple::kepler_premises(0);
-        let w4 = scan_mps(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(4, 4, 1, 1).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
-        let w8 = scan_mps(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(8, 4, 2, 1).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
+        let w4 = mps(NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input).unwrap();
+        let w8 = mps(NodeConfig::new(8, 4, 2, 1).unwrap(), problem, &input).unwrap();
         verify_batch(&w8.data, &input, problem);
         let comm4 = w4.report.timeline.seconds_with_prefix("comm:");
         let comm8 = w8.report.timeline.seconds_with_prefix("comm:");
@@ -201,32 +105,17 @@ mod tests {
 
     #[test]
     fn multinode_config_is_rejected() {
-        let fabric = Fabric::tsubame_kfc(2);
         let problem = ProblemParams::new(13, 0);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
-        let err =
-            scan_mps(Add, SplkTuple::kepler_premises(0), &k80(), &fabric, cfg, problem, &input)
-                .unwrap_err();
+        let err = mps(NodeConfig::new(4, 4, 1, 2).unwrap(), problem, &input).unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
     }
 
     #[test]
     fn oversized_w_for_problem_is_rejected() {
         // N = 2^12 over 8 GPUs: portions of 512 < one iteration.
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(12, 0);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-        assert!(scan_mps(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input
-        )
-        .is_err());
+        assert!(mps(NodeConfig::new(8, 4, 2, 1).unwrap(), problem, &input).is_err());
     }
 }

@@ -9,11 +9,9 @@
 
 use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimError, SimResult};
 use interconnect::{strided_exchange_cost, CollectiveCost, Fabric, StridedPart};
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use skeletons::Scannable;
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
-use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
 
 /// One participating GPU and its buffers.
@@ -250,78 +248,11 @@ pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]
     out
 }
 
-/// The full Scan-MPS pipeline over one group of GPUs sharing every problem:
-/// Stage 1 in parallel, auxiliary gather to the group root, Stage 2 on the
-/// root ("executing this second kernel on a single GPU has better
-/// performance than splitting it", §4.1), offsets scatter, Stage 3 in
-/// parallel.
-///
-/// The run is assembled as an execution graph (see [`crate::exec`]) whose
-/// kernels sit on per-GPU streams and whose exchanges occupy the links they
-/// traverse. Returns the scanned batch (problem-major) and the scheduled
-/// [`PipelineRun`] (graph, derived timeline, makespan).
-pub fn run_pipeline_group<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    run_pipeline_group_kind(op, tuple, device, fabric, gpu_ids, problem, input, ScanKind::Inclusive)
-}
-
-/// [`run_pipeline_group`] with explicit inclusive/exclusive semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_group_kind<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    run_pipeline_group_policy(
-        op,
-        tuple,
-        device,
-        fabric,
-        gpu_ids,
-        problem,
-        input,
-        kind,
-        &PipelinePolicy::barrier_synchronous(),
-    )
-}
-
-/// [`run_pipeline_group_kind`] with an explicit issue policy (sub-batch
-/// count and communication/compute overlap).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_group_policy<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-) -> ScanResult<(Vec<T>, PipelineRun)> {
-    let mut out = vec![T::default(); problem.total_elems()];
-    let graph = build_pipeline_graph(
-        op, tuple, device, fabric, gpu_ids, 0, problem, input, kind, policy, &mut out,
-    )?;
-    Ok((out, PipelineRun::from_graph(graph)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skeletons::{reference_inclusive, Add};
+    use crate::{ProblemParams, Proposal, ScanRequest};
+    use skeletons::{reference_inclusive, Add, SplkTuple};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 22695477 + 1) % 139) as i32 - 69).collect()
@@ -329,6 +260,22 @@ mod tests {
 
     fn k80() -> DeviceSpec {
         DeviceSpec::tesla_k80()
+    }
+
+    /// The pipeline over exactly `gpu_ids` (one problem-sharing group),
+    /// with the Kepler premise tuple at `k`.
+    fn on_group(
+        gpu_ids: &[usize],
+        k: u32,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> crate::ScanOutput<i32> {
+        ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .device_ids(gpu_ids)
+            .tuple(SplkTuple::kepler_premises(k))
+            .run(input)
+            .unwrap()
     }
 
     #[test]
@@ -388,27 +335,18 @@ mod tests {
     fn pipeline_group_scans_correctly_two_gpus() {
         let problem = ProblemParams::new(13, 2);
         let input = pseudo(4 << 13);
-        let fabric = Fabric::tsubame_kfc(1);
-        let (out, run) = run_pipeline_group(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            &[0, 1],
-            problem,
-            &input,
-        )
-        .unwrap();
+        let run = on_group(&[0, 1], 0, problem, &input);
         for g in 0..4 {
             let s = g << 13;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 13)]);
-            assert_eq!(&out[s..s + (1 << 13)], &expected[..], "problem {g}");
+            assert_eq!(&run.data[s..s + (1 << 13)], &expected[..], "problem {g}");
         }
-        assert_eq!(run.timeline.phases().len(), 5, "three stages and two comm phases");
-        assert!(run.makespan > 0.0);
+        let report = &run.report;
+        assert_eq!(report.timeline.phases().len(), 5, "three stages and two comm phases");
+        assert!(report.makespan > 0.0);
         assert_eq!(
-            run.makespan.to_bits(),
-            run.timeline.total().to_bits(),
+            report.makespan.to_bits(),
+            report.timeline.total().to_bits(),
             "barrier-synchronous schedule must equal the phase sum exactly"
         );
     }
@@ -417,45 +355,25 @@ mod tests {
     fn pipeline_group_single_gpu_matches_reference() {
         let problem = ProblemParams::new(12, 3);
         let input = pseudo(8 << 12);
-        let fabric = Fabric::tsubame_kfc(1);
-        let (out, run) = run_pipeline_group(
-            Add,
-            SplkTuple::kepler_premises(1),
-            &k80(),
-            &fabric,
-            &[0],
-            problem,
-            &input,
-        )
-        .unwrap();
+        let run = on_group(&[0], 1, problem, &input);
         for g in 0..8 {
             let s = g << 12;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 12)]);
-            assert_eq!(&out[s..s + (1 << 12)], &expected[..]);
+            assert_eq!(&run.data[s..s + (1 << 12)], &expected[..]);
         }
         // Single-GPU comm phases are free.
-        assert_eq!(run.timeline.seconds_with_prefix("comm:"), 0.0);
+        assert_eq!(run.report.timeline.seconds_with_prefix("comm:"), 0.0);
     }
 
     #[test]
     fn four_gpu_pipeline() {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(2 << 14);
-        let fabric = Fabric::tsubame_kfc(1);
-        let (out, _) = run_pipeline_group(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            &[0, 1, 2, 3],
-            problem,
-            &input,
-        )
-        .unwrap();
+        let run = on_group(&[0, 1, 2, 3], 0, problem, &input);
         for g in 0..2 {
             let s = g << 14;
             let expected = reference_inclusive(Add, &input[s..s + (1 << 14)]);
-            assert_eq!(&out[s..s + (1 << 14)], &expected[..]);
+            assert_eq!(&run.data[s..s + (1 << 14)], &expected[..]);
         }
     }
 
@@ -463,17 +381,11 @@ mod tests {
     fn cross_network_group_pays_host_staging() {
         let problem = ProblemParams::new(14, 4);
         let input = pseudo(16 << 14);
-        let fabric = Fabric::tsubame_kfc(1);
-        let tuple = SplkTuple::kepler_premises(0);
         // Same-network four GPUs vs four GPUs split across two networks.
-        let (_, run_p2p) =
-            run_pipeline_group(Add, tuple, &k80(), &fabric, &[0, 1, 2, 3], problem, &input)
-                .unwrap();
-        let (_, run_host) =
-            run_pipeline_group(Add, tuple, &k80(), &fabric, &[0, 1, 4, 5], problem, &input)
-                .unwrap();
-        let comm_p2p = run_p2p.timeline.seconds_with_prefix("comm:");
-        let comm_host = run_host.timeline.seconds_with_prefix("comm:");
+        let run_p2p = on_group(&[0, 1, 2, 3], 0, problem, &input);
+        let run_host = on_group(&[0, 1, 4, 5], 0, problem, &input);
+        let comm_p2p = run_p2p.report.timeline.seconds_with_prefix("comm:");
+        let comm_host = run_host.report.timeline.seconds_with_prefix("comm:");
         assert!(
             comm_host > 2.0 * comm_p2p,
             "cross-network aux exchange must be much slower ({comm_host} vs {comm_p2p})"

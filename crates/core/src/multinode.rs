@@ -11,16 +11,16 @@
 //! CUDA-aware MPI routes same-network ranks over P2P automatically, which
 //! the [`interconnect::MpiComm`] cost model honours.
 
-use gpu_sim::{DeviceSpec, EventKind};
-use interconnect::{ExecGraph, Fabric, FaultPlan, MpiComm, NodeId, NodeMeta, Resource};
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use gpu_sim::EventKind;
+use interconnect::{ExecGraph, FaultPlan, MpiComm, NodeId, NodeMeta, Resource};
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{collective_links, PipelineRun};
+use crate::exec::{collective_links, Launch, PipelineRun};
 use crate::multi_gpu::{
     assemble_output, build_workers, parallel_phase_counted, scatter_offsets_functional, Worker,
 };
-use crate::params::{NodeConfig, ProblemParams};
+use crate::params::NodeConfig;
 use crate::plan::ExecutionPlan;
 use crate::report::{RunReport, ScanOutput};
 use crate::stage1::run_stage1;
@@ -29,48 +29,39 @@ use crate::stage3::run_stage3;
 
 /// Batch inclusive scan with Multi-GPU Problem Scattering across `M` nodes.
 ///
-/// Requires `cfg.m() > 1`; for a single node use [`crate::mps::scan_mps`].
-pub fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+/// Requires `cfg.m() > 1`; a single node runs [`crate::Proposal::Mps`].
+pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    let (data, graph) =
-        build_multinode_graph(op, tuple, device, fabric, cfg, problem, input, None)?;
+    let (data, graph) = build_multinode_graph(launch, cfg, input, None)?;
     Ok(ScanOutput::new(
         data,
         RunReport::from_run(
             format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w()),
-            problem.total_elems(),
+            launch.problem.total_elems(),
             PipelineRun::from_graph(graph),
         ),
     ))
 }
 
-/// The multi-node pipeline body, shared with the fault-injection entry
-/// point: builds the MPI-phase execution graph and returns it unscheduled
+/// The multi-node pipeline body, shared with the fault-injected twin:
+/// builds the MPI-phase execution graph and returns it unscheduled
 /// together with the scanned data. `fault_plan` carries per-GPU SM
 /// throttles (link faults are applied to the finished graph by the
 /// caller; evictions are rejected there — there is no replanning across
 /// MPI ranks).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
+    launch: &Launch<'_, O>,
     cfg: NodeConfig,
-    problem: ProblemParams,
     input: &[T],
     fault_plan: Option<&FaultPlan>,
 ) -> ScanResult<(Vec<T>, ExecGraph)> {
+    let Launch { op, problem, tuple, device, fabric, .. } = *launch;
     if cfg.m() < 2 {
         return Err(ScanError::InvalidConfig(
-            "scan_mps_multinode needs M ≥ 2; use scan_mps on a single node".into(),
+            "MpsMultinode needs M ≥ 2; use Proposal::Mps on a single node".into(),
         ));
     }
     cfg.validate_against(fabric.topology())?;
@@ -214,14 +205,27 @@ fn gather_functional<T: Scannable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ProblemParams, Proposal, ScanRequest};
+    use interconnect::Fabric;
     use skeletons::{reference_inclusive, Add};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 48271 + 3) % 163) as i32 - 81).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    /// Multi-node Scan-MPS of `Add` over `cfg` on a `nodes`-node
+    /// TSUBAME-KFC fabric, with the request defaults otherwise.
+    fn multinode(
+        nodes: usize,
+        cfg: NodeConfig,
+        problem: ProblemParams,
+        input: &[i32],
+    ) -> ScanResult<ScanOutput<i32>> {
+        ScanRequest::new(Add, problem)
+            .proposal(Proposal::MpsMultinode)
+            .devices(cfg)
+            .fabric(Fabric::tsubame_kfc(nodes))
+            .run(input)
     }
 
     fn verify_batch(out: &[i32], input: &[i32], problem: ProblemParams) {
@@ -235,40 +239,18 @@ mod tests {
     #[test]
     fn m2_w4_scans_correctly() {
         // The paper's best multi-node combination: M=2, W=4.
-        let fabric = Fabric::tsubame_kfc(2);
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
-        let out = scan_mps_multinode(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = multinode(2, NodeConfig::new(4, 4, 1, 2).unwrap(), problem, &input).unwrap();
         verify_batch(&out.data, &input, problem);
         assert!(out.report.label.contains("M=2"));
     }
 
     #[test]
     fn mpi_phases_appear_in_the_timeline() {
-        let fabric = Fabric::tsubame_kfc(2);
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-        let out = scan_mps_multinode(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &k80(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = multinode(2, NodeConfig::new(2, 2, 1, 2).unwrap(), problem, &input).unwrap();
         let tl = &out.report.timeline;
         assert!(tl.seconds_with_prefix("MPI_Gather") > 0.0);
         assert!(tl.seconds_with_prefix("MPI_Scatter") > 0.0);
@@ -282,30 +264,10 @@ mod tests {
         // §5.2: "the best performance is achieved with M=2, W=4 … whereas
         // M=8, W=1 obtains the worst results" because MPI traffic replaces
         // intra-node P2P.
-        let fabric = Fabric::tsubame_kfc(8);
         let problem = ProblemParams::new(14, 2);
         let input = pseudo(problem.total_elems());
-        let t = SplkTuple::kepler_premises(0);
-        let m2w4 = scan_mps_multinode(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(4, 4, 1, 2).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
-        let m8w1 = scan_mps_multinode(
-            Add,
-            t,
-            &k80(),
-            &fabric,
-            NodeConfig::new(1, 1, 1, 8).unwrap(),
-            problem,
-            &input,
-        )
-        .unwrap();
+        let m2w4 = multinode(8, NodeConfig::new(4, 4, 1, 2).unwrap(), problem, &input).unwrap();
+        let m8w1 = multinode(8, NodeConfig::new(1, 1, 1, 8).unwrap(), problem, &input).unwrap();
         verify_batch(&m8w1.data, &input, problem);
         let mpi_24 = m2w4.report.timeline.seconds_with_prefix("MPI_Gather")
             + m2w4.report.timeline.seconds_with_prefix("MPI_Scatter");
@@ -317,20 +279,10 @@ mod tests {
 
     #[test]
     fn single_node_config_is_rejected() {
-        let fabric = Fabric::tsubame_kfc(1);
         let problem = ProblemParams::new(13, 0);
         let input = pseudo(problem.total_elems());
-        let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
         assert!(matches!(
-            scan_mps_multinode(
-                Add,
-                SplkTuple::kepler_premises(0),
-                &k80(),
-                &fabric,
-                cfg,
-                problem,
-                &input
-            ),
+            multinode(1, NodeConfig::new(4, 4, 1, 1).unwrap(), problem, &input),
             Err(ScanError::InvalidConfig(_))
         ));
     }

@@ -31,9 +31,18 @@ pub struct ProblemParams {
 }
 
 impl ProblemParams {
+    /// Exclusive upper bound on `n` and `g`: both are log₂ values.
+    pub const LOG2_LIMIT: u32 = 40;
+
     /// `G = 2^g` problems of `N = 2^n` elements each.
+    ///
+    /// # Panics
+    /// Panics if `n` or `g` is not below [`ProblemParams::LOG2_LIMIT`].
     pub fn new(n: u32, g: u32) -> Self {
-        assert!(n < 40 && g < 40, "problem sizes are log2 values; got n={n}, g={g}");
+        assert!(
+            n < Self::LOG2_LIMIT && g < Self::LOG2_LIMIT,
+            "problem sizes are log2 values; got n={n}, g={g}"
+        );
         ProblemParams { n, g }
     }
 

@@ -195,13 +195,13 @@ pub struct Premise4Recommendation {
 /// The proposal Premise 4 selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecommendedProposal {
-    /// [`crate::scan_sp`].
+    /// [`crate::Proposal::Sp`].
     ScanSp,
-    /// [`crate::scan_mps`] (single node).
+    /// [`crate::Proposal::Mps`] (single node).
     ScanMps,
-    /// [`crate::scan_mppc`].
+    /// [`crate::Proposal::Mppc`].
     ScanMpPc,
-    /// [`crate::scan_mps_multinode`].
+    /// [`crate::Proposal::MpsMultinode`].
     ScanMpsMultinode,
 }
 

@@ -132,7 +132,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         let t = SplkTuple::kepler_premises(2);
         let reduce = reduce_sp(Add, t, &k80(), problem, &input).unwrap();
-        let scan = crate::single::scan_sp(Add, t, &k80(), problem, &input).unwrap();
+        let scan = crate::ScanRequest::new(Add, problem).tuple(t).run(&input).unwrap();
         assert!(
             reduce.report.seconds() < scan.report.seconds() / 2.0,
             "reduce {} vs scan {}",

@@ -141,16 +141,6 @@ impl<T> ScanOutput<T> {
         }
         self.report.graph.as_ref().map(TraceHandle::from_graph)
     }
-
-    /// Drop the fault record and trace, leaving the plain data + report.
-    ///
-    /// Retained from the pre-unification API, where fault-injected runs
-    /// returned a separate `FaultyScanOutput` type.
-    pub fn into_scan_output(mut self) -> ScanOutput<T> {
-        self.faults = None;
-        self.trace = None;
-        self
-    }
 }
 
 #[cfg(test)]

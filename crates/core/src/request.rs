@@ -1,9 +1,7 @@
-//! The unified scan entry point: [`ScanRequest`].
+//! The scan entry point: [`ScanRequest`].
 //!
-//! The library grew one free function per proposal, then a `_faulted` twin
-//! per proposal, then policy (`_with`) and semantics (`_kind`, `_exclusive`)
-//! variants of each — ten entry points whose signatures drifted apart.
-//! `ScanRequest` collapses them behind one builder:
+//! Every proposal — healthy or fault-injected, inclusive or exclusive,
+//! barrier-synchronous or pipelined — runs through one builder:
 //!
 //! ```
 //! use gpu_sim::DeviceSpec;
@@ -22,10 +20,10 @@
 //! assert_eq!(out.data.len(), input.len());
 //! ```
 //!
-//! `run` delegates to the *same* implementation path the legacy free
-//! functions use, so a request reproduces their outputs (data and schedule
-//! bits) exactly; the free functions remain as thin aliases for existing
-//! call sites.
+//! `run` validates the request once, resolves its defaults into one
+//! crate-private launch, and dispatches on the proposal and whether a
+//! fault plan is set; `tests/golden/request_equivalence.txt` pins every
+//! such route's data and schedule bits.
 
 use std::sync::Arc;
 
@@ -35,9 +33,11 @@ use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::cache::{CacheKey, CachedPlan, DeviceKey, DeviceSel, FabricKey, PlanCache};
 use crate::error::{ScanError, ScanResult};
-use crate::exec::PipelinePolicy;
+use crate::exec::{Launch, PipelinePolicy};
+use crate::lease::{check_unique_gpu_ids, scan_on_lease, GpuLease};
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::report::{ScanOutput, TraceHandle};
+use crate::report::{RunReport, ScanOutput, TraceHandle};
+use crate::{case1, fault, mppc, mps, multinode, single};
 
 /// Which of the paper's distribution proposals a [`ScanRequest`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,10 +249,13 @@ impl<O: Copy> ScanRequest<O> {
         Ok(())
     }
 
-    /// The validation the dispatch arms perform, run up front so a cache
-    /// hit can never skip an error a cold run would raise. Returns the node
-    /// config for the proposals that need one (`None` for Sp).
+    /// Every validation a request needs, run once before the cache lookup
+    /// so a hit can never skip an error a cold run would raise. Returns the
+    /// node config for the proposals that need one (`None` for Sp).
     fn precheck(&self) -> ScanResult<Option<NodeConfig>> {
+        if self.faults.is_some() {
+            self.reject_exclusive("the fault-injected twins run inclusive scans")?;
+        }
         match self.proposal {
             Proposal::Sp => {
                 self.reject_policy()?;
@@ -276,11 +279,17 @@ impl<O: Copy> ScanRequest<O> {
         }
     }
 
+    /// Attach the captured trace when tracing was requested.
+    fn traced<T>(&self, mut out: ScanOutput<T>) -> ScanOutput<T> {
+        if self.trace.is_enabled() {
+            out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
+        }
+        out
+    }
+
     /// Execute the request over `input` (problem-major `[g][N]` layout).
     ///
-    /// Dispatches to exactly the implementation path of the corresponding
-    /// legacy free function, so outputs are reproduced bit-identically;
-    /// invalid combinations (exclusive + faults, a policy for a proposal
+    /// Invalid combinations (exclusive + faults, a policy for a proposal
     /// that cannot pipeline, a missing device selection) surface as
     /// [`ScanError::InvalidConfig`] instead of being silently ignored.
     pub fn run<T: Scannable>(&self, input: &[T]) -> ScanResult<ScanOutput<T>>
@@ -290,76 +299,20 @@ impl<O: Copy> ScanRequest<O> {
         let device = self.device.clone().unwrap_or_else(DeviceSpec::tesla_k80);
         let tuple = self.tuple.unwrap_or_else(|| SplkTuple::kepler_premises(0));
         let policy = self.policy.unwrap_or_default();
-        if self.faults.is_some() {
-            self.reject_exclusive("the fault-injected twins run inclusive scans")?;
-        }
-        let fabric = |m: usize| self.fabric.clone().unwrap_or_else(|| Fabric::tsubame_kfc(m));
-
         if let Some(ids) = &self.gpu_ids {
-            crate::lease::check_unique_gpu_ids(ids)?;
-            if self.cfg.is_some() {
-                return Err(ScanError::InvalidConfig(
-                    "give either .devices(NodeConfig) or .device_ids(..), not both".into(),
-                ));
-            }
-            if self.faults.is_some() {
-                return Err(ScanError::InvalidConfig(
-                    "explicit device_ids leases have no fault-injected twin".into(),
-                ));
-            }
-            if !matches!(self.proposal, Proposal::Sp | Proposal::Mps) {
-                return Err(ScanError::InvalidConfig(format!(
-                    "proposal {:?} does not run on an explicit device list; use Sp or Mps",
-                    self.proposal
-                )));
-            }
-            // Size the default fabric to cover the highest requested id.
-            let needed = ids.iter().max().map_or(1, |&g| g + 1);
-            let per_node = Fabric::tsubame_kfc(1).topology().total_gpus();
-            let fabric = fabric(needed.div_ceil(per_node));
-            let lease = crate::lease::GpuLease::new(ids.clone(), 0)?;
-            let leased = match &self.plan_cache {
-                Some(cache) => crate::cache::scan_on_lease_cached(
-                    cache,
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric,
-                    &lease,
-                    self.problem,
-                    input,
-                    self.kind,
-                    &policy,
-                )?,
-                None => crate::lease::scan_on_lease(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric,
-                    &lease,
-                    self.problem,
-                    input,
-                    self.kind,
-                    &policy,
-                )?,
-            };
-            let label = format!("Scan-Lease {} GPUs", leased.gpus_used.len());
-            let mut out = ScanOutput::new(
-                leased.data,
-                crate::report::RunReport::from_run(label, self.problem.total_elems(), leased.run),
-            );
-            if self.trace.is_enabled() {
-                out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
-            }
-            return Ok(out);
+            return self.run_on_ids(ids, tuple, &device, &policy, input);
         }
 
-        // Consult the plan cache before dispatching. `precheck` raises the
-        // same errors the dispatch arms would, so a hit cannot legitimize an
-        // invalid request; faulted runs bypass the cache entirely.
+        let cfg = self.precheck()?;
+        let fabric = match cfg {
+            None => single::single_gpu_fabric(),
+            Some(c) => self.fabric.clone().unwrap_or_else(|| Fabric::tsubame_kfc(c.m())),
+        };
+
+        // Consult the plan cache before dispatching; faulted runs bypass it
+        // entirely.
         let cached = match (&self.plan_cache, &self.faults) {
             (Some(cache), None) => {
-                let cfg = self.precheck()?;
                 let key = CacheKey {
                     proposal: match self.proposal {
                         Proposal::Sp => "Sp",
@@ -381,16 +334,12 @@ impl<O: Copy> ScanRequest<O> {
                         Some(c) => DeviceSel::Node { w: c.w(), v: c.v(), y: c.y(), m: c.m() },
                     },
                     spec: DeviceKey::of(&device),
-                    fabric: cfg.map(|c| FabricKey::of(&fabric(c.m()))),
+                    fabric: cfg.map(|_| FabricKey::of(&fabric)),
                 };
                 if let Some(plan) = cache.lookup(&key) {
                     let data =
                         crate::cache::reference_result(self.op, self.problem, input, self.kind);
-                    let mut out = ScanOutput::new(data, plan.report.clone());
-                    if self.trace.is_enabled() {
-                        out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
-                    }
-                    return Ok(out);
+                    return Ok(self.traced(ScanOutput::new(data, plan.report.clone())));
                 }
                 Some((cache, key))
             }
@@ -401,103 +350,28 @@ impl<O: Copy> ScanRequest<O> {
             _ => None,
         };
 
-        let mut out = match (self.proposal, &self.faults) {
-            (Proposal::Sp, None) => {
-                self.reject_policy()?;
-                crate::single::scan_sp_kind(self.op, tuple, &device, self.problem, input, self.kind)
-            }
-            (Proposal::Sp, Some(plan)) => {
-                self.reject_policy()?;
-                crate::fault::scan_sp_faulted(self.op, tuple, &device, self.problem, input, plan)
-            }
-            (Proposal::Mps, None) => crate::mps::scan_mps_with_kind(
-                self.op,
-                tuple,
-                &device,
-                &fabric(self.require_cfg()?.m()),
-                self.require_cfg()?,
-                self.problem,
-                input,
-                self.kind,
-                &policy,
-            ),
-            (Proposal::Mps, Some(plan)) => {
-                self.reject_exclusive("faulted Mps")?;
-                crate::fault::scan_mps_faulted(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    &policy,
-                    plan,
-                )
-            }
-            (Proposal::Mppc, None) => {
-                self.reject_exclusive("Mppc")?;
-                crate::mppc::scan_mppc_with(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    &policy,
-                )
-            }
-            (Proposal::Mppc, Some(plan)) => crate::fault::scan_mppc_faulted(
-                self.op,
-                tuple,
-                &device,
-                &fabric(self.require_cfg()?.m()),
-                self.require_cfg()?,
-                self.problem,
-                input,
-                &policy,
-                plan,
-            ),
-            (Proposal::MpsMultinode, None) => {
-                self.reject_policy()?;
-                self.reject_exclusive("MpsMultinode")?;
-                crate::multinode::scan_mps_multinode(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                )
-            }
+        let launch = Launch {
+            op: self.op,
+            problem: self.problem,
+            tuple,
+            kind: self.kind,
+            policy,
+            device: &device,
+            fabric: &fabric,
+        };
+        let cfg = cfg.unwrap_or_else(NodeConfig::single_gpu);
+        let out = match (self.proposal, &self.faults) {
+            (Proposal::Sp, None) => single::scan_sp(&launch, input),
+            (Proposal::Sp, Some(plan)) => fault::scan_sp_faulted(&launch, input, plan),
+            (Proposal::Mps, None) => mps::scan_mps(&launch, cfg, input),
+            (Proposal::Mps, Some(plan)) => fault::scan_mps_faulted(&launch, cfg, input, plan),
+            (Proposal::Mppc, None) => mppc::scan_mppc(&launch, cfg, input),
+            (Proposal::Mppc, Some(plan)) => fault::scan_mppc_faulted(&launch, cfg, input, plan),
+            (Proposal::MpsMultinode, None) => multinode::scan_mps_multinode(&launch, cfg, input),
             (Proposal::MpsMultinode, Some(plan)) => {
-                self.reject_policy()?;
-                crate::fault::scan_mps_multinode_faulted(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                    plan,
-                )
+                fault::scan_mps_multinode_faulted(&launch, cfg, input, plan)
             }
-            (Proposal::Case1, None) => {
-                self.reject_policy()?;
-                self.reject_exclusive("Case1")?;
-                crate::case1::scan_case1(
-                    self.op,
-                    tuple,
-                    &device,
-                    &fabric(self.require_cfg()?.m()),
-                    self.require_cfg()?,
-                    self.problem,
-                    input,
-                )
-            }
+            (Proposal::Case1, None) => case1::scan_case1(&launch, cfg, input),
             (Proposal::Case1, Some(_)) => Err(ScanError::InvalidConfig(
                 "Case1 has no fault-injected twin: its groups share no link to fault and no \
                  replanning protocol"
@@ -514,9 +388,9 @@ impl<O: Copy> ScanRequest<O> {
                     report: out.report.clone(),
                     // Proposal-keyed plans replay through the report, never
                     // through the fleet-admission arena; park an empty graph.
-                    graph: std::sync::Arc::new(interconnect::ExecGraph::new()),
+                    graph: Arc::new(interconnect::ExecGraph::new()),
                     resources: Vec::new(),
-                    gpus_used: std::sync::Arc::from([]),
+                    gpus_used: Arc::from([]),
                     replayable,
                     lease_ids: Vec::new(),
                     lease_stream: 0,
@@ -524,11 +398,59 @@ impl<O: Copy> ScanRequest<O> {
                 },
             );
         }
+        Ok(self.traced(out))
+    }
 
-        if self.trace.is_enabled() {
-            out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
+    /// The explicit-device-list path: plan on a lease over `ids` (through
+    /// the plan cache when one is attached), the way the serving layer
+    /// runs a request.
+    fn run_on_ids<T: Scannable>(
+        &self,
+        ids: &[usize],
+        tuple: SplkTuple,
+        device: &DeviceSpec,
+        policy: &PipelinePolicy,
+        input: &[T],
+    ) -> ScanResult<ScanOutput<T>>
+    where
+        O: ScanOp<T>,
+    {
+        check_unique_gpu_ids(ids)?;
+        if self.cfg.is_some() {
+            return Err(ScanError::InvalidConfig(
+                "give either .devices(NodeConfig) or .device_ids(..), not both".into(),
+            ));
         }
-        Ok(out)
+        if self.faults.is_some() {
+            return Err(ScanError::InvalidConfig(
+                "explicit device_ids leases have no fault-injected twin".into(),
+            ));
+        }
+        if !matches!(self.proposal, Proposal::Sp | Proposal::Mps) {
+            return Err(ScanError::InvalidConfig(format!(
+                "proposal {:?} does not run on an explicit device list; use Sp or Mps",
+                self.proposal
+            )));
+        }
+        // Size the default fabric to cover the highest requested id.
+        let fabric = self.fabric.clone().unwrap_or_else(|| {
+            let needed = ids.iter().max().map_or(1, |&g| g + 1);
+            let per_node = Fabric::tsubame_kfc(1).topology().total_gpus();
+            Fabric::tsubame_kfc(needed.div_ceil(per_node))
+        });
+        let lease = GpuLease::new(ids.to_vec(), 0)?;
+        let (op, problem, kind) = (self.op, self.problem, self.kind);
+        let leased = match &self.plan_cache {
+            Some(cache) => cache
+                .plan::<T, O>(device, &fabric, &lease, problem, tuple, kind, policy)
+                .run(op, input)?,
+            None => {
+                scan_on_lease(op, tuple, device, &fabric, &lease, problem, input, kind, policy)?
+            }
+        };
+        let label = format!("Scan-Lease {} GPUs", leased.gpus_used.len());
+        let report = RunReport::from_run(label, problem.total_elems(), leased.run);
+        Ok(self.traced(ScanOutput::new(leased.data, report)))
     }
 }
 
@@ -542,15 +464,19 @@ mod tests {
     }
 
     #[test]
-    fn request_reproduces_scan_sp_bit_identically() {
+    fn defaults_are_sp_on_a_k80_with_kepler_premises() {
         let problem = ProblemParams::new(12, 2);
         let input = pseudo(problem.total_elems());
-        let tuple = SplkTuple::kepler_premises(0);
-        let legacy =
-            crate::single::scan_sp(Add, tuple, &DeviceSpec::tesla_k80(), problem, &input).unwrap();
+        let explicit = ScanRequest::new(Add, problem)
+            .proposal(Proposal::Sp)
+            .device(DeviceSpec::tesla_k80())
+            .tuple(SplkTuple::kepler_premises(0))
+            .run(&input)
+            .unwrap();
         let req = ScanRequest::new(Add, problem).run(&input).unwrap();
-        assert_eq!(req.data, legacy.data);
-        assert_eq!(req.report.makespan.to_bits(), legacy.report.makespan.to_bits());
+        assert_eq!(req.data, explicit.data);
+        assert_eq!(req.report.makespan.to_bits(), explicit.report.makespan.to_bits());
+        assert_eq!(req.report.label, "Scan-SP");
         assert!(req.faults.is_none());
         assert!(req.trace.is_none());
     }

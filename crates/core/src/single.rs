@@ -4,79 +4,60 @@
 //! single library invocation — the configuration the paper compares against
 //! the competing libraries in Fig. 11/12 as *Scan Single-GPU Problem*.
 
-use gpu_sim::DeviceSpec;
-use interconnect::Fabric;
-use skeletons::{ScanOp, Scannable, SplkTuple};
+use interconnect::{Fabric, Topology};
+use skeletons::{ScanOp, Scannable};
 
 use crate::error::ScanResult;
-use crate::multi_gpu::run_pipeline_group_kind;
-use crate::params::{ProblemParams, ScanKind};
+use crate::exec::Launch;
+use crate::params::ScanKind;
 use crate::report::{RunReport, ScanOutput};
 
-/// Batch inclusive scan on a single GPU.
-///
-/// `input` holds the batch problem-major (`[g][N]`); the output preserves
-/// the layout. The tuple's `K` should come from the premises
-/// ([`crate::premises::default_k`]) or the autotuner.
-pub fn scan_sp<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
-    input: &[T],
-) -> ScanResult<ScanOutput<T>> {
-    scan_sp_kind(op, tuple, device, problem, input, ScanKind::Inclusive)
+/// The lone-GPU fabric Scan-SP runs on, whatever fabric a request names.
+pub(crate) fn single_gpu_fabric() -> Fabric {
+    Fabric::new(Topology::single_gpu(), Default::default())
 }
 
-/// Batch *exclusive* scan on a single GPU (`out[0] = identity`,
-/// `out[i] = x₀ ∘ … ∘ xᵢ₋₁` per problem).
-pub fn scan_sp_exclusive<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
+/// Batch scan on a single GPU: `input` holds the batch problem-major
+/// (`[g][N]`) and the output preserves the layout. The tuple's `K` should
+/// come from the premises ([`crate::premises::default_k`]) or the
+/// autotuner.
+pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
+    launch: &Launch<'_, O>,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    scan_sp_kind(op, tuple, device, problem, input, ScanKind::Exclusive)
-}
-
-/// Scan-SP with explicit semantics.
-pub fn scan_sp_kind<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-) -> ScanResult<ScanOutput<T>> {
-    let fabric = Fabric::new(interconnect::Topology::single_gpu(), Default::default());
-    let (data, run) =
-        run_pipeline_group_kind(op, tuple, device, &fabric, &[0], problem, input, kind)?;
-    let label = match kind {
+    let (data, run) = launch.run_group(&[0], input)?;
+    let label = match launch.kind {
         ScanKind::Inclusive => "Scan-SP",
         ScanKind::Exclusive => "Scan-SP (exclusive)",
     };
-    Ok(ScanOutput::new(data, RunReport::from_run(label, problem.total_elems(), run)))
+    Ok(ScanOutput::new(data, RunReport::from_run(label, launch.problem.total_elems(), run)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skeletons::{reference_inclusive, Add, Max, Min, Mul};
+    use crate::{ProblemParams, ScanRequest};
+    use skeletons::{reference_inclusive, Add, Max, Min, Mul, SplkTuple};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 1103515245 + 12345) % 211) as i32 - 105).collect()
     }
 
-    fn k80() -> DeviceSpec {
-        DeviceSpec::tesla_k80()
+    /// Scan-SP on the default K80 with the Kepler premise tuple at `k`.
+    fn sp<T: Scannable, O: ScanOp<T>>(
+        op: O,
+        k: u32,
+        problem: ProblemParams,
+        input: &[T],
+    ) -> ScanResult<ScanOutput<T>> {
+        ScanRequest::new(op, problem).tuple(SplkTuple::kepler_premises(k)).run(input)
     }
 
     #[test]
     fn batch_scan_matches_reference() {
         let problem = ProblemParams::new(13, 3);
         let input = pseudo(problem.total_elems());
-        let out = scan_sp(Add, SplkTuple::kepler_premises(1), &k80(), problem, &input).unwrap();
+        let out = sp(Add, 1, problem, &input).unwrap();
         let n = problem.problem_size();
         for g in 0..problem.batch() {
             let expected = reference_inclusive(Add, &input[g * n..(g + 1) * n]);
@@ -92,7 +73,7 @@ mod tests {
     fn single_problem_large_n() {
         let problem = ProblemParams::single(16);
         let input = pseudo(1 << 16);
-        let out = scan_sp(Add, SplkTuple::kepler_premises(2), &k80(), problem, &input).unwrap();
+        let out = sp(Add, 2, problem, &input).unwrap();
         assert_eq!(out.data, reference_inclusive(Add, &input));
     }
 
@@ -101,16 +82,15 @@ mod tests {
         let problem = ProblemParams::new(12, 1);
         let input = pseudo(problem.total_elems());
         let n = problem.problem_size();
-        let t = SplkTuple::kepler_premises(0);
 
-        let out = scan_sp(Max, t, &k80(), problem, &input).unwrap();
+        let out = sp(Max, 0, problem, &input).unwrap();
         for g in 0..2 {
             assert_eq!(
                 &out.data[g * n..(g + 1) * n],
                 &reference_inclusive(Max, &input[g * n..(g + 1) * n])[..]
             );
         }
-        let out = scan_sp(Min, t, &k80(), problem, &input).unwrap();
+        let out = sp(Min, 0, problem, &input).unwrap();
         for g in 0..2 {
             assert_eq!(
                 &out.data[g * n..(g + 1) * n],
@@ -118,7 +98,7 @@ mod tests {
             );
         }
         let ones = vec![1i32; problem.total_elems()];
-        let out = scan_sp(Mul, t, &k80(), problem, &ones).unwrap();
+        let out = sp(Mul, 0, problem, &ones).unwrap();
         assert!(out.data.iter().all(|&v| v == 1));
     }
 
@@ -126,7 +106,7 @@ mod tests {
     fn works_with_i64_elements() {
         let problem = ProblemParams::new(12, 1);
         let input: Vec<i64> = pseudo(problem.total_elems()).iter().map(|&v| v as i64).collect();
-        let out = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
+        let out = sp(Add, 0, problem, &input).unwrap();
         let n = problem.problem_size();
         for g in 0..2 {
             assert_eq!(
@@ -140,8 +120,8 @@ mod tests {
     fn deep_cascade_and_shallow_cascade_agree() {
         let problem = ProblemParams::new(14, 1);
         let input = pseudo(problem.total_elems());
-        let shallow = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
-        let deep = scan_sp(Add, SplkTuple::kepler_premises(3), &k80(), problem, &input).unwrap();
+        let shallow = sp(Add, 0, problem, &input).unwrap();
+        let deep = sp(Add, 3, problem, &input).unwrap();
         assert_eq!(shallow.data, deep.data, "K must not change results");
     }
 
@@ -151,8 +131,8 @@ mod tests {
         // fewer chunks, cheaper stage 2.
         let problem = ProblemParams::new(18, 0);
         let input = pseudo(problem.total_elems());
-        let t_small = scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).unwrap();
-        let t_large = scan_sp(Add, SplkTuple::kepler_premises(4), &k80(), problem, &input).unwrap();
+        let t_small = sp(Add, 0, problem, &input).unwrap();
+        let t_large = sp(Add, 4, problem, &input).unwrap();
         let s2_small = t_small.report.timeline.seconds_with_prefix("stage2");
         let s2_large = t_large.report.timeline.seconds_with_prefix("stage2");
         assert!(s2_large < s2_small, "K=16 must shrink stage 2 vs K=1 ({s2_large} vs {s2_small})");
@@ -162,6 +142,6 @@ mod tests {
     fn problem_smaller_than_iteration_is_rejected() {
         let problem = ProblemParams::new(9, 0); // 512 < 1024
         let input = pseudo(512);
-        assert!(scan_sp(Add, SplkTuple::kepler_premises(0), &k80(), problem, &input).is_err());
+        assert!(sp(Add, 0, problem, &input).is_err());
     }
 }

@@ -136,16 +136,12 @@ pub struct RouterConfig {
     /// Each shard's interconnect fabric (same meaning as
     /// [`ServeConfig::fabric`]).
     pub fabric: FabricPreset,
-    /// Step shards serially on the caller's thread instead of the scoped
-    /// worker pool — the retained reference engine the parallel stepping
-    /// is differentially pinned against (like
-    /// [`RouterConfig::reference_timings`] for the fleet scheduler).
-    /// Outputs are byte-identical either way.
-    pub serial_stepping: bool,
     /// Worker threads for parallel shard stepping; `0` = one per shard,
     /// capped at the host's available parallelism. Always capped at the
-    /// shard count; an effective count of 1 steps serially. Thread count
-    /// never changes any output byte.
+    /// shard count; an effective count of 1 steps every shard serially on
+    /// the caller's thread — the engine the parallel stepping is
+    /// differentially pinned against. Thread count never changes any
+    /// output byte.
     pub threads: usize,
 }
 
@@ -168,7 +164,6 @@ impl RouterConfig {
             reference_timings: false,
             devices: Vec::new(),
             fabric: FabricPreset::Pcie,
-            serial_stepping: false,
             threads: 0,
         }
     }
@@ -298,14 +293,10 @@ impl Router {
         })
     }
 
-    /// The worker count one window actually steps with: 1 under
-    /// [`RouterConfig::serial_stepping`], else the configured
+    /// The worker count one window actually steps with: the configured
     /// [`RouterConfig::threads`] (`0` = the host's available parallelism),
     /// capped at the shard count.
     fn effective_threads(&self) -> usize {
-        if self.config.serial_stepping {
-            return 1;
-        }
         let want = if self.config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -323,9 +314,9 @@ impl Router {
     /// runs on a scoped worker pool; every cross-shard interaction —
     /// routing, redirect spill, work stealing, SLO escalation, the clock
     /// advance — resolves serially at the barrier between ticks, in
-    /// shard-index order. Outputs are therefore byte-identical to
-    /// [`RouterConfig::serial_stepping`] by construction, whatever the
-    /// thread count. Each shard's responses are computed by its engine's
+    /// shard-index order. Outputs are therefore byte-identical to serial
+    /// stepping (`threads: 1`) by construction, whatever the thread
+    /// count. Each shard's responses are computed by its engine's
     /// window-end response pass when the window is finalized.
     ///
     /// # Errors

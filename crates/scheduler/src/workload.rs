@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use scan_core::ProblemParams;
 use skeletons::{AffinePair, SegPair};
 
 use crate::json::Json;
@@ -341,14 +342,33 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
                 OpKind::parse(name).ok_or(format!("request {id}: unknown op \"{name}\""))?
             }
         };
+        // Range-check every integer here, so a bad field is an error that
+        // names it, never a silent truncation or a panic inside the server.
+        let log2 = |key: &str| {
+            let v = int(key)?;
+            u32::try_from(v).ok().filter(|&v| v < ProblemParams::LOG2_LIMIT).ok_or_else(|| {
+                format!(
+                    "request {id}: \"{key}\" = {v} must be a log2 size below {}",
+                    ProblemParams::LOG2_LIMIT
+                )
+            })
+        };
+        let byte = |key: &str| {
+            let v = opt_int(key)?.unwrap_or(0);
+            u8::try_from(v).map_err(|_| format!("request {id}: \"{key}\" = {v} exceeds 255"))
+        };
+        let gpus_wanted = opt_int("gpus")?.unwrap_or(1);
+        if gpus_wanted == 0 {
+            return Err(format!("request {id}: \"gpus\" must be at least 1"));
+        }
         out.push(ServeRequest {
             id,
             arrival,
-            n: int("n")? as u32,
-            g: int("g")? as u32,
-            gpus_wanted: opt_int("gpus")?.unwrap_or(1),
-            priority: opt_int("priority")?.unwrap_or(0) as u8,
-            tenant: opt_int("tenant")?.unwrap_or(0) as u8,
+            n: log2("n")?,
+            g: log2("g")?,
+            gpus_wanted,
+            priority: byte("priority")?,
+            tenant: byte("tenant")?,
             deadline,
             op,
         });
@@ -490,5 +510,21 @@ mod tests {
             {"arrival": 0.5, "n": 11, "g": 1}
         ]}"#;
         assert!(requests_from_json(unsorted).unwrap_err().contains("not sorted"));
+        // Out-of-range integers are errors naming the request and field:
+        // never truncated to fit, never left to panic in the pool or the
+        // problem constructor.
+        for (entry, field) in [
+            (r#"{"arrival": 0, "n": 11, "g": 1, "tenant": 300}"#, "tenant"),
+            (r#"{"arrival": 0, "n": 11, "g": 1, "priority": 260}"#, "priority"),
+            (r#"{"arrival": 0, "n": 4294967308, "g": 1}"#, "n"),
+            (r#"{"arrival": 0, "n": 40, "g": 1}"#, "n"),
+            (r#"{"arrival": 0, "n": 11, "g": 40}"#, "g"),
+            (r#"{"arrival": 0, "n": 11, "g": 1, "gpus": 0}"#, "gpus"),
+        ] {
+            let err = requests_from_json(&format!(r#"{{"requests": [{entry}]}}"#)).unwrap_err();
+            assert!(err.contains(&format!("request 0: \"{field}\"")), "{entry}: {err}");
+        }
+        // Deep nesting is a parse error, not a stack overflow.
+        assert!(requests_from_json(&"[".repeat(1 << 20)).is_err());
     }
 }

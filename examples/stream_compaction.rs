@@ -13,7 +13,6 @@
 //! ```
 
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::scan_sp_exclusive;
 
 fn main() {
     // 16 sensor streams of 65,536 readings; keep the positive ones.
@@ -30,8 +29,12 @@ fn main() {
     let flags: Vec<i32> = readings.iter().map(|&r| i32::from(r > 0)).collect();
 
     // Step 2: batched exclusive scan of the flags = output positions.
-    let positions =
-        scan_sp_exclusive(Add, base.with_k(k), &device, problem, &flags).expect("scan failed");
+    let positions = ScanRequest::new(Add, problem)
+        .device(device)
+        .tuple(base.with_k(k))
+        .exclusive()
+        .run(&flags)
+        .expect("scan failed");
 
     // Step 3: scatter per problem.
     let n = problem.problem_size();

@@ -45,8 +45,8 @@ pub mod prelude {
         Trace,
     };
     pub use scan_core::{
-        premises, CacheStats, FaultyScanOutput, NodeConfig, PipelinePolicy, PlanCache,
-        ProblemParams, Proposal, ScanRequest, TraceHandle, TraceOptions,
+        premises, CacheStats, NodeConfig, PipelinePolicy, PlanCache, ProblemParams, Proposal,
+        ScanOutput, ScanRequest, TraceHandle, TraceOptions,
     };
     pub use scan_serve::{
         OpKind, Placement, Policy, Rejection, Router, RouterConfig, ServeConfig, ServeRequest,
@@ -55,189 +55,4 @@ pub mod prelude {
     pub use skeletons::{
         Add, AffinePair, GatedOp, Max, Min, Mul, ScanOp, SegPair, SegmentedAdd, SplkTuple,
     };
-}
-
-/// Legacy proposal-shaped entry points, kept for one release.
-///
-/// These free functions predate [`ScanRequest`], which names the proposal
-/// once and fronts device/fabric/policy/fault selection uniformly. They
-/// were demoted out of [`prelude`]; every wrapper here forwards to the
-/// underlying `scan_core` implementation unchanged, so migrating is purely
-/// mechanical — see `docs/runtime.md` for the `ScanRequest` equivalents.
-pub mod compat {
-    use gpu_sim::DeviceSpec;
-    use interconnect::{Fabric, FaultPlan};
-    use scan_core::{
-        FaultyScanOutput, NodeConfig, PipelinePolicy, ProblemParams, ScanOutput, ScanResult,
-    };
-    use skeletons::{ScanOp, Scannable, SplkTuple};
-
-    /// Batch inclusive scan on a single GPU (legacy Scan-SP entry point).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_sp<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        problem: ProblemParams,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_sp(op, tuple, device, problem, input)
-    }
-
-    /// Batch inclusive scan with Multi-GPU Problem Scattering (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_mps<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_mps(op, tuple, device, fabric, cfg, problem, input)
-    }
-
-    /// Scan-MPS with an explicit [`PipelinePolicy`] (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_mps_with<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-        policy: &PipelinePolicy,
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_mps_with(op, tuple, device, fabric, cfg, problem, input, policy)
-    }
-
-    /// Batch inclusive scan with Prioritized Communications (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_mppc<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_mppc(op, tuple, device, fabric, cfg, problem, input)
-    }
-
-    /// Scan-MP-PC with an explicit [`PipelinePolicy`] (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_mppc_with<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-        policy: &PipelinePolicy,
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_mppc_with(op, tuple, device, fabric, cfg, problem, input, policy)
-    }
-
-    /// One-problem-set-per-GPU distribution (legacy Case-1 entry point).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_case1<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_case1(op, tuple, device, fabric, cfg, problem, input)
-    }
-
-    /// Multi-node Scan-MPS (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>> {
-        scan_core::scan_mps_multinode(op, tuple, device, fabric, cfg, problem, input)
-    }
-
-    /// Fault-injected Scan-SP (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    pub fn scan_sp_faulted<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        problem: ProblemParams,
-        input: &[T],
-        fault_plan: &FaultPlan,
-    ) -> ScanResult<FaultyScanOutput<T>> {
-        scan_core::scan_sp_faulted(op, tuple, device, problem, input, fault_plan)
-    }
-
-    /// Fault-injected Scan-MPS with degraded-mode replanning (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_mps_faulted<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-        policy: &PipelinePolicy,
-        fault_plan: &FaultPlan,
-    ) -> ScanResult<FaultyScanOutput<T>> {
-        scan_core::scan_mps_faulted(
-            op, tuple, device, fabric, cfg, problem, input, policy, fault_plan,
-        )
-    }
-
-    /// Fault-injected Scan-MP-PC (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_mppc_faulted<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-        policy: &PipelinePolicy,
-        fault_plan: &FaultPlan,
-    ) -> ScanResult<FaultyScanOutput<T>> {
-        scan_core::scan_mppc_faulted(
-            op, tuple, device, fabric, cfg, problem, input, policy, fault_plan,
-        )
-    }
-
-    /// Fault-injected multi-node Scan-MPS (legacy).
-    #[deprecated(note = "use ScanRequest")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_mps_multinode_faulted<T: Scannable, O: ScanOp<T>>(
-        op: O,
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        fabric: &Fabric,
-        cfg: NodeConfig,
-        problem: ProblemParams,
-        input: &[T],
-        fault_plan: &FaultPlan,
-    ) -> ScanResult<FaultyScanOutput<T>> {
-        scan_core::scan_mps_multinode_faulted(
-            op, tuple, device, fabric, cfg, problem, input, fault_plan,
-        )
-    }
 }

@@ -2,8 +2,7 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::verify::{verify_batch_kind, Mismatch};
-use multigpu_scan::scan::{scan_sp, scan_sp_exclusive, ScanKind};
-use scan_core::mps::scan_mps_exclusive;
+use multigpu_scan::scan::ScanKind;
 
 fn pseudo(n: usize, seed: i64) -> Vec<i32> {
     (0..n).map(|i| ((i as i64 * 16807 + seed) % 401) as i32 - 200).collect()
@@ -27,8 +26,11 @@ fn exclusive_sp_matches_reference() {
     for (n, g) in [(10u32, 0u32), (12, 2), (14, 1), (13, 4)] {
         let problem = ProblemParams::new(n, g);
         let input = pseudo(problem.total_elems(), n as i64);
-        let out =
-            scan_sp_exclusive(Add, tuple_for(&problem, 1), &device(), problem, &input).unwrap();
+        let out = ScanRequest::new(Add, problem)
+            .tuple(tuple_for(&problem, 1))
+            .exclusive()
+            .run(&input)
+            .unwrap();
         check_exclusive(problem, &input, &out.data).unwrap_or_else(|m| panic!("n={n} g={g}: {m}"));
         assert!(out.report.label.contains("exclusive"));
     }
@@ -38,7 +40,11 @@ fn exclusive_sp_matches_reference() {
 fn exclusive_starts_each_problem_at_identity() {
     let problem = ProblemParams::new(12, 3);
     let input = pseudo(problem.total_elems(), 5);
-    let out = scan_sp_exclusive(Add, tuple_for(&problem, 1), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(Add, problem)
+        .tuple(tuple_for(&problem, 1))
+        .exclusive()
+        .run(&input)
+        .unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         assert_eq!(out.data[g * n], 0, "problem {g} must start at the identity");
@@ -47,21 +53,17 @@ fn exclusive_starts_each_problem_at_identity() {
 
 #[test]
 fn exclusive_mps_matches_reference() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(14, 2);
     let input = pseudo(problem.total_elems(), 9);
     for (w, v, y) in [(2usize, 2usize, 1usize), (4, 4, 1), (8, 4, 2)] {
         let cfg = NodeConfig::new(w, v, y, 1).unwrap();
-        let out = scan_mps_exclusive(
-            Add,
-            tuple_for(&problem, w),
-            &device(),
-            &fabric,
-            cfg,
-            problem,
-            &input,
-        )
-        .unwrap();
+        let out = ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .devices(cfg)
+            .tuple(tuple_for(&problem, w))
+            .exclusive()
+            .run(&input)
+            .unwrap();
         check_exclusive(problem, &input, &out.data).unwrap_or_else(|m| panic!("W={w}: {m}"));
     }
 }
@@ -71,8 +73,8 @@ fn exclusive_is_shifted_inclusive_for_add() {
     let problem = ProblemParams::new(13, 1);
     let input = pseudo(problem.total_elems(), 21);
     let t = tuple_for(&problem, 1);
-    let inc = scan_sp(Add, t, &device(), problem, &input).unwrap();
-    let exc = scan_sp_exclusive(Add, t, &device(), problem, &input).unwrap();
+    let inc = ScanRequest::new(Add, problem).tuple(t).run(&input).unwrap();
+    let exc = ScanRequest::new(Add, problem).tuple(t).exclusive().run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         for i in 1..n {
@@ -85,7 +87,11 @@ fn exclusive_is_shifted_inclusive_for_add() {
 fn exclusive_works_with_non_invertible_max() {
     let problem = ProblemParams::new(12, 1);
     let input = pseudo(problem.total_elems(), 33);
-    let out = scan_sp_exclusive(Max, tuple_for(&problem, 1), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(Max, problem)
+        .tuple(tuple_for(&problem, 1))
+        .exclusive()
+        .run(&input)
+        .unwrap();
     verify_batch_kind(Max, problem, &input, &out.data, ScanKind::Exclusive).unwrap();
     let n = problem.problem_size();
     assert_eq!(out.data[0], i32::MIN, "max identity seeds the exclusive scan");
@@ -97,13 +103,16 @@ fn exclusive_works_with_non_invertible_max() {
 /// match `reference_exclusive`, seeding every problem with the identity.
 #[test]
 fn exclusive_mps_works_with_non_invertible_max() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
     let input = pseudo(problem.total_elems(), 17);
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-    let out =
-        scan_mps_exclusive(Max, tuple_for(&problem, 4), &device(), &fabric, cfg, problem, &input)
-            .unwrap();
+    let out = ScanRequest::new(Max, problem)
+        .proposal(Proposal::Mps)
+        .devices(cfg)
+        .tuple(tuple_for(&problem, 4))
+        .exclusive()
+        .run(&input)
+        .unwrap();
     verify_batch_kind(Max, problem, &input, &out.data, ScanKind::Exclusive)
         .unwrap_or_else(|m| panic!("{m}"));
     let n = problem.problem_size();
@@ -125,8 +134,8 @@ fn exclusive_f64_is_bit_equal_to_shifted_inclusive_within_a_pass() {
     let input: Vec<f64> =
         (0..problem.total_elems()).map(|i| ((i % 97) as f64 - 48.0) * 0.1 + 0.001).collect();
     let t = tuple_for(&problem, 1);
-    let inc = scan_sp(Add, t, &device(), problem, &input).unwrap();
-    let exc = scan_sp_exclusive(Add, t, &device(), problem, &input).unwrap();
+    let inc = ScanRequest::new(Add, problem).tuple(t).run(&input).unwrap();
+    let exc = ScanRequest::new(Add, problem).tuple(t).exclusive().run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         assert_eq!(exc.data[g * n].to_bits(), 0f64.to_bits(), "identity head");
@@ -150,7 +159,11 @@ fn exclusive_f64_matches_reference_within_rounding_across_passes() {
     let problem = ProblemParams::new(13, 1);
     let input: Vec<f64> =
         (0..problem.total_elems()).map(|i| ((i % 97) as f64 - 48.0) * 0.1 + 0.001).collect();
-    let exc = scan_sp_exclusive(Add, tuple_for(&problem, 1), &device(), problem, &input).unwrap();
+    let exc = ScanRequest::new(Add, problem)
+        .tuple(tuple_for(&problem, 1))
+        .exclusive()
+        .run(&input)
+        .unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         assert_eq!(exc.data[g * n].to_bits(), 0f64.to_bits(), "identity head");
@@ -170,8 +183,8 @@ fn exclusive_costs_match_inclusive_traffic() {
     let problem = ProblemParams::new(16, 0);
     let input = pseudo(problem.total_elems(), 3);
     let t = tuple_for(&problem, 1);
-    let inc = scan_sp(Add, t, &device(), problem, &input).unwrap();
-    let exc = scan_sp_exclusive(Add, t, &device(), problem, &input).unwrap();
+    let inc = ScanRequest::new(Add, problem).tuple(t).run(&input).unwrap();
+    let exc = ScanRequest::new(Add, problem).tuple(t).exclusive().run(&input).unwrap();
     let ratio = exc.report.seconds() / inc.report.seconds();
     assert!((0.9..1.1).contains(&ratio), "exclusive within 10% of inclusive, got {ratio}");
 }

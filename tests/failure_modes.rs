@@ -3,9 +3,6 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::ScanError;
-use multigpu_scan::scan::{
-    scan_case1, scan_mps, scan_mps_faulted, scan_mps_multinode, scan_sp, scan_sp_faulted,
-};
 use multigpu_scan::sim::{DeviceSpec as Dev, Gpu, SimError};
 
 fn device() -> Dev {
@@ -15,8 +12,7 @@ fn device() -> Dev {
 #[test]
 fn input_length_mismatch_is_reported() {
     let problem = ProblemParams::new(12, 2);
-    let tuple = SplkTuple::kepler_premises(0);
-    let err = scan_sp(Add, tuple, &device(), problem, &[0i32; 100]).unwrap_err();
+    let err = ScanRequest::new(Add, problem).run(&[0i32; 100]).unwrap_err();
     match err {
         ScanError::InvalidInput(msg) => assert!(msg.contains("100"), "{msg}"),
         other => panic!("unexpected {other:?}"),
@@ -26,8 +22,7 @@ fn input_length_mismatch_is_reported() {
 #[test]
 fn problem_smaller_than_iteration_is_configuration_error() {
     let problem = ProblemParams::single(8); // 256 < 1024
-    let tuple = SplkTuple::kepler_premises(0);
-    let err = scan_sp(Add, tuple, &device(), problem, &[0i32; 256]).unwrap_err();
+    let err = ScanRequest::new(Add, problem).run(&[0i32; 256]).unwrap_err();
     assert!(matches!(err, ScanError::InvalidConfig(_)));
 }
 
@@ -35,18 +30,12 @@ fn problem_smaller_than_iteration_is_configuration_error() {
 fn chunk_exceeding_portion_names_premise4() {
     // K = 4 makes the chunk 4096 > the 1024-element portions of 8 GPUs.
     let problem = ProblemParams::new(13, 0);
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-    let err = scan_mps(
-        Add,
-        SplkTuple::kepler_premises(2),
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &[0i32; 8192],
-    )
-    .unwrap_err();
+    let err = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(8, 4, 2, 1).unwrap())
+        .tuple(SplkTuple::kepler_premises(2))
+        .run(&[0i32; 8192])
+        .unwrap_err();
     match err {
         ScanError::InvalidConfig(msg) => {
             assert!(msg.contains("Eq. 2/3") || msg.contains("reduce K"), "{msg}")
@@ -59,11 +48,10 @@ fn chunk_exceeding_portion_names_premise4() {
 fn hardware_overcommit_is_rejected() {
     // 8 GPUs per network do not exist on TSUBAME-KFC.
     let problem = ProblemParams::new(16, 0);
-    let fabric = Fabric::tsubame_kfc(1);
     let cfg = NodeConfig::new(8, 8, 1, 1).unwrap();
     let input = vec![0i32; 1 << 16];
     assert!(matches!(
-        scan_mps(Add, SplkTuple::kepler_premises(0), &device(), &fabric, cfg, problem, &input),
+        ScanRequest::new(Add, problem).proposal(Proposal::Mps).devices(cfg).run(&input),
         Err(ScanError::InvalidConfig(_))
     ));
 }
@@ -72,14 +60,17 @@ fn hardware_overcommit_is_rejected() {
 fn multinode_entry_points_enforce_m() {
     let problem = ProblemParams::new(14, 0);
     let input = vec![0i32; 1 << 14];
-    let tuple = SplkTuple::kepler_premises(0);
-    // scan_mps with M=2 refuses.
-    let fabric = Fabric::tsubame_kfc(2);
-    let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-    assert!(scan_mps(Add, tuple, &device(), &fabric, cfg, problem, &input).is_err());
-    // scan_mps_multinode with M=1 refuses.
-    let cfg1 = NodeConfig::new(2, 2, 1, 1).unwrap();
-    assert!(scan_mps_multinode(Add, tuple, &device(), &fabric, cfg1, problem, &input).is_err());
+    let on_two_nodes = |proposal, cfg| {
+        ScanRequest::new(Add, problem)
+            .proposal(proposal)
+            .devices(cfg)
+            .fabric(Fabric::tsubame_kfc(2))
+            .run(&input)
+    };
+    // Mps with M=2 refuses.
+    assert!(on_two_nodes(Proposal::Mps, NodeConfig::new(2, 2, 1, 2).unwrap()).is_err());
+    // MpsMultinode with M=1 refuses.
+    assert!(on_two_nodes(Proposal::MpsMultinode, NodeConfig::new(2, 2, 1, 1).unwrap()).is_err());
 }
 
 #[test]
@@ -89,7 +80,7 @@ fn device_memory_exhaustion_is_reported() {
     tiny.global_mem_bytes = 1 << 20;
     let problem = ProblemParams::new(20, 0);
     let input = vec![0i32; 1 << 20];
-    let err = scan_sp(Add, SplkTuple::kepler_premises(0), &tiny, problem, &input).unwrap_err();
+    let err = ScanRequest::new(Add, problem).device(tiny).run(&input).unwrap_err();
     assert!(matches!(err, ScanError::Sim(SimError::OutOfMemory { .. })), "{err}");
 }
 
@@ -130,11 +121,10 @@ fn tuple_constraints_are_enforced() {
 fn evicting_the_last_gpu_is_a_config_error_not_a_panic() {
     let problem = ProblemParams::new(13, 0);
     let input = vec![1i32; problem.total_elems()];
-    let tuple = SplkTuple::kepler_premises(0);
     // Scan-SP's only GPU is evicted before the first sub-batch: there is
     // nothing left to replan onto.
     let plan = FaultPlan::new(7).evict_gpu(0, 0);
-    let err = scan_sp_faulted(Add, tuple, &device(), problem, &input, &plan).unwrap_err();
+    let err = ScanRequest::new(Add, problem).faults(plan).run(&input).unwrap_err();
     match err {
         ScanError::InvalidConfig(msg) => {
             assert!(msg.contains("the last GPU"), "{msg}");
@@ -144,50 +134,32 @@ fn evicting_the_last_gpu_is_a_config_error_not_a_panic() {
     }
 
     // Same for a multi-GPU group when the plan takes every member.
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
     let problem = ProblemParams::new(13, 1);
     let input = vec![1i32; problem.total_elems()];
-    let plan = FaultPlan::new(7).evict_gpu(0, 0).evict_gpu(1, 0);
-    let err = scan_mps_faulted(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &input,
-        &PipelinePolicy::barrier_synchronous(),
-        &plan,
-    )
-    .unwrap_err();
+    let err = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(2, 2, 1, 1).unwrap())
+        .faults(FaultPlan::new(7).evict_gpu(0, 0).evict_gpu(1, 0))
+        .run(&input)
+        .unwrap_err();
     assert!(matches!(err, ScanError::InvalidConfig(_)), "{err}");
 }
 
 #[test]
 fn exhausted_retry_budget_names_the_link_and_attempt_count() {
     use multigpu_scan::fabric::Resource;
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
     let problem = ProblemParams::new(13, 1);
     let input = vec![1i32; problem.total_elems()];
-    let tuple = SplkTuple::kepler_premises(0);
     // A permanently lost link fails every attempt; 2 retries = 3 attempts.
     let plan = FaultPlan::new(3)
         .lose_link(Resource::PcieNetwork { node: 0, network: 0 })
         .with_retry_budget(2);
-    let err = scan_mps_faulted(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &input,
-        &PipelinePolicy::barrier_synchronous(),
-        &plan,
-    )
-    .unwrap_err();
+    let err = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(2, 2, 1, 1).unwrap())
+        .faults(plan)
+        .run(&input)
+        .unwrap_err();
     match &err {
         ScanError::Fault(FaultError::RetryBudgetExhausted { resource, attempts, .. }) => {
             assert_eq!(*resource, Resource::PcieNetwork { node: 0, network: 0 });
@@ -203,12 +175,11 @@ fn exhausted_retry_budget_names_the_link_and_attempt_count() {
 
 #[test]
 fn case1_requires_enough_problems() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(12, 0); // 1 problem, 4 GPUs
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
     let input = vec![0i32; 1 << 12];
     assert!(matches!(
-        scan_case1(Add, SplkTuple::kepler_premises(0), &device(), &fabric, cfg, problem, &input),
+        ScanRequest::new(Add, problem).proposal(Proposal::Case1).devices(cfg).run(&input),
         Err(ScanError::InvalidConfig(_))
     ));
 }

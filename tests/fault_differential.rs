@@ -8,13 +8,6 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::Breakdown;
-use multigpu_scan::scan::{
-    scan_mppc_faulted, scan_mps_faulted, scan_mps_multinode_faulted, scan_sp_faulted,
-};
-
-fn device() -> DeviceSpec {
-    DeviceSpec::tesla_k80()
-}
 
 fn pseudo(n: usize, salt: u64) -> Vec<i32> {
     (0..n)
@@ -70,7 +63,6 @@ fn single_node_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 #[test]
 fn scan_sp_matrix_is_bit_identical_and_deterministic() {
     let problem = ProblemParams::new(13, 2);
-    let tuple = SplkTuple::kepler_premises(0);
     let input = pseudo(problem.total_elems(), 3);
     let expected = reference(&input, problem);
     for seed in seeds() {
@@ -79,8 +71,8 @@ fn scan_sp_matrix_is_bit_identical_and_deterministic() {
         for (name, plan) in
             [("none", FaultPlan::none()), ("throttled", FaultPlan::new(seed).throttle_gpu(0, 5.0))]
         {
-            let a = scan_sp_faulted(Add, tuple, &device(), problem, &input, &plan).unwrap();
-            let b = scan_sp_faulted(Add, tuple, &device(), problem, &input, &plan).unwrap();
+            let run = || ScanRequest::new(Add, problem).faults(plan.clone()).run(&input).unwrap();
+            let (a, b) = (run(), run());
             assert_eq!(a.data, expected, "seed {seed} plan {name}");
             assert_eq!(
                 a.report.makespan.to_bits(),
@@ -93,29 +85,16 @@ fn scan_sp_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_mps_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
-    let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
-    let policy = PipelinePolicy::batched_barrier(2);
+    let mps = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(2, 2, 1, 1).unwrap())
+        .pipeline(PipelinePolicy::batched_barrier(2));
     let input = pseudo(problem.total_elems(), 5);
     let expected = reference(&input, problem);
     for seed in seeds() {
         for (name, plan) in single_node_plans(seed) {
-            let run = || {
-                scan_mps_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &policy,
-                    &plan,
-                )
-                .unwrap()
-            };
+            let run = || mps.clone().faults(plan.clone()).run(&input).unwrap();
             let a = run();
             let b = run();
             assert_eq!(a.data, expected, "seed {seed} plan {name}");
@@ -135,11 +114,10 @@ fn scan_mps_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 3);
-    let cfg = NodeConfig::new(4, 2, 2, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
-    let policy = PipelinePolicy::barrier_synchronous();
+    let mppc = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mppc)
+        .devices(NodeConfig::new(4, 2, 2, 1).unwrap());
     let input = pseudo(problem.total_elems(), 7);
     let expected = reference(&input, problem);
     for seed in seeds() {
@@ -149,20 +127,7 @@ fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
             if name == "evicted-gpu" {
                 plan = FaultPlan::new(seed).evict_gpu(4, 0);
             }
-            let run = || {
-                scan_mppc_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &policy,
-                    &plan,
-                )
-                .unwrap()
-            };
+            let run = || mppc.clone().faults(plan.clone()).run(&input).unwrap();
             let a = run();
             let b = run();
             assert_eq!(a.data, expected, "seed {seed} plan {name}");
@@ -177,10 +142,10 @@ fn scan_mppc_matrix_is_bit_identical_and_deterministic() {
 
 #[test]
 fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
-    let fabric = Fabric::tsubame_kfc(2);
     let problem = ProblemParams::new(14, 1);
-    let cfg = NodeConfig::new(2, 2, 1, 2).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
+    let multinode = ScanRequest::new(Add, problem)
+        .proposal(Proposal::MpsMultinode)
+        .devices(NodeConfig::new(2, 2, 1, 2).unwrap());
     let input = pseudo(problem.total_elems(), 11);
     let expected = reference(&input, problem);
     let ib = multigpu_scan::fabric::Resource::ib(0, 1);
@@ -191,19 +156,7 @@ fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
             ("transient-ib", FaultPlan::new(seed).transient_link(ib, 0.3).with_retry_budget(10)),
             ("throttled-gpu", FaultPlan::new(seed).throttle_gpu(8, 2.0)),
         ] {
-            let run = || {
-                scan_mps_multinode_faulted(
-                    Add,
-                    tuple,
-                    &device(),
-                    &fabric,
-                    cfg,
-                    problem,
-                    &input,
-                    &plan,
-                )
-                .unwrap()
-            };
+            let run = || multinode.clone().faults(plan.clone()).run(&input).unwrap();
             let a = run();
             let b = run();
             assert_eq!(a.data, expected, "seed {seed} plan {name}");
@@ -223,36 +176,21 @@ fn scan_multinode_matrix_is_bit_identical_and_deterministic() {
 /// reproducibly, run to run.
 #[test]
 fn evicting_one_of_eight_gpus_mid_mps_meets_the_acceptance_criteria() {
-    let fabric = Fabric::tsubame_kfc(1);
     // Large problems (2^22 elements) keep the run memory-bound on the
     // GPUs, so losing devices genuinely costs wall-clock; on tiny problems
     // the smaller surviving group can win back its per-transfer latency
     // (the Fig. 9 W=8 collapse) and eviction would come out *cheaper*.
     let problem = ProblemParams::new(22, 2);
-    let cfg = NodeConfig::new(8, 4, 2, 1).unwrap();
-    let tuple = SplkTuple::kepler_premises(0);
-    let policy = PipelinePolicy::batched_barrier(4);
+    let mps = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(8, 4, 2, 1).unwrap())
+        .pipeline(PipelinePolicy::batched_barrier(4));
     let input = pseudo(problem.total_elems(), 13);
     let expected = reference(&input, problem);
 
-    let plan = FaultPlan::new(0xC0FFEE).evict_gpu(3, 1);
-    let run = || {
-        scan_mps_faulted(Add, tuple, &device(), &fabric, cfg, problem, &input, &policy, &plan)
-            .unwrap()
-    };
-    let faulted = run();
-    let healthy = scan_mps_faulted(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &input,
-        &policy,
-        &FaultPlan::none(),
-    )
-    .unwrap();
+    let run = |plan: FaultPlan| mps.clone().faults(plan).run(&input).unwrap();
+    let faulted = run(FaultPlan::new(0xC0FFEE).evict_gpu(3, 1));
+    let healthy = run(FaultPlan::none());
 
     // (a) Bit-identical to the CPU reference (and hence to the fault-free
     // run, which satisfies the same check).
@@ -280,7 +218,7 @@ fn evicting_one_of_eight_gpus_mid_mps_meets_the_acceptance_criteria() {
         .any(|e| matches!(e, FaultEvent::GpuEvicted { gpu: 3, at_sub_batch: 1 })));
 
     // Same seed, same schedule — twice.
-    let again = run();
+    let again = run(FaultPlan::new(0xC0FFEE).evict_gpu(3, 1));
     assert_eq!(faulted.report.makespan.to_bits(), again.report.makespan.to_bits());
     assert_eq!(fault_report.events, again.faults.as_ref().unwrap().events);
 }

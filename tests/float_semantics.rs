@@ -8,7 +8,6 @@
 //! These tests pin down both facts.
 
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::scan_sp;
 
 fn device() -> DeviceSpec {
     DeviceSpec::tesla_k80()
@@ -25,7 +24,7 @@ fn f64_scan_matches_reference_within_rounding() {
     let input: Vec<f64> = (0..problem.total_elems())
         .map(|i| (((i as i64).wrapping_mul(48271) % 1000) as f64) * 0.001 - 0.5)
         .collect();
-    let out = scan_sp(Add, tuple_for(&problem), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(Add, problem).tuple(tuple_for(&problem)).run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         let expected = multigpu_scan::kernels::reference_inclusive(Add, &input[g * n..(g + 1) * n]);
@@ -45,7 +44,7 @@ fn f64_max_scan_is_exact() {
     let problem = ProblemParams::new(12, 1);
     let input: Vec<f64> =
         (0..problem.total_elems()).map(|i| ((i * 2654435761) % 10007) as f64 - 5000.0).collect();
-    let out = scan_sp(Max, tuple_for(&problem), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(Max, problem).tuple(tuple_for(&problem)).run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         let expected = multigpu_scan::kernels::reference_inclusive(Max, &input[g * n..(g + 1) * n]);
@@ -65,7 +64,13 @@ fn f32_scan_total_is_stable_across_k() {
     let totals: Vec<f32> = space
         .iter()
         .map(|&k| {
-            *scan_sp(Add, base.with_k(k), &device(), problem, &input).unwrap().data.last().unwrap()
+            *ScanRequest::new(Add, problem)
+                .tuple(base.with_k(k))
+                .run(&input)
+                .unwrap()
+                .data
+                .last()
+                .unwrap()
         })
         .collect();
     let reference: f64 = input.iter().map(|&v| v as f64).sum();
@@ -91,7 +96,7 @@ fn gated_f64_recurrence_matches_naive_loop_within_rounding() {
             AffinePair::new(gate, token)
         })
         .collect();
-    let out = scan_sp(GatedOp, tuple_for(&problem), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(GatedOp, problem).tuple(tuple_for(&problem)).run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         let mut x = 0.0f64;
@@ -119,7 +124,7 @@ fn gated_integer_recurrence_is_exact() {
             AffinePair::new((r % 1000) as i64 - 500, ((r >> 16) % 1000) as i64 - 500)
         })
         .collect();
-    let out = scan_sp(GatedOp, tuple_for(&problem), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(GatedOp, problem).tuple(tuple_for(&problem)).run(&input).unwrap();
     let n = problem.problem_size();
     for g in 0..problem.batch() {
         let mut x = 0i64;
@@ -138,6 +143,6 @@ fn integer_scans_are_exact_regardless_of_order() {
     let problem = ProblemParams::new(13, 1);
     let input: Vec<i32> =
         (0..problem.total_elems()).map(|i| (i as i32).wrapping_mul(0x7FFF_FFC3)).collect();
-    let out = scan_sp(Add, tuple_for(&problem), &device(), problem, &input).unwrap();
+    let out = ScanRequest::new(Add, problem).tuple(tuple_for(&problem)).run(&input).unwrap();
     multigpu_scan::scan::verify::verify_batch(Add, problem, &input, &out.data).unwrap();
 }

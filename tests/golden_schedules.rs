@@ -14,10 +14,11 @@ use std::path::PathBuf;
 
 use multigpu_scan::fabric::ExecGraph;
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::{scan_mppc, scan_mps, scan_mps_faulted, scan_mps_multinode};
 
-fn device() -> DeviceSpec {
-    DeviceSpec::tesla_k80()
+/// `proposal` of `Add` over `cfg` with the request defaults (K80, Kepler
+/// premises at K = 1, TSUBAME-KFC fabric sized to `cfg`).
+fn request(problem: ProblemParams, proposal: Proposal, cfg: NodeConfig) -> ScanRequest<Add> {
+    ScanRequest::new(Add, problem).proposal(proposal).devices(cfg)
 }
 
 fn pseudo(n: usize) -> Vec<i32> {
@@ -87,13 +88,11 @@ fn check(name: &str, rendered: String) {
 /// Fig. 9 — Scan-MPS over increasing W on one node.
 #[test]
 fn fig9_mps_schedules_are_stable() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
     let input = pseudo(problem.total_elems());
-    let tuple = SplkTuple::kepler_premises(0);
     for (w, v, y) in [(1, 1, 1), (2, 2, 1), (4, 4, 1), (8, 4, 2)] {
         let cfg = NodeConfig::new(w, v, y, 1).unwrap();
-        let out = scan_mps(Add, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+        let out = request(problem, Proposal::Mps, cfg).run(&input).unwrap();
         let graph = out.report.graph.as_ref().expect("MPS builds an execution graph");
         check(
             &format!("fig9_mps_w{w}v{v}y{y}"),
@@ -105,13 +104,11 @@ fn fig9_mps_schedules_are_stable() {
 /// Fig. 10 — Scan-MP-PC, the prioritized-communications groups.
 #[test]
 fn fig10_mppc_schedules_are_stable() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
     let input = pseudo(problem.total_elems());
-    let tuple = SplkTuple::kepler_premises(0);
     for (w, v, y) in [(4, 2, 2), (8, 4, 2)] {
         let cfg = NodeConfig::new(w, v, y, 1).unwrap();
-        let out = scan_mppc(Add, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+        let out = request(problem, Proposal::Mppc, cfg).run(&input).unwrap();
         let graph = out.report.graph.as_ref().expect("MP-PC builds an execution graph");
         check(
             &format!("fig10_mppc_w{w}v{v}y{y}"),
@@ -123,12 +120,10 @@ fn fig10_mppc_schedules_are_stable() {
 /// Fig. 14 — the multi-node breakdown configuration (M=2, W=4).
 #[test]
 fn fig14_multinode_schedule_is_stable() {
-    let fabric = Fabric::tsubame_kfc(2);
     let problem = ProblemParams::new(14, 1);
     let input = pseudo(problem.total_elems());
-    let tuple = SplkTuple::kepler_premises(0);
     let cfg = NodeConfig::new(4, 4, 1, 2).unwrap();
-    let out = scan_mps_multinode(Add, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+    let out = request(problem, Proposal::MpsMultinode, cfg).run(&input).unwrap();
     let graph = out.report.graph.as_ref().expect("multi-node builds an execution graph");
     check(
         "fig14_multinode_m2w4",
@@ -140,23 +135,14 @@ fn fig14_multinode_schedule_is_stable() {
 /// acceptance scenario's eviction replan must reproduce byte-identically.
 #[test]
 fn recovery_schedule_is_stable() {
-    let fabric = Fabric::tsubame_kfc(1);
     let problem = ProblemParams::new(13, 2);
     let input = pseudo(problem.total_elems());
-    let tuple = SplkTuple::kepler_premises(0);
     let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-    let out = scan_mps_faulted(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        cfg,
-        problem,
-        &input,
-        &PipelinePolicy::batched_barrier(4),
-        &FaultPlan::new(0xC0FFEE).evict_gpu(2, 1),
-    )
-    .unwrap();
+    let out = request(problem, Proposal::Mps, cfg)
+        .pipeline(PipelinePolicy::batched_barrier(4))
+        .faults(FaultPlan::new(0xC0FFEE).evict_gpu(2, 1))
+        .run(&input)
+        .unwrap();
     let graph = out.report.graph.as_ref().unwrap();
     check(
         "recovery_mps_w4_evict_gpu2",

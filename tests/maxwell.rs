@@ -7,7 +7,6 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::verify::verify_batch;
-use multigpu_scan::scan::{scan_mps, scan_sp};
 
 #[test]
 fn premise1_picks_two_warp_blocks_on_maxwell() {
@@ -38,7 +37,11 @@ fn scan_sp_works_end_to_end_on_maxwell() {
         let k = premises::default_k(&device, &problem, &base, 1).expect("feasible");
         let input: Vec<i32> =
             (0..problem.total_elems()).map(|i| ((i * 19) % 83) as i32 - 41).collect();
-        let out = scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap();
+        let out = ScanRequest::new(Add, problem)
+            .device(device.clone())
+            .tuple(base.with_k(k))
+            .run(&input)
+            .unwrap();
         verify_batch(Add, problem, &input, &out.data)
             .unwrap_or_else(|m| panic!("maxwell n={n} g={g}: {m}"));
     }
@@ -47,13 +50,18 @@ fn scan_sp_works_end_to_end_on_maxwell() {
 #[test]
 fn multi_gpu_pipeline_on_maxwell_node() {
     let device = DeviceSpec::maxwell();
-    let fabric = Fabric::tsubame_kfc(1); // same topology shape
     let base = premises::derive_tuple(&device, 4, 0);
     let problem = ProblemParams::new(13, 2);
     let k = premises::default_k(&device, &problem, &base, 4).expect("feasible");
     let input: Vec<i32> = (0..problem.total_elems()).map(|i| ((i * 23) % 71) as i32 - 35).collect();
-    let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-    let out = scan_mps(Add, base.with_k(k), &device, &fabric, cfg, problem, &input).unwrap();
+    // Same TSUBAME-KFC topology shape, Maxwell GPUs.
+    let out = ScanRequest::new(Add, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
+        .device(device)
+        .tuple(base.with_k(k))
+        .run(&input)
+        .unwrap();
     verify_batch(Add, problem, &input, &out.data).unwrap();
 }
 
@@ -65,7 +73,12 @@ fn kepler_and_maxwell_agree_on_results() {
     let run = |device: DeviceSpec| {
         let base = premises::derive_tuple(&device, 4, 0);
         let k = premises::default_k(&device, &problem, &base, 1).unwrap();
-        scan_sp(Add, base.with_k(k), &device, problem, &input).unwrap().data
+        ScanRequest::new(Add, problem)
+            .device(device)
+            .tuple(base.with_k(k))
+            .run(&input)
+            .unwrap()
+            .data
     };
     assert_eq!(run(DeviceSpec::tesla_k80()), run(DeviceSpec::maxwell()));
 }

@@ -12,13 +12,6 @@
 
 use multigpu_scan::kernels::{reference_inclusive, AffinePair, GatedOp, Mul, Scannable};
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::{
-    scan_case1, scan_mppc, scan_mps, scan_mps_faulted, scan_mps_multinode, scan_sp,
-};
-
-fn device() -> DeviceSpec {
-    DeviceSpec::tesla_k80()
-}
 
 fn seeds() -> Vec<u64> {
     match std::env::var("FAULT_SEEDS") {
@@ -65,39 +58,42 @@ where
     T: Scannable + PartialEq + std::fmt::Debug,
     O: ScanOp<T>,
 {
-    let tuple = SplkTuple::kepler_premises(0);
-    let dev = device();
+    let run = |proposal, cfg: Option<(usize, usize, usize, usize)>, problem, input: &[T]| {
+        let request = ScanRequest::new(op, problem).proposal(proposal);
+        match cfg {
+            Some((w, v, y, m)) => request.devices(NodeConfig::new(w, v, y, m).unwrap()),
+            None => request,
+        }
+        .run(input)
+        .unwrap()
+        .data
+    };
 
     // Sp — single GPU.
     let problem = ProblemParams::new(13, 2);
     let input = make_input(problem.total_elems(), 3);
-    let out = scan_sp(op, tuple, &dev, problem, &input).unwrap();
-    assert_eq!(out.data, reference(op, &input, problem), "{label}: Sp");
+    let out = run(Proposal::Sp, None, problem, &input);
+    assert_eq!(out, reference(op, &input, problem), "{label}: Sp");
 
     // Mps — 4 GPUs, one PCIe network.
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
-    let out = scan_mps(op, tuple, &dev, &fabric, cfg, problem, &input).unwrap();
-    assert_eq!(out.data, reference(op, &input, problem), "{label}: Mps");
+    let out = run(Proposal::Mps, Some((4, 4, 1, 1)), problem, &input);
+    assert_eq!(out, reference(op, &input, problem), "{label}: Mps");
 
     // Mppc — two networks in parallel.
     let problem_pc = ProblemParams::new(13, 3);
     let input_pc = make_input(problem_pc.total_elems(), 5);
-    let cfg_pc = NodeConfig::new(4, 2, 2, 1).unwrap();
-    let out = scan_mppc(op, tuple, &dev, &fabric, cfg_pc, problem_pc, &input_pc).unwrap();
-    assert_eq!(out.data, reference(op, &input_pc, problem_pc), "{label}: Mppc");
+    let out = run(Proposal::Mppc, Some((4, 2, 2, 1)), problem_pc, &input_pc);
+    assert_eq!(out, reference(op, &input_pc, problem_pc), "{label}: Mppc");
 
     // MpsMultinode — two nodes over InfiniBand.
-    let fabric2 = Fabric::tsubame_kfc(2);
     let problem_mn = ProblemParams::new(14, 1);
     let input_mn = make_input(problem_mn.total_elems(), 7);
-    let cfg_mn = NodeConfig::new(2, 2, 1, 2).unwrap();
-    let out = scan_mps_multinode(op, tuple, &dev, &fabric2, cfg_mn, problem_mn, &input_mn).unwrap();
-    assert_eq!(out.data, reference(op, &input_mn, problem_mn), "{label}: MpsMultinode");
+    let out = run(Proposal::MpsMultinode, Some((2, 2, 1, 2)), problem_mn, &input_mn);
+    assert_eq!(out, reference(op, &input_mn, problem_mn), "{label}: MpsMultinode");
 
     // Case1 — G > W small-problem batching.
-    let out = scan_case1(op, tuple, &dev, &fabric, cfg, problem_pc, &input_pc).unwrap();
-    assert_eq!(out.data, reference(op, &input_pc, problem_pc), "{label}: Case1");
+    let out = run(Proposal::Case1, Some((4, 4, 1, 1)), problem_pc, &input_pc);
+    assert_eq!(out, reference(op, &input_pc, problem_pc), "{label}: Case1");
 }
 
 /// Faulted MPS runs — throttle, degraded link, and the eviction that
@@ -108,12 +104,11 @@ where
     T: Scannable + PartialEq + std::fmt::Debug,
     O: ScanOp<T>,
 {
-    let tuple = SplkTuple::kepler_premises(0);
-    let dev = device();
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
     let problem = ProblemParams::new(13, 2);
-    let policy = PipelinePolicy::batched_barrier(2);
+    let mps = ScanRequest::new(op, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
+        .pipeline(PipelinePolicy::batched_barrier(2));
     let input = make_input(problem.total_elems(), 11);
     let expected = reference(op, &input, problem);
     let net0 = multigpu_scan::fabric::Resource::PcieNetwork { node: 0, network: 0 };
@@ -123,10 +118,7 @@ where
             ("degraded-link", FaultPlan::new(seed).degrade_link(net0, 4.0)),
             ("evicted-gpu", FaultPlan::new(seed).evict_gpu(1, 0)),
         ] {
-            let run = || {
-                scan_mps_faulted(op, tuple, &dev, &fabric, cfg, problem, &input, &policy, &plan)
-                    .unwrap()
-            };
+            let run = || mps.clone().faults(plan.clone()).run(&input).unwrap();
             let a = run();
             let b = run();
             assert_eq!(a.data, expected, "{label}: seed {seed} plan {name}");
@@ -236,12 +228,13 @@ fn sharded_matrix_matches_single_loop() {
 /// `x[t] = gate[t]·x[t-1] + token[t]` exactly (integer arithmetic).
 #[test]
 fn gated_scan_on_gpus_solves_the_recurrence() {
-    let tuple = SplkTuple::kepler_premises(0);
-    let fabric = Fabric::tsubame_kfc(1);
-    let cfg = NodeConfig::new(4, 4, 1, 1).unwrap();
     let problem = ProblemParams::new(12, 0);
     let input = pseudo_affine(problem.total_elems(), 13);
-    let out = scan_mps(GatedOp, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+    let out = ScanRequest::new(GatedOp, problem)
+        .proposal(Proposal::Mps)
+        .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
+        .run(&input)
+        .unwrap();
     let mut x = 0i64;
     for (t, p) in input.iter().enumerate() {
         x = p.a.wrapping_mul(x).wrapping_add(p.b);

@@ -3,7 +3,6 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::verify::verify_batch;
-use multigpu_scan::scan::{scan_mps, scan_sp};
 use proptest::prelude::*;
 
 fn device() -> DeviceSpec {
@@ -36,7 +35,7 @@ proptest! {
         let input: Vec<i32> = (0..problem.total_elems())
             .map(|i| ((i as i64).wrapping_mul(6364136223846793005).wrapping_add(seed) % 1000) as i32)
             .collect();
-        let out = scan_sp(Add, tuple, &device(), problem, &input).unwrap();
+        let out = ScanRequest::new(Add, problem).tuple(tuple).run(&input).unwrap();
         prop_assert!(verify_batch(Add, problem, &input, &out.data).is_ok());
     }
 
@@ -55,9 +54,12 @@ proptest! {
         let input: Vec<i32> = (0..problem.total_elems())
             .map(|i| ((i as i64 ^ seed).wrapping_mul(2654435761) % 100) as i32)
             .collect();
-        let fabric = Fabric::tsubame_kfc(1);
-        let cfg = NodeConfig::new(w, v, y, 1).unwrap();
-        let out = scan_mps(Add, tuple, &device(), &fabric, cfg, problem, &input).unwrap();
+        let out = ScanRequest::new(Add, problem)
+            .proposal(Proposal::Mps)
+            .devices(NodeConfig::new(w, v, y, 1).unwrap())
+            .tuple(tuple)
+            .run(&input)
+            .unwrap();
         prop_assert!(verify_batch(Add, problem, &input, &out.data).is_ok());
     }
 
@@ -73,7 +75,7 @@ proptest! {
         let input: Vec<i32> = (0..problem.total_elems())
             .map(|i| ((i as i64).wrapping_add(seed).wrapping_mul(48271) % 10_000) as i32)
             .collect();
-        let out = scan_sp(Max, tuple, &device(), problem, &input).unwrap();
+        let out = ScanRequest::new(Max, problem).tuple(tuple).run(&input).unwrap();
         prop_assert!(verify_batch(Max, problem, &input, &out.data).is_ok());
     }
 
@@ -87,7 +89,7 @@ proptest! {
         let problem = ProblemParams::single(n);
         let Some(tuple) = tuple_for(&problem, 1, 0) else { return Ok(()); };
         let input = vec![fill; problem.total_elems()];
-        let out = scan_sp(Add, tuple, &device(), problem, &input).unwrap();
+        let out = ScanRequest::new(Add, problem).tuple(tuple).run(&input).unwrap();
         prop_assert!(verify_batch(Add, problem, &input, &out.data).is_ok());
     }
 
@@ -104,11 +106,11 @@ proptest! {
         let input: Vec<i32> = (0..problem.total_elems())
             .map(|i| ((i as i64 ^ seed) % 500) as i32)
             .collect();
-        let first = scan_sp(Add, base.with_k(space[0]), &device(), problem, &input)
+        let first = ScanRequest::new(Add, problem).tuple(base.with_k(space[0])).run(&input)
             .unwrap()
             .data;
         for &k in &space[1..] {
-            let other = scan_sp(Add, base.with_k(k), &device(), problem, &input).unwrap().data;
+            let other = ScanRequest::new(Add, problem).tuple(base.with_k(k)).run(&input).unwrap().data;
             prop_assert_eq!(&first, &other);
         }
     }

@@ -11,9 +11,9 @@
 //! * SLO escalation reorders only *when* requests run, never *what* they
 //!   compute;
 //! * parallel shard stepping (the scoped worker pool) is **byte-equal** to
-//!   [`RouterConfig::serial_stepping`] across seeds × policies ×
-//!   placements × shard counts, including windows with steals, redirects
-//!   and SLO escalations;
+//!   serial stepping (`RouterConfig::threads` = 1) across seeds ×
+//!   policies × placements × shard counts, including windows with steals,
+//!   redirects and SLO escalations;
 //! * a repeated window is served entirely from the shards' response memos
 //!   and is byte-equal to the first, and malformed arrivals are a typed
 //!   error that leaves the router as it was.
@@ -412,14 +412,13 @@ fn mixed_generation_pool_never_spans_models_in_one_launch() {
 
 /// The parallel-stepping differential matrix: stepping shards on the
 /// scoped worker pool (forced to 4 threads so the pool engages even on a
-/// single-core host) must be **byte-equal** to
-/// [`RouterConfig::serial_stepping`] — completion order, checksums,
-/// queue-depth samples, rollup metrics JSON and the merged Chrome trace,
-/// all rendered through [`deep_snapshot`] — across seeds × policies ×
-/// placements × shard counts, under bounded queues and an SLO budget so
-/// redirects and escalations are in play. `serial_stepping` is the only
-/// knob flipped, so any byte of divergence is the worker pool's fault
-/// alone.
+/// single-core host) must be **byte-equal** to serial stepping
+/// (`threads: 1`) — completion order, checksums, queue-depth samples,
+/// rollup metrics JSON and the merged Chrome trace, all rendered through
+/// [`deep_snapshot`] — across seeds × policies × placements × shard
+/// counts, under bounded queues and an SLO budget so redirects and
+/// escalations are in play. `threads` is the only knob flipped, so any
+/// byte of divergence is the worker pool's fault alone.
 #[test]
 fn parallel_stepping_is_byte_equal_to_serial() {
     for seed in [7u64, 19] {
@@ -427,17 +426,16 @@ fn parallel_stepping_is_byte_equal_to_serial() {
         for policy in [Policy::Fifo, Policy::Edf] {
             for placement in Placement::all() {
                 for shards in [2usize, 4] {
-                    let run = |serial: bool| {
+                    let run = |threads: usize| {
                         let mut config = RouterConfig::new(shards, policy, seed);
                         config.placement = placement;
                         config.queue_capacity = Some(12);
                         config.slo = Some(SloConfig { miss_budget: 1 });
-                        config.serial_stepping = serial;
-                        config.threads = 4;
+                        config.threads = threads;
                         deep_snapshot(&Router::new(config).unwrap().run(&requests).unwrap())
                     };
                     let ctx = format!("seed {seed}, {policy:?}, {placement}, {shards} shard(s)");
-                    assert_eq!(run(true), run(false), "{ctx}: parallel diverges from serial");
+                    assert_eq!(run(1), run(4), "{ctx}: parallel diverges from serial");
                 }
             }
         }
@@ -451,18 +449,17 @@ fn parallel_stepping_is_byte_equal_to_serial() {
 #[test]
 fn parallel_stepping_is_byte_equal_under_steals() {
     let requests = steal_workload();
-    let run = |serial: bool| {
+    let run = |threads: usize| {
         let mut config = RouterConfig::new(2, Policy::Fifo, 99);
         config.gpus_per_shard = 1;
         config.placement = Placement::LocalityByOp;
-        config.serial_stepping = serial;
-        config.threads = 4;
+        config.threads = threads;
         Router::new(config).unwrap().run(&requests).unwrap()
     };
-    let parallel = run(false);
+    let parallel = run(4);
     let steals: usize = parallel.shards.iter().map(|s| s.steals_in).sum();
     assert!(steals > 0, "the imbalanced window must provoke at least one steal");
-    assert_eq!(deep_snapshot(&run(true)), deep_snapshot(&parallel));
+    assert_eq!(deep_snapshot(&run(1)), deep_snapshot(&parallel));
 }
 
 /// The tentpole differential: incremental fleet admission (per-resource
