@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use multigpu_scan::fabric::ExecGraph;
+use multigpu_scan::fabric::{ExecGraph, Resource};
 use multigpu_scan::prelude::*;
 
 /// `proposal` of `Add` over `cfg` with the request defaults (K80, Kepler
@@ -148,4 +148,61 @@ fn recovery_schedule_is_stable() {
         "recovery_mps_w4_evict_gpu2",
         snapshot("Scan-MPS W=4 with GPU 2 evicted at sub-batch 1 (seed 0xC0FFEE)", graph),
     );
+}
+
+/// Every fault-injected route, pinned node by node: a throttled Scan-SP,
+/// Scan-MPS under the empty plan, throttle-only and evicting Scan-MP-PC
+/// (whose group subgraphs are appended, so their phases number 0-9 where
+/// the healthy run's merge has 0-4), and multi-node Scan-MPS over a
+/// degraded InfiniBand link.
+#[test]
+fn faulted_schedules_are_stable() {
+    let mppc = NodeConfig::new(4, 2, 2, 1).unwrap();
+    let cases = [
+        (
+            "faulted_sp_throttle_gpu0",
+            "Scan-SP with GPU 0 throttled 2x (seed 7), n=2^13 g=4",
+            ProblemParams::new(13, 2),
+            None,
+            FaultPlan::new(7).throttle_gpu(0, 2.0),
+        ),
+        (
+            "faulted_mps_w4_empty_plan",
+            "Scan-MPS W=4 V=4 Y=1 under the empty plan, n=2^13 g=4",
+            ProblemParams::new(13, 2),
+            Some((Proposal::Mps, NodeConfig::new(4, 4, 1, 1).unwrap())),
+            FaultPlan::none(),
+        ),
+        (
+            "faulted_mppc_w4v2y2_throttle_gpu1",
+            "Scan-MP-PC W=4 V=2 Y=2 with GPU 1 throttled 3x (seed 3), n=2^13 g=8",
+            ProblemParams::new(13, 3),
+            Some((Proposal::Mppc, mppc)),
+            FaultPlan::new(3).throttle_gpu(1, 3.0),
+        ),
+        (
+            "faulted_mppc_w4v2y2_evict_gpu4",
+            "Scan-MP-PC W=4 V=2 Y=2 with GPU 4 evicted at sub-batch 0 (seed 5), n=2^13 g=8",
+            ProblemParams::new(13, 3),
+            Some((Proposal::Mppc, mppc)),
+            FaultPlan::new(5).evict_gpu(4, 0),
+        ),
+        (
+            "faulted_multinode_m2w4_ib_degraded",
+            "Scan-MPS multi-node M=2 W=4 with IB link 0-1 degraded 8x (seed 9), n=2^14 g=2",
+            ProblemParams::new(14, 1),
+            Some((Proposal::MpsMultinode, NodeConfig::new(4, 4, 1, 2).unwrap())),
+            FaultPlan::new(9).degrade_link(Resource::ib(0, 1), 8.0),
+        ),
+    ];
+    for (name, label, problem, devices, plan) in cases {
+        let input = pseudo(problem.total_elems());
+        let req = match devices {
+            None => ScanRequest::new(Add, problem),
+            Some((proposal, cfg)) => request(problem, proposal, cfg),
+        };
+        let out = req.faults(plan).run(&input).unwrap();
+        let graph = out.report.graph.as_ref().expect("faulted runs build an execution graph");
+        check(name, snapshot(label, graph));
+    }
 }
