@@ -87,6 +87,7 @@ pub fn autotune_scan_sp<T: Scannable, O: ScanOp<T>>(
         policy: Default::default(),
         device,
         fabric: &fabric,
+        faults: None,
     };
     let tune = autotune_k(&space, |k| scan_sp(&launch(k), input).map(|o| o.report.seconds()))?;
     let best = scan_sp(&launch(tune.best_k), input)?;

@@ -9,15 +9,15 @@
 //! The batch is split across all `M · W` selected GPUs; each runs the
 //! full single-GPU pipeline on its share, with no communication at all.
 
-use interconnect::ExecGraph;
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{Launch, PipelineRun};
-use crate::params::{NodeConfig, ProblemParams};
-use crate::report::{RunReport, ScanOutput};
+use crate::exec::Launch;
+use crate::params::NodeConfig;
+use crate::report::ScanOutput;
 
-/// Batch scan with one-problem-set-per-GPU distribution.
+/// Batch scan with one-problem-set-per-GPU distribution: every GPU is its
+/// own group in [`Launch::run_groups`].
 ///
 /// Requires `G ≥ total GPUs` (each GPU gets at least one whole problem).
 pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
@@ -25,62 +25,33 @@ pub(crate) fn scan_case1<T: Scannable, O: ScanOp<T>>(
     cfg: NodeConfig,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    let problem = launch.problem;
+    if launch.faults.is_some() {
+        return Err(ScanError::InvalidConfig(
+            "Case1 takes no fault plan: its GPUs share no link to fault and no peers to replan \
+             onto"
+                .into(),
+        ));
+    }
     let topology = launch.fabric.topology();
     cfg.validate_against(topology)?;
-    if input.len() != problem.total_elems() {
-        return Err(ScanError::InvalidInput(format!(
-            "input holds {} elements but G·N = {}",
-            input.len(),
-            problem.total_elems()
-        )));
-    }
     let gpus = cfg.selected_gpus(topology);
-    if problem.batch() < gpus.len() {
+    if launch.problem.batch() < gpus.len() {
         return Err(ScanError::InvalidConfig(format!(
             "Case 1 needs at least one problem per GPU: G = {} < {} GPUs",
-            problem.batch(),
+            launch.problem.batch(),
             gpus.len()
         )));
     }
-    let per_gpu = problem.batch() / gpus.len();
-    let sub_problem = ProblemParams::new(problem.n(), per_gpu.trailing_zeros());
-    let n = problem.problem_size();
-
-    let mut data = vec![T::default(); problem.total_elems()];
-    // GPUs run concurrently on disjoint shares with no communication: each
-    // builds its own subgraph, and the merged graph's schedule overlaps
-    // them (with identical shares, the makespan equals the phase-wise
-    // maximum the old model reported).
-    let mut merged: Option<ExecGraph> = None;
-    for (i, &gid) in gpus.iter().enumerate() {
-        let (start, end) = (i * per_gpu * n, (i + 1) * per_gpu * n);
-        let graph =
-            launch.build_graph(&[gid], sub_problem, &input[start..end], &mut data[start..end])?;
-        match merged.as_mut() {
-            None => merged = Some(graph),
-            Some(g) => {
-                g.merge(graph);
-            }
-        }
-    }
-    let graph = merged.expect("at least one GPU");
-
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!("Scan-Case1 {} GPUs", gpus.len()),
-            problem.total_elems(),
-            PipelineRun::from_graph(graph),
-        ),
-    ))
+    let groups: Vec<Vec<usize>> = gpus.iter().map(|&gpu| vec![gpu]).collect();
+    let (data, graph, events) = launch.run_groups(&groups, input)?;
+    launch.finish(format!("Scan-Case1 {} GPUs", gpus.len()), &gpus, data, graph, events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::verify_batch;
-    use crate::{Proposal, ScanRequest};
+    use crate::{ProblemParams, Proposal, ScanRequest};
     use skeletons::{Add, SplkTuple};
 
     fn pseudo(n: usize) -> Vec<i32> {

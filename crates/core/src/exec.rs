@@ -15,16 +15,21 @@
 //!   overlap Stage-1 compute of the next. This is a capability *beyond*
 //!   the paper's model and is off by default (see DESIGN.md §2).
 
-use gpu_sim::{DeviceSpec, EventKind};
-use interconnect::{ExecGraph, Fabric, FaultPlan, NodeId, NodeMeta, Resource, Timeline};
+use gpu_sim::{DeviceSpec, EventKind, SimResult};
+use interconnect::{
+    apply_link_faults, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId, NodeMeta,
+    Resource, Timeline,
+};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
+use crate::fault::abort_and_replan;
 use crate::multi_gpu::{
-    assemble_output, build_workers, gather_aux, parallel_phase_counted, scatter_offsets, Worker,
+    assemble_output, build_workers, gather_aux, parallel_phase, scatter_offsets, Worker,
 };
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
+use crate::report::{RunReport, ScanOutput};
 use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
 use crate::stage3::run_stage3_kind;
@@ -94,7 +99,8 @@ impl PipelineRun {
 
 /// A validated [`crate::ScanRequest`] with its defaults resolved: the one
 /// argument every proposal body takes. Sp runs on a single-GPU fabric;
-/// every other proposal on the request's fabric.
+/// every other proposal on the request's fabric. `faults` is the request's
+/// fault plan: each body runs the same code with or without one.
 pub(crate) struct Launch<'a, O> {
     pub(crate) op: O,
     pub(crate) problem: ProblemParams,
@@ -103,54 +109,341 @@ pub(crate) struct Launch<'a, O> {
     pub(crate) policy: PipelinePolicy,
     pub(crate) device: &'a DeviceSpec,
     pub(crate) fabric: &'a Fabric,
+    pub(crate) faults: Option<&'a FaultPlan>,
 }
 
 impl<O> Launch<'_, O> {
-    /// The full pipeline over one group of GPUs sharing every problem:
+    /// [`build_workers`] over `gpu_ids`, with the fault plan's SM throttles
+    /// applied (the `gpu-sim` layer then stretches every kernel they run,
+    /// so the throttled durations flow into the execution graph).
+    pub(crate) fn workers<T: Scannable>(
+        &self,
+        plan: &ExecutionPlan,
+        gpu_ids: &[usize],
+        input: &[T],
+    ) -> ScanResult<Vec<Worker<T>>> {
+        let mut workers = build_workers(self.device, plan, gpu_ids, input)?;
+        if let Some(faults) = self.faults {
+            for w in &mut workers {
+                let factor = faults.throttle_of(w.global_id);
+                if factor > 1.0 {
+                    w.gpu.set_sm_throttle(factor);
+                }
+            }
+        }
+        Ok(workers)
+    }
+
+    /// The three-stage pipeline over one GPU group sharing every problem:
     /// Stage 1 in parallel, auxiliary gather to the group root, Stage 2 on
     /// the root ("executing this second kernel on a single GPU has better
     /// performance than splitting it", §4.1), offsets scatter, Stage 3 in
-    /// parallel. Returns the scanned batch (problem-major) and the
-    /// scheduled [`PipelineRun`].
-    pub(crate) fn run_group<T: Scannable>(
+    /// parallel. Writes the scanned batch into `out` (which must hold
+    /// `problem.total_elems()` elements) and returns the unscheduled graph
+    /// with the fault events the group recorded.
+    ///
+    /// Each sub-batch contributes five phase instances —
+    /// `stage1:chunk-reduce`, `comm:gather-aux`, `stage2:intermediate-scan`,
+    /// `comm:scatter-offsets`, `stage3:scan-add` — with kernels on stream
+    /// `stream` of each GPU and the exchanges on the links they traverse.
+    /// Proposals use stream 0; the serving layer passes each lease's
+    /// private stream id (see `gpu_sim::StreamNamespace`) so concurrent
+    /// requests sharing a GPU stay distinguishable in the fleet schedule.
+    ///
+    /// At the first sub-batch at or past a planned eviction (clamped to the
+    /// last sub-batch) the group aborts and replans onto its survivors
+    /// ([`abort_and_replan`]), which every later sub-batch keeps.
+    pub(crate) fn group_pipeline<T: Scannable>(
         &self,
         gpu_ids: &[usize],
-        input: &[T],
-    ) -> ScanResult<(Vec<T>, PipelineRun)>
-    where
-        O: ScanOp<T>,
-    {
-        let mut out = vec![T::default(); self.problem.total_elems()];
-        let graph = self.build_graph(gpu_ids, self.problem, input, &mut out)?;
-        Ok((out, PipelineRun::from_graph(graph)))
-    }
-
-    /// [`build_pipeline_graph`] on stream 0 with this launch's operator,
-    /// tuple, device, fabric, semantics and policy.
-    pub(crate) fn build_graph<T: Scannable>(
-        &self,
-        gpu_ids: &[usize],
+        stream: usize,
         problem: ProblemParams,
         input: &[T],
         out: &mut [T],
-    ) -> ScanResult<ExecGraph>
+    ) -> ScanResult<(ExecGraph, Vec<FaultEvent>)>
     where
         O: ScanOp<T>,
     {
-        build_pipeline_graph(
-            self.op,
-            self.tuple,
-            self.device,
-            self.fabric,
-            gpu_ids,
-            0,
-            problem,
-            input,
-            self.kind,
-            &self.policy,
-            out,
-        )
+        check_input(problem, input)?;
+        let batches = effective_batches(self.policy.batches, problem.batch());
+        let sub_batch = problem.batch() / batches;
+        let sub_problem = ProblemParams::new(problem.n(), sub_batch.trailing_zeros());
+        let n = problem.problem_size();
+        let evictions = self.faults.map_or(&[][..], FaultPlan::evictions);
+
+        let mut graph = ExecGraph::new();
+        let mut events = Vec::new();
+        let mut active = gpu_ids.to_vec();
+        // In barrier mode, every node of a phase instance depends on all nodes
+        // of the previous instance (within and across sub-batches); in overlap
+        // mode only the structural deps below remain.
+        let mut prev_phase: Vec<NodeId> = Vec::new();
+        for b in 0..batches {
+            let (lo, hi) = (b * sub_batch * n, (b + 1) * sub_batch * n);
+            let mut deps = if self.policy.overlap { Vec::new() } else { prev_phase };
+            let victims: Vec<usize> = evictions
+                .iter()
+                .filter(|e| e.at_sub_batch.min(batches - 1) == b && active.contains(&e.gpu))
+                .map(|e| e.gpu)
+                .collect();
+            let prefix = if victims.is_empty() {
+                ""
+            } else {
+                (active, deps) = abort_and_replan(
+                    self,
+                    &mut graph,
+                    &mut events,
+                    &active,
+                    &victims,
+                    b,
+                    stream,
+                    sub_problem,
+                    &input[lo..hi],
+                    deps,
+                )?;
+                "recovery:"
+            };
+            prev_phase = self.append_sub_batch(
+                &mut graph,
+                &active,
+                stream,
+                sub_problem,
+                &input[lo..hi],
+                &deps,
+                prefix,
+                &mut out[lo..hi],
+            )?;
+        }
+        Ok((graph, events))
     }
+
+    /// Run independent GPU groups — each takes an equal, contiguous share
+    /// of the batch through [`Launch::group_pipeline`], with no
+    /// communication between groups — on one scoped host thread apiece.
+    /// Returns the scanned batch, the combined graph and the groups' fault
+    /// events in group order.
+    ///
+    /// A healthy run merges the group subgraphs by phase index (their phase
+    /// sequences are identical). Under a fault plan they are appended
+    /// instead: a replanned group grows extra `recovery:` phases that
+    /// index-matching could not align. Groups share no stream or link, so
+    /// the schedule overlaps them fully either way.
+    pub(crate) fn run_groups<T: Scannable>(
+        &self,
+        groups: &[Vec<usize>],
+        input: &[T],
+    ) -> ScanResult<(Vec<T>, ExecGraph, Vec<FaultEvent>)>
+    where
+        O: ScanOp<T>,
+    {
+        let problem = self.problem;
+        check_input(problem, input)?;
+        let per_group = problem.batch() / groups.len();
+        let sub_problem = ProblemParams::new(problem.n(), per_group.trailing_zeros());
+        let share = per_group * problem.problem_size();
+        let mut data = vec![T::default(); problem.total_elems()];
+        let parts: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .iter()
+                .zip(input.chunks(share).zip(data.chunks_mut(share)))
+                .map(|(gpus, (group_input, out))| {
+                    scope.spawn(move || self.group_pipeline(gpus, 0, sub_problem, group_input, out))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("group thread panicked")).collect()
+        });
+        let mut graph = ExecGraph::new();
+        let mut events = Vec::new();
+        for part in parts {
+            let (group_graph, group_events) = part?;
+            if self.faults.is_some() {
+                graph.append(group_graph);
+            } else {
+                graph.merge(group_graph);
+            }
+            events.extend(group_events);
+        }
+        Ok((data, graph, events))
+    }
+
+    /// Package a proposal's run on `gpus`. Under a fault plan, the
+    /// [`FaultReport`] records the plan's throttles on `gpus`, then the
+    /// run's own `events`, then whatever the plan's link faults do to the
+    /// finished graph (see [`apply_link_faults`]), and the label gains
+    /// ` [faulted]`.
+    pub(crate) fn finish<T>(
+        &self,
+        label: impl Into<String>,
+        gpus: &[usize],
+        data: Vec<T>,
+        graph: ExecGraph,
+        events: Vec<FaultEvent>,
+    ) -> ScanResult<ScanOutput<T>> {
+        let mut label = label.into();
+        let (graph, faults) = match self.faults {
+            None => (graph, None),
+            Some(plan) => {
+                let mut report = FaultReport::new(plan);
+                for &(gpu, factor) in plan.throttles() {
+                    if gpus.contains(&gpu) {
+                        report.push(FaultEvent::GpuThrottled { gpu, factor });
+                    }
+                }
+                report.events.extend(events);
+                label.push_str(" [faulted]");
+                (apply_link_faults(&graph, plan, &mut report)?, Some(report))
+            }
+        };
+        let run = PipelineRun::from_graph(graph);
+        Ok(ScanOutput {
+            data,
+            report: RunReport::from_run(label, self.problem.total_elems(), run),
+            faults,
+            trace: None,
+        })
+    }
+
+    /// Append one sub-batch's five phase instances to `graph` and write its
+    /// scanned data into `out`, returning the Stage-3 node ids (the
+    /// sub-batch's exit frontier, which barrier-mode callers feed into the
+    /// next sub-batch's dependencies).
+    ///
+    /// `phase_prefix` is prepended to every phase and node label — the
+    /// replanner reruns an aborted sub-batch under a `"recovery:"` prefix so
+    /// the extra work shows up as its own rows in the Fig. 14-style
+    /// breakdown.
+    #[allow(clippy::too_many_arguments)]
+    fn append_sub_batch<T: Scannable>(
+        &self,
+        graph: &mut ExecGraph,
+        gpu_ids: &[usize],
+        stream: usize,
+        sub_problem: ProblemParams,
+        sub_input: &[T],
+        barrier_deps: &[NodeId],
+        phase_prefix: &str,
+        out: &mut [T],
+    ) -> ScanResult<Vec<NodeId>>
+    where
+        O: ScanOp<T>,
+    {
+        let Launch { op, tuple, kind, fabric, .. } = *self;
+        let plan = ExecutionPlan::new(sub_problem, tuple, gpu_ids.len())?;
+        let mut workers = self.workers(&plan, gpu_ids, sub_input)?;
+        let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream };
+        let links = collective_links(fabric, &workers);
+        let label = |name: &str| format!("{phase_prefix}{name}");
+
+        // Stage 1: chunk reductions, one kernel per GPU stream. The only
+        // cross-batch ordering in overlap mode is each stream's in-order
+        // execution. Each kernel node carries the counters its GPU charged
+        // during the phase, for the trace exporter's achieved-bandwidth args.
+        let t1 = parallel_phase(&mut workers, |w| {
+            run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
+        })
+        .into_iter()
+        .collect::<SimResult<Vec<_>>>()?;
+        let p = graph.phase(label("stage1:chunk-reduce"));
+        let s1: Vec<NodeId> = workers
+            .iter()
+            .zip(&t1)
+            .map(|(w, &(secs, counters))| {
+                graph.add_with_meta(
+                    p,
+                    label("stage1:chunk-reduce"),
+                    EventKind::Kernel,
+                    secs,
+                    barrier_deps,
+                    &[stream(w)],
+                    NodeMeta::kernel(counters),
+                )
+            })
+            .collect();
+
+        // Aux gather: needs every GPU's chunk reductions; occupies the
+        // union of links to the root.
+        let mut root_aux = workers[0].gpu.alloc::<T>(plan.aux_global_len())?;
+        let gather = gather_aux(fabric, &workers, &mut root_aux, &plan);
+        workers[0].gpu.charge(label("comm:gather-aux"), EventKind::Transfer, gather.seconds);
+        let p = graph.phase(label("comm:gather-aux"));
+        let g_id = graph.add_with_meta(
+            p,
+            label("comm:gather-aux"),
+            EventKind::Transfer,
+            gather.seconds,
+            &s1,
+            &links,
+            NodeMeta::transfer(gather.bytes as u64),
+        );
+
+        // Stage 2 on the group root's stream.
+        let before = workers[0].gpu.elapsed();
+        let counters_before = workers[0].gpu.log().total_counters();
+        run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
+        let s2_counters = workers[0].gpu.log().total_counters().since(&counters_before);
+        let p = graph.phase(label("stage2:intermediate-scan"));
+        let s2 = graph.add_with_meta(
+            p,
+            label("stage2:intermediate-scan"),
+            EventKind::Kernel,
+            workers[0].gpu.elapsed() - before,
+            &[g_id],
+            &[stream(&workers[0])],
+            NodeMeta::kernel(s2_counters),
+        );
+
+        // Offsets scatter, back over the same links.
+        let scatter = scatter_offsets(fabric, &mut workers, &root_aux, &plan);
+        workers[0].gpu.charge(label("comm:scatter-offsets"), EventKind::Transfer, scatter.seconds);
+        let p = graph.phase(label("comm:scatter-offsets"));
+        let sc = graph.add_with_meta(
+            p,
+            label("comm:scatter-offsets"),
+            EventKind::Transfer,
+            scatter.seconds,
+            &[s2],
+            &links,
+            NodeMeta::transfer(scatter.bytes as u64),
+        );
+
+        // Stage 3: scan + add offsets, one kernel per GPU stream.
+        let t3 = parallel_phase(&mut workers, |w| {
+            run_stage3_kind(&mut w.gpu, &plan, op, &w.input, &w.offsets, &mut w.output, kind)
+        })
+        .into_iter()
+        .collect::<SimResult<Vec<_>>>()?;
+        let p = graph.phase(label("stage3:scan-add"));
+        let s3: Vec<NodeId> = workers
+            .iter()
+            .zip(&t3)
+            .map(|(w, &(secs, counters))| {
+                graph.add_with_meta(
+                    p,
+                    label("stage3:scan-add"),
+                    EventKind::Kernel,
+                    secs,
+                    &[sc],
+                    &[stream(w)],
+                    NodeMeta::kernel(counters),
+                )
+            })
+            .collect();
+
+        out.copy_from_slice(&assemble_output(&plan, &workers));
+        Ok(s3)
+    }
+}
+
+/// Reject an input that does not hold the problem's `G·N` elements.
+fn check_input<T>(problem: ProblemParams, input: &[T]) -> ScanResult<()> {
+    if input.len() != problem.total_elems() {
+        return Err(ScanError::InvalidInput(format!(
+            "input holds {} elements but G·N = {}",
+            input.len(),
+            problem.total_elems()
+        )));
+    }
+    Ok(())
 }
 
 /// Largest power of two ≤ `requested`, clamped to `[1, batch]` (`batch` is
@@ -182,211 +475,6 @@ pub(crate) fn collective_links<T: Scannable>(
     links
 }
 
-/// Run the three-stage pipeline over one GPU group, appending its
-/// operations to a fresh [`ExecGraph`] and writing the scanned batch into
-/// `out` (which must hold `problem.total_elems()` elements).
-///
-/// Each sub-batch contributes five phase instances —
-/// `stage1:chunk-reduce`, `comm:gather-aux`, `stage2:intermediate-scan`,
-/// `comm:scatter-offsets`, `stage3:scan-add` — with kernels on stream
-/// `stream` of each GPU and the exchanges on the links they traverse.
-/// Standalone runs use stream 0; the serving layer passes each lease's
-/// private stream id (see `gpu_sim::StreamNamespace`) so concurrent
-/// requests sharing a GPU stay distinguishable in the fleet schedule.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_pipeline_graph<T: Scannable, O: ScanOp<T>>(
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    stream: usize,
-    problem: ProblemParams,
-    input: &[T],
-    kind: ScanKind,
-    policy: &PipelinePolicy,
-    out: &mut [T],
-) -> ScanResult<ExecGraph> {
-    if input.len() != problem.total_elems() {
-        return Err(ScanError::InvalidInput(format!(
-            "input holds {} elements but G·N = {}",
-            input.len(),
-            problem.total_elems()
-        )));
-    }
-    let batches = effective_batches(policy.batches, problem.batch());
-    let sub_batch = problem.batch() / batches;
-    let sub_problem = ProblemParams::new(problem.n(), sub_batch.trailing_zeros());
-    let n = problem.problem_size();
-
-    let mut graph = ExecGraph::new();
-    // In barrier mode, every node of a phase instance depends on all nodes
-    // of the previous instance (within and across sub-batches); in overlap
-    // mode only the structural deps below remain.
-    let mut prev_phase: Vec<NodeId> = Vec::new();
-
-    for b in 0..batches {
-        let lo = b * sub_batch * n;
-        let hi = lo + sub_batch * n;
-        let barrier_deps = if policy.overlap { Vec::new() } else { prev_phase.clone() };
-        prev_phase = append_sub_batch(
-            &mut graph,
-            op,
-            tuple,
-            device,
-            fabric,
-            gpu_ids,
-            stream,
-            sub_problem,
-            &input[lo..hi],
-            kind,
-            &barrier_deps,
-            "",
-            None,
-            &mut out[lo..hi],
-        )?;
-    }
-    Ok(graph)
-}
-
-/// Append one sub-batch's five phase instances to `graph` and write its
-/// scanned data into `out`, returning the Stage-3 node ids (the sub-batch's
-/// exit frontier, which barrier-mode callers feed into the next sub-batch's
-/// dependencies).
-///
-/// `phase_prefix` is prepended to every phase and node label — the
-/// degraded-mode replanner reruns an aborted sub-batch under a
-/// `"recovery:"` prefix so the extra work shows up as its own rows in the
-/// Fig. 14-style breakdown. `fault_plan` carries the per-GPU SM throttles
-/// of a fault-injection run (link-level faults are applied to the finished
-/// graph by `interconnect::apply_link_faults`, so they re-price each
-/// transfer exactly once).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn append_sub_batch<T: Scannable, O: ScanOp<T>>(
-    graph: &mut ExecGraph,
-    op: O,
-    tuple: SplkTuple,
-    device: &DeviceSpec,
-    fabric: &Fabric,
-    gpu_ids: &[usize],
-    stream: usize,
-    sub_problem: ProblemParams,
-    sub_input: &[T],
-    kind: ScanKind,
-    barrier_deps: &[NodeId],
-    phase_prefix: &str,
-    fault_plan: Option<&FaultPlan>,
-    out: &mut [T],
-) -> ScanResult<Vec<NodeId>> {
-    let plan = ExecutionPlan::new(sub_problem, tuple, gpu_ids.len())?;
-    let mut workers = build_workers(device, &plan, gpu_ids, sub_input)?;
-    if let Some(fp) = fault_plan {
-        for w in &mut workers {
-            let factor = fp.throttle_of(w.global_id);
-            if factor > 1.0 {
-                w.gpu.set_sm_throttle(factor);
-            }
-        }
-    }
-    let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream };
-    let links = collective_links(fabric, &workers);
-    let label = |name: &str| format!("{phase_prefix}{name}");
-
-    // Stage 1: chunk reductions, one kernel per GPU stream. The only
-    // cross-batch ordering in overlap mode is each stream's in-order
-    // execution. Each kernel node carries the counters its GPU charged
-    // during the phase, for the trace exporter's achieved-bandwidth args.
-    let t1 = parallel_phase_counted(&mut workers, |w| {
-        run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
-    })?;
-    let p = graph.phase(label("stage1:chunk-reduce"));
-    let s1: Vec<NodeId> = workers
-        .iter()
-        .zip(&t1)
-        .map(|(w, &(secs, counters))| {
-            graph.add_with_meta(
-                p,
-                label("stage1:chunk-reduce"),
-                EventKind::Kernel,
-                secs,
-                barrier_deps,
-                &[stream(w)],
-                NodeMeta::kernel(counters),
-            )
-        })
-        .collect();
-
-    // Aux gather: needs every GPU's chunk reductions; occupies the
-    // union of links to the root.
-    let mut root_aux = workers[0].gpu.alloc::<T>(plan.aux_global_len())?;
-    let gather = gather_aux(fabric, &workers, &mut root_aux, &plan);
-    workers[0].gpu.charge(label("comm:gather-aux"), EventKind::Transfer, gather.seconds);
-    let p = graph.phase(label("comm:gather-aux"));
-    let g_id = graph.add_with_meta(
-        p,
-        label("comm:gather-aux"),
-        EventKind::Transfer,
-        gather.seconds,
-        &s1,
-        &links,
-        NodeMeta::transfer(gather.bytes as u64),
-    );
-
-    // Stage 2 on the group root's stream.
-    let before = workers[0].gpu.elapsed();
-    let counters_before = workers[0].gpu.log().total_counters();
-    run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
-    let s2_counters = workers[0].gpu.log().total_counters().since(&counters_before);
-    let p = graph.phase(label("stage2:intermediate-scan"));
-    let s2 = graph.add_with_meta(
-        p,
-        label("stage2:intermediate-scan"),
-        EventKind::Kernel,
-        workers[0].gpu.elapsed() - before,
-        &[g_id],
-        &[stream(&workers[0])],
-        NodeMeta::kernel(s2_counters),
-    );
-
-    // Offsets scatter, back over the same links.
-    let scatter = scatter_offsets(fabric, &mut workers, &root_aux, &plan);
-    workers[0].gpu.charge(label("comm:scatter-offsets"), EventKind::Transfer, scatter.seconds);
-    let p = graph.phase(label("comm:scatter-offsets"));
-    let sc = graph.add_with_meta(
-        p,
-        label("comm:scatter-offsets"),
-        EventKind::Transfer,
-        scatter.seconds,
-        &[s2],
-        &links,
-        NodeMeta::transfer(scatter.bytes as u64),
-    );
-
-    // Stage 3: scan + add offsets, one kernel per GPU stream.
-    let t3 = parallel_phase_counted(&mut workers, |w| {
-        run_stage3_kind(&mut w.gpu, &plan, op, &w.input, &w.offsets, &mut w.output, kind)
-    })?;
-    let p = graph.phase(label("stage3:scan-add"));
-    let s3: Vec<NodeId> = workers
-        .iter()
-        .zip(&t3)
-        .map(|(w, &(secs, counters))| {
-            graph.add_with_meta(
-                p,
-                label("stage3:scan-add"),
-                EventKind::Kernel,
-                secs,
-                &[sc],
-                &[stream(w)],
-                NodeMeta::kernel(counters),
-            )
-        })
-        .collect();
-
-    out.copy_from_slice(&assemble_output(&plan, &workers));
-    Ok(s3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +482,28 @@ mod tests {
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 22695477 + 1) % 139) as i32 - 69).collect()
+    }
+
+    /// Run the healthy group pipeline of `Add` over GPUs 0 and 1 of a
+    /// one-node TSUBAME-KFC fabric (K80, Kepler premises).
+    fn two_gpu_group(
+        problem: ProblemParams,
+        input: &[i32],
+        policy: PipelinePolicy,
+        out: &mut [i32],
+    ) -> ExecGraph {
+        let (device, fabric) = (DeviceSpec::tesla_k80(), Fabric::tsubame_kfc(1));
+        let launch = Launch {
+            op: Add,
+            problem,
+            tuple: SplkTuple::kepler_premises(0),
+            kind: ScanKind::Inclusive,
+            policy,
+            device: &device,
+            fabric: &fabric,
+            faults: None,
+        };
+        launch.group_pipeline(&[0, 1], 0, problem, input, out).unwrap().0
     }
 
     #[test]
@@ -412,22 +522,8 @@ mod tests {
         // sub-batches must scan exactly like one pass.
         let problem = ProblemParams::new(12, 3);
         let input = pseudo(problem.total_elems());
-        let fabric = Fabric::tsubame_kfc(1);
         let mut out = vec![0i32; problem.total_elems()];
-        let graph = build_pipeline_graph(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &gpu_sim::DeviceSpec::tesla_k80(),
-            &fabric,
-            &[0, 1],
-            0,
-            problem,
-            &input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::pipelined(4),
-            &mut out,
-        )
-        .unwrap();
+        let graph = two_gpu_group(problem, &input, PipelinePolicy::pipelined(4), &mut out);
         let n = problem.problem_size();
         for g in 0..problem.batch() {
             let expected = reference_inclusive(Add, &input[g * n..(g + 1) * n]);
@@ -446,29 +542,12 @@ mod tests {
     fn overlap_beats_batched_barrier() {
         let problem = ProblemParams::new(12, 3);
         let input = pseudo(problem.total_elems());
-        let fabric = Fabric::tsubame_kfc(1);
-        let device = gpu_sim::DeviceSpec::tesla_k80();
-        let tuple = SplkTuple::kepler_premises(0);
-        let run_with = |policy: &PipelinePolicy| {
+        let run_with = |policy: PipelinePolicy| {
             let mut out = vec![0i32; problem.total_elems()];
-            let graph = build_pipeline_graph(
-                Add,
-                tuple,
-                &device,
-                &fabric,
-                &[0, 1],
-                0,
-                problem,
-                &input,
-                ScanKind::Inclusive,
-                policy,
-                &mut out,
-            )
-            .unwrap();
-            PipelineRun::from_graph(graph).makespan
+            PipelineRun::from_graph(two_gpu_group(problem, &input, policy, &mut out)).makespan
         };
-        let barrier = run_with(&PipelinePolicy::batched_barrier(4));
-        let overlapped = run_with(&PipelinePolicy::pipelined(4));
+        let barrier = run_with(PipelinePolicy::batched_barrier(4));
+        let overlapped = run_with(PipelinePolicy::pipelined(4));
         assert!(
             overlapped < barrier,
             "pipelining must hide communication ({overlapped} vs {barrier})"

@@ -17,7 +17,7 @@ use interconnect::{Fabric, LinkClass};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{build_pipeline_graph, PipelinePolicy, PipelineRun};
+use crate::exec::{Launch, PipelinePolicy, PipelineRun};
 use crate::fault::largest_pow2;
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
@@ -187,20 +187,9 @@ pub fn scan_on_lease<T: Scannable, O: ScanOp<T>>(
     }
     let gpus = &lease.gpu_ids[..width];
 
+    let launch = Launch { op, problem, tuple, kind, policy: *policy, device, fabric, faults: None };
     let mut data = vec![T::default(); problem.total_elems()];
-    let graph = build_pipeline_graph(
-        op,
-        tuple,
-        device,
-        fabric,
-        gpus,
-        lease.stream,
-        problem,
-        input,
-        kind,
-        policy,
-        &mut data,
-    )?;
+    let (graph, _) = launch.group_pipeline(gpus, lease.stream, problem, input, &mut data)?;
     Ok(LeaseRun { data, run: PipelineRun::from_graph(graph), gpus_used: gpus.to_vec() })
 }
 

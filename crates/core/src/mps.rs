@@ -15,7 +15,7 @@ use skeletons::{ScanOp, Scannable};
 use crate::error::{ScanError, ScanResult};
 use crate::exec::Launch;
 use crate::params::NodeConfig;
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// Batch scan with the Multi-GPU Problem Scattering approach on a single
 /// node: `cfg` selects the GPUs (`W = Y · V` on node 0; `M` must be 1 —
@@ -25,7 +25,8 @@ use crate::report::{RunReport, ScanOutput};
 /// A pipelined policy splits the batch into sub-batches and lets the
 /// auxiliary-array exchange of one sub-batch overlap Stage-1 compute of the
 /// next; the default barrier-synchronous policy reproduces the paper's
-/// model exactly.
+/// model exactly. Under a fault plan, an eviction aborts the sub-batch it
+/// lands on and replans the remaining work over the survivors.
 pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
     launch: &Launch<'_, O>,
     cfg: NodeConfig,
@@ -38,15 +39,11 @@ pub(crate) fn scan_mps<T: Scannable, O: ScanOp<T>>(
     }
     let topology = launch.fabric.topology();
     cfg.validate_against(topology)?;
-    let (data, run) = launch.run_group(&cfg.selected_gpus(topology), input)?;
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!("Scan-MPS W={} V={} Y={}", cfg.w(), cfg.v(), cfg.y()),
-            launch.problem.total_elems(),
-            run,
-        ),
-    ))
+    let gpus = cfg.selected_gpus(topology);
+    let mut data = vec![T::default(); launch.problem.total_elems()];
+    let (graph, events) = launch.group_pipeline(&gpus, 0, launch.problem, input, &mut data)?;
+    let label = format!("Scan-MPS W={} V={} Y={}", cfg.w(), cfg.v(), cfg.y());
+    launch.finish(label, &gpus, data, graph, events)
 }
 
 #[cfg(test)]

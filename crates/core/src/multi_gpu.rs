@@ -7,7 +7,7 @@
 //! maximum of the per-GPU times, matching the paper's phase-synchronous
 //! execution.
 
-use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimError, SimResult};
+use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimResult};
 use interconnect::{strided_exchange_cost, CollectiveCost, Fabric, StridedPart};
 use skeletons::Scannable;
 
@@ -89,24 +89,13 @@ pub fn build_workers<T: Scannable>(
 }
 
 /// Run `f` on every worker concurrently (one host thread per GPU) and
-/// return each GPU's simulated time spent in the phase, in worker order.
-pub fn parallel_phase<T, F>(workers: &mut [Worker<T>], f: F) -> ScanResult<Vec<f64>>
-where
-    T: Scannable,
-    F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
-{
-    parallel_phase_results(workers, f).into_iter().map(|r| r.map_err(ScanError::from)).collect()
-}
-
-/// Like [`parallel_phase`], but also return the simulated hardware
-/// counters each GPU accumulated during the phase (the difference of its
-/// event-log totals around `f`), so the execution graph can attach them to
-/// the phase's kernel nodes. The timing half is identical to
-/// [`parallel_phase`] bit-for-bit.
-pub fn parallel_phase_counted<T, F>(
-    workers: &mut [Worker<T>],
-    f: F,
-) -> ScanResult<Vec<(f64, CostCounters)>>
+/// return, in worker order, each GPU's simulated time spent in the phase
+/// with the hardware counters it accumulated there (the difference of its
+/// event-log totals around `f`) — or the error its launch raised. Callers
+/// that need every GPU to succeed collect the results; the fault replanner
+/// tells an evicted device's expected `DeviceLost` from a real failure on
+/// a survivor.
+pub fn parallel_phase<T, F>(workers: &mut [Worker<T>], f: F) -> Vec<SimResult<(f64, CostCounters)>>
 where
     T: Scannable,
     F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
@@ -121,35 +110,7 @@ where
                     let counters_before = w.gpu.log().total_counters();
                     f(w)?;
                     let counters = w.gpu.log().total_counters().since(&counters_before);
-                    Ok::<_, SimError>((w.gpu.elapsed() - before, counters))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked").map_err(ScanError::from))
-            .collect()
-    })
-}
-
-/// Like [`parallel_phase`], but hand back every worker's individual result
-/// instead of failing on the first error. The fault-injection replanner
-/// uses this to tell an evicted device's expected `DeviceLost` from a real
-/// failure on a survivor.
-pub fn parallel_phase_results<T, F>(workers: &mut [Worker<T>], f: F) -> Vec<SimResult<f64>>
-where
-    T: Scannable,
-    F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
-{
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    let before = w.gpu.elapsed();
-                    f(w)?;
-                    Ok(w.gpu.elapsed() - before)
+                    Ok((w.gpu.elapsed() - before, counters))
                 })
             })
             .collect();

@@ -11,18 +11,16 @@
 //! CUDA-aware MPI routes same-network ranks over P2P automatically, which
 //! the [`interconnect::MpiComm`] cost model honours.
 
-use gpu_sim::EventKind;
-use interconnect::{ExecGraph, FaultPlan, MpiComm, NodeId, NodeMeta, Resource};
+use gpu_sim::{EventKind, SimResult};
+use interconnect::{ExecGraph, MpiComm, NodeId, NodeMeta, Resource};
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{collective_links, Launch, PipelineRun};
-use crate::multi_gpu::{
-    assemble_output, build_workers, parallel_phase_counted, scatter_offsets_functional, Worker,
-};
+use crate::exec::{collective_links, Launch};
+use crate::multi_gpu::{assemble_output, parallel_phase, scatter_offsets_functional, Worker};
 use crate::params::NodeConfig;
 use crate::plan::ExecutionPlan;
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
 use crate::stage3::run_stage3;
@@ -30,35 +28,23 @@ use crate::stage3::run_stage3;
 /// Batch inclusive scan with Multi-GPU Problem Scattering across `M` nodes.
 ///
 /// Requires `cfg.m() > 1`; a single node runs [`crate::Proposal::Mps`].
+/// Of a fault plan, SM throttles and link faults (including InfiniBand
+/// degradation and loss) apply; device evictions are rejected — there is
+/// no replanning protocol across MPI ranks, so an eviction plan is an
+/// invalid configuration rather than a panic.
 pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     launch: &Launch<'_, O>,
     cfg: NodeConfig,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    let (data, graph) = build_multinode_graph(launch, cfg, input, None)?;
-    Ok(ScanOutput::new(
-        data,
-        RunReport::from_run(
-            format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w()),
-            launch.problem.total_elems(),
-            PipelineRun::from_graph(graph),
-        ),
-    ))
-}
-
-/// The multi-node pipeline body, shared with the fault-injected twin:
-/// builds the MPI-phase execution graph and returns it unscheduled
-/// together with the scanned data. `fault_plan` carries per-GPU SM
-/// throttles (link faults are applied to the finished graph by the
-/// caller; evictions are rejected there — there is no replanning across
-/// MPI ranks).
-pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
-    launch: &Launch<'_, O>,
-    cfg: NodeConfig,
-    input: &[T],
-    fault_plan: Option<&FaultPlan>,
-) -> ScanResult<(Vec<T>, ExecGraph)> {
-    let Launch { op, problem, tuple, device, fabric, .. } = *launch;
+    let Launch { op, problem, tuple, fabric, faults, .. } = *launch;
+    if faults.is_some_and(|plan| !plan.evictions().is_empty()) {
+        return Err(ScanError::InvalidConfig(
+            "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
+             replan a lost peer's portion; restrict the fault plan to link faults and throttles"
+                .into(),
+        ));
+    }
     if cfg.m() < 2 {
         return Err(ScanError::InvalidConfig(
             "MpsMultinode needs M ≥ 2; use Proposal::Mps on a single node".into(),
@@ -69,15 +55,7 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
     let comm = MpiComm::new(gpu_ids.clone(), gpu_ids[0]);
 
     let plan = ExecutionPlan::new(problem, tuple, gpu_ids.len())?;
-    let mut workers = build_workers(device, &plan, &gpu_ids, input)?;
-    if let Some(fp) = fault_plan {
-        for w in &mut workers {
-            let factor = fp.throttle_of(w.global_id);
-            if factor > 1.0 {
-                w.gpu.set_sm_throttle(factor);
-            }
-        }
-    }
+    let mut workers = launch.workers(&plan, &gpu_ids, input)?;
     let mut graph = ExecGraph::new();
     let elem_bytes = std::mem::size_of::<T>();
     let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream: 0 };
@@ -88,9 +66,10 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
     let p = graph.phase("MPI_Barrier");
     let b0 = graph.add(p, "MPI_Barrier", EventKind::Collective, barrier.seconds, &[], &[]);
 
-    let t1 = parallel_phase_counted(&mut workers, |w| {
-        run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
-    })?;
+    let t1 =
+        parallel_phase(&mut workers, |w| run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux))
+            .into_iter()
+            .collect::<SimResult<Vec<_>>>()?;
     let p = graph.phase("stage1:chunk-reduce");
     let s1: Vec<NodeId> = workers
         .iter()
@@ -154,9 +133,11 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
         NodeMeta::transfer(scatter.bytes as u64),
     );
 
-    let t3 = parallel_phase_counted(&mut workers, |w| {
+    let t3 = parallel_phase(&mut workers, |w| {
         run_stage3(&mut w.gpu, &plan, op, &w.input, &w.offsets, &mut w.output)
-    })?;
+    })
+    .into_iter()
+    .collect::<SimResult<Vec<_>>>()?;
     let p = graph.phase("stage3:scan-add");
     let s3: Vec<NodeId> = workers
         .iter()
@@ -179,7 +160,8 @@ pub(crate) fn build_multinode_graph<T: Scannable, O: ScanOp<T>>(
     let p = graph.phase("MPI_Barrier");
     graph.add(p, "MPI_Barrier", EventKind::Collective, barrier.seconds, &s3, &[]);
 
-    Ok((assemble_output(&plan, &workers), graph))
+    let label = format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w());
+    launch.finish(label, &gpu_ids, assemble_output(&plan, &workers), graph, Vec::new())
 }
 
 /// Functional part of the MPI gather: place each rank's aux rows in the

@@ -20,10 +20,11 @@
 //! assert_eq!(out.data.len(), input.len());
 //! ```
 //!
-//! `run` validates the request once, resolves its defaults into one
-//! crate-private launch, and dispatches on the proposal and whether a
-//! fault plan is set; `tests/golden/request_equivalence.txt` pins every
-//! such route's data and schedule bits.
+//! `run` validates the request once, resolves its defaults — fault plan
+//! included — into one crate-private launch, and dispatches on the
+//! proposal alone: each proposal has one body, which runs the same code
+//! with or without a fault plan. `tests/golden/request_equivalence.txt`
+//! pins every route's data and schedule bits.
 
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ use crate::exec::{Launch, PipelinePolicy};
 use crate::lease::{check_unique_gpu_ids, scan_on_lease, GpuLease};
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
 use crate::report::{RunReport, ScanOutput, TraceHandle};
-use crate::{case1, fault, mppc, mps, multinode, single};
+use crate::{case1, mppc, mps, multinode, single};
 
 /// Which of the paper's distribution proposals a [`ScanRequest`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +198,9 @@ impl<O: Copy> ScanRequest<O> {
     }
 
     /// Run under a seeded fault plan (throttles, link faults, evictions).
-    /// Routes through the proposal's fault-injected twin; the output's
-    /// `faults` field records what was injected.
+    /// The proposal's body takes the plan as an input; the output's
+    /// `faults` field records what was injected, and an empty plan
+    /// reproduces the healthy schedule bit for bit.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -254,7 +256,7 @@ impl<O: Copy> ScanRequest<O> {
     /// node config for the proposals that need one (`None` for Sp).
     fn precheck(&self) -> ScanResult<Option<NodeConfig>> {
         if self.faults.is_some() {
-            self.reject_exclusive("the fault-injected twins run inclusive scans")?;
+            self.reject_exclusive("fault injection runs inclusive scans only")?;
         }
         match self.proposal {
             Proposal::Sp => {
@@ -358,25 +360,15 @@ impl<O: Copy> ScanRequest<O> {
             policy,
             device: &device,
             fabric: &fabric,
+            faults: self.faults.as_ref(),
         };
         let cfg = cfg.unwrap_or_else(NodeConfig::single_gpu);
-        let out = match (self.proposal, &self.faults) {
-            (Proposal::Sp, None) => single::scan_sp(&launch, input),
-            (Proposal::Sp, Some(plan)) => fault::scan_sp_faulted(&launch, input, plan),
-            (Proposal::Mps, None) => mps::scan_mps(&launch, cfg, input),
-            (Proposal::Mps, Some(plan)) => fault::scan_mps_faulted(&launch, cfg, input, plan),
-            (Proposal::Mppc, None) => mppc::scan_mppc(&launch, cfg, input),
-            (Proposal::Mppc, Some(plan)) => fault::scan_mppc_faulted(&launch, cfg, input, plan),
-            (Proposal::MpsMultinode, None) => multinode::scan_mps_multinode(&launch, cfg, input),
-            (Proposal::MpsMultinode, Some(plan)) => {
-                fault::scan_mps_multinode_faulted(&launch, cfg, input, plan)
-            }
-            (Proposal::Case1, None) => case1::scan_case1(&launch, cfg, input),
-            (Proposal::Case1, Some(_)) => Err(ScanError::InvalidConfig(
-                "Case1 has no fault-injected twin: its groups share no link to fault and no \
-                 replanning protocol"
-                    .into(),
-            )),
+        let out = match self.proposal {
+            Proposal::Sp => single::scan_sp(&launch, input),
+            Proposal::Mps => mps::scan_mps(&launch, cfg, input),
+            Proposal::Mppc => mppc::scan_mppc(&launch, cfg, input),
+            Proposal::MpsMultinode => multinode::scan_mps_multinode(&launch, cfg, input),
+            Proposal::Case1 => case1::scan_case1(&launch, cfg, input),
         }?;
 
         if let Some((cache, key)) = cached {
@@ -423,7 +415,7 @@ impl<O: Copy> ScanRequest<O> {
         }
         if self.faults.is_some() {
             return Err(ScanError::InvalidConfig(
-                "explicit device_ids leases have no fault-injected twin".into(),
+                "explicit device_ids leases take no fault plan".into(),
             ));
         }
         if !matches!(self.proposal, Proposal::Sp | Proposal::Mps) {
@@ -515,7 +507,7 @@ mod tests {
             .run(&input)
             .unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
-        // Case1 has no faulted twin.
+        // Case1 takes no fault plan.
         let err = ScanRequest::new(Add, problem)
             .proposal(Proposal::Case1)
             .devices(NodeConfig::new(2, 2, 1, 1).unwrap())

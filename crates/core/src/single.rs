@@ -10,7 +10,7 @@ use skeletons::{ScanOp, Scannable};
 use crate::error::ScanResult;
 use crate::exec::Launch;
 use crate::params::ScanKind;
-use crate::report::{RunReport, ScanOutput};
+use crate::report::ScanOutput;
 
 /// The lone-GPU fabric Scan-SP runs on, whatever fabric a request names.
 pub(crate) fn single_gpu_fabric() -> Fabric {
@@ -20,17 +20,20 @@ pub(crate) fn single_gpu_fabric() -> Fabric {
 /// Batch scan on a single GPU: `input` holds the batch problem-major
 /// (`[g][N]`) and the output preserves the layout. The tuple's `K` should
 /// come from the premises ([`crate::premises::default_k`]) or the
-/// autotuner.
+/// autotuner. A single GPU has no links, so of a fault plan only SM
+/// throttles apply — and evicting GPU 0 evicts the last GPU, a
+/// [`crate::ScanError::InvalidConfig`].
 pub(crate) fn scan_sp<T: Scannable, O: ScanOp<T>>(
     launch: &Launch<'_, O>,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    let (data, run) = launch.run_group(&[0], input)?;
+    let mut data = vec![T::default(); launch.problem.total_elems()];
+    let (graph, events) = launch.group_pipeline(&[0], 0, launch.problem, input, &mut data)?;
     let label = match launch.kind {
         ScanKind::Inclusive => "Scan-SP",
         ScanKind::Exclusive => "Scan-SP (exclusive)",
     };
-    Ok(ScanOutput::new(data, RunReport::from_run(label, launch.problem.total_elems(), run)))
+    launch.finish(label, &[0], data, graph, events)
 }
 
 #[cfg(test)]
