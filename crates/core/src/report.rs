@@ -118,7 +118,7 @@ pub struct ScanOutput<T> {
     pub report: RunReport,
     /// What was injected, retried and replanned — `Some` exactly when the
     /// run executed under a [`interconnect::FaultPlan`] (even an empty
-    /// one), `None` for the healthy entry points.
+    /// one), `None` for a healthy run.
     pub faults: Option<FaultReport>,
     /// Execution trace captured at run time, when tracing was requested
     /// (see [`crate::TraceOptions`]). Use [`ScanOutput::trace`] to get a

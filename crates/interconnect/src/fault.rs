@@ -92,9 +92,9 @@ pub struct GpuEviction {
 
 /// A seeded, deterministic description of every fault injected into a run.
 ///
-/// Built with the fluent methods and handed to the faulted entry points of
-/// `scan-core` (or directly to [`apply_link_faults`] for graph-level
-/// experiments). The same plan and seed always reproduce the same
+/// Built with the fluent methods and handed to `scan-core` through
+/// `ScanRequest::faults` (or directly to [`apply_link_faults`] for
+/// graph-level experiments). The same plan and seed always reproduce the same
 /// schedule.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {

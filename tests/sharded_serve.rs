@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::ScanError;
-use multigpu_scan::serve::{ResponseStats, ShardedReport};
+use multigpu_scan::serve::{requests_from_json, ResponseStats, ShardedReport};
 
 fn mixed_workload(seed: u64, count: usize) -> Vec<ServeRequest> {
     let mut spec = WorkloadSpec::mixed_ops_for(seed, count);
@@ -544,7 +544,15 @@ fn malformed_arrivals_are_invalid_config_and_leave_the_router_untouched() {
     negative[0].arrival = -1.0;
     let mut nan = requests.clone();
     nan[3].arrival = f64::NAN;
-    for bad in [unsorted, negative, nan] {
+    let mut too_wide = requests.clone();
+    too_wide[7].n = 45;
+    // Both parse, but neither batch fits a grant of an 8-GPU shard.
+    let oversized = [
+        r#"{"requests": [{"arrival": 0.0, "n": 39, "g": 39}]}"#,
+        r#"{"requests": [{"arrival": 0.0, "n": 30, "g": 12}]}"#,
+    ]
+    .map(|trace| requests_from_json(trace).expect("the trace parses"));
+    for bad in [unsorted, negative, nan, too_wide].into_iter().chain(oversized) {
         assert!(matches!(router.run(&bad), Err(ScanError::InvalidConfig(_))));
         assert_eq!(router.response_stats(), before, "a failed call changes no memo state");
     }
