@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cpu_reference;
 pub mod cub;
 pub mod cudpp;
 pub mod lightscan;

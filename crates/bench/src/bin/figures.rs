@@ -11,10 +11,11 @@
 //! ```
 //!
 //! `self` benchmarks the *simulator itself*: wall-clock throughput of the
-//! serving engine fast path (event-heap scheduler + plan cache + parallel
-//! block simulation) against the retained slow path (reference O(n²)
-//! scheduler, no cache, serial blocks), asserts both produce bit-identical
-//! results, and writes `BENCH_wall.json` to `--out`. See `docs/perf.md`.
+//! serving engine with its plan cache against the same engine with the
+//! cache off, asserts both produce bit-identical results and that the
+//! uncached window's fleet schedule equals the replay of its admission log
+//! through the O(n²) reference scheduler, and writes `BENCH_wall.json` to
+//! `--out`. See `docs/perf.md`.
 //!
 //! `trace` exports Chrome-trace JSON (`*.trace.json`, loadable in
 //! `chrome://tracing` or Perfetto) for the Fig. 9 Scan-MPS configurations
@@ -632,11 +633,12 @@ fn bench_scan(out: &str, fabric_sweep: bool) {
 
 /// Wall-clock self-benchmark of the serving engine's fast path.
 ///
-/// Runs the same seeded workload through the fast path (event-heap
-/// scheduler, plan cache, parallel block simulation — all defaults) and
-/// the retained slow path (reference O(n²) list scheduler, cache off,
-/// blocks forced serial), asserts the two windows are bit-identical, then
-/// times the scheduler alone on a ~20k-node synthetic layered DAG. Writes
+/// Runs the same seeded workload through the fast path (every default,
+/// plan cache on) and the slow path (plan cache off, so every launch
+/// builds its graph cold), asserts the two windows are bit-identical and
+/// that the slow window's fleet schedule equals the replay of its
+/// admission log through the O(n²) reference scheduler, then times the
+/// scheduler alone on a ~20k-node synthetic layered DAG. Writes
 /// `BENCH_wall.json` to `--out`; the committed copy at the repo root is
 /// the CI baseline (the perf-smoke job fails below 0.5x of it).
 ///
@@ -649,7 +651,7 @@ fn bench_self(opts: &ServeOpts) {
     use std::time::Instant;
 
     println!(
-        "## bench self — {} requests, seed {}: fast path vs retained slow path",
+        "## bench self — {} requests, seed {}: fast path vs uncached engine",
         opts.requests, opts.seed
     );
     let requests = WorkloadSpec::default_for(opts.seed, opts.requests).generate();
@@ -678,16 +680,19 @@ fn bench_self(opts: &ServeOpts) {
     let allocs_per_request = steady_allocs as f64 / (requests.len() * STEADY_WINDOWS) as f64;
     let steady = steady_reports.pop().expect("at least one steady window");
 
-    // Slow path: the retained references, for both the baseline timing and
-    // the bit-identity oracle.
+    // Slow path: the plan cache off, so every launch builds its graph cold;
+    // its fleet schedule is checked against the replay of its admission
+    // log through the O(n²) reference scheduler.
     let mut slow_cfg = ServeConfig::new(Policy::Fifo, opts.seed);
     slow_cfg.plan_cache = false;
-    slow_cfg.reference_timings = true;
-    gpu_sim::force_serial_blocks(true);
     let t = Instant::now();
     let slow = Server::new(slow_cfg).run(&requests).expect("slow serve");
     let slow_s = t.elapsed().as_secs_f64();
-    gpu_sim::force_serial_blocks(false);
+    assert_same_schedule(
+        slow.trace.schedule(),
+        &slow.trace.reference_schedule(),
+        "the fleet schedule and its replay",
+    );
 
     assert_eq!(fast.completions.len(), slow.completions.len());
     assert_eq!(
@@ -727,7 +732,7 @@ fn bench_self(opts: &ServeOpts) {
     println!(
         "  serve steady: {steady_s:>8.3} s  ({steady_rps:>9.1} req/s)  {steady_speedup:>6.2}x"
     );
-    println!("  serve slow  : {slow_s:>8.3} s  ({slow_rps:>9.1} req/s)   1.00x  (pre-PR engine)");
+    println!("  serve slow  : {slow_s:>8.3} s  ({slow_rps:>9.1} req/s)   1.00x  (plan cache off)");
     println!("  (all three windows bit-identical)");
     println!(
         "  plan cache : {} hits / {} misses ({:.1}% hit rate), {} entries",
@@ -752,12 +757,7 @@ fn bench_self(opts: &ServeOpts) {
     let t = Instant::now();
     let reference = reference_schedule(&graph);
     let reference_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        heap.makespan.to_bits(),
-        reference.makespan.to_bits(),
-        "heap and reference schedules must agree"
-    );
-    assert!(heap.start.iter().zip(&reference.start).all(|(a, b)| a.to_bits() == b.to_bits()));
+    assert_same_schedule(&heap, &reference, "heap and reference schedules");
 
     let heap_nps = nodes as f64 / heap_s;
     let reference_nps = nodes as f64 / reference_s;
@@ -768,9 +768,9 @@ fn bench_self(opts: &ServeOpts) {
 
     // Admission alone: repeatedly admit one pipeline-shaped graph into a
     // growing shared fleet — the incremental zero-copy path (shared
-    // storage, pooled scratch, lazily pruned availability index) against
-    // the retained full list-schedule reference. Bit-equal by
-    // construction; the differential suite proves it, this times it.
+    // storage, pooled scratch, availability index) against the replay of
+    // the same admission log through the O(n²) reference scheduler. The
+    // differential suite proves them bit-equal; this times them.
     let unit = std::sync::Arc::new(synthetic_layered_dag(64, 8));
     const ADMISSIONS: usize = 400;
     let t = Instant::now();
@@ -786,16 +786,12 @@ fn bench_self(opts: &ServeOpts) {
     }
     let admit_incr_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let mut ref_fleet = interconnect::FleetTimeline::reference();
-    for i in 0..ADMISSIONS {
-        let release = ref_fleet.makespan();
-        ref_fleet.admit(&unit, release, &format!("a{i}:"));
-    }
+    let replay = incr_fleet.reference_schedule();
     let admit_ref_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        incr_fleet.makespan().to_bits(),
-        ref_fleet.makespan().to_bits(),
-        "incremental and reference admissions must agree"
+    assert_same_schedule(
+        &incr_fleet.schedule(),
+        &replay,
+        "incremental admissions and their replay",
     );
     let incr_aps = ADMISSIONS as f64 / admit_incr_s;
     let ref_aps = ADMISSIONS as f64 / admit_ref_s;
@@ -927,6 +923,16 @@ fn bench_self(opts: &ServeOpts) {
     );
     std::fs::write(&path, json).expect("write BENCH_wall.json");
     println!("wrote {path}\n");
+}
+
+/// Assert two schedules agree bit for bit: every node's start, finish and
+/// predecessor, and the makespan.
+fn assert_same_schedule(a: &interconnect::Schedule, b: &interconnect::Schedule, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.start), bits(&b.start), "{what}: start times");
+    assert_eq!(bits(&a.finish), bits(&b.finish), "{what}: finish times");
+    assert_eq!(a.pred, b.pred, "{what}: predecessors");
+    assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}: makespan");
 }
 
 /// A deterministic wide layered DAG: `width` nodes per layer, each

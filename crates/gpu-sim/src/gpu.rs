@@ -1,8 +1,6 @@
 //! The simulated GPU: device spec + global memory + event timeline +
 //! kernel launch engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::block::BlockCtx;
 use crate::counters::CostCounters;
 use crate::device::DeviceSpec;
@@ -16,17 +14,6 @@ use crate::timing::{KernelTime, TimingModel};
 /// Grids smaller than this run serially in [`Gpu::launch_blocks_on`]: the
 /// thread-spawn overhead dominates tiny launches.
 const PARALLEL_BLOCK_THRESHOLD: usize = 8;
-
-/// Process-wide switch forcing [`Gpu::launch_blocks_on`] onto the serial
-/// path — the `bench self` slow leg uses it to measure the pre-parallel
-/// engine. Results are bit-identical either way; this only moves wall-clock.
-static FORCE_SERIAL_BLOCKS: AtomicBool = AtomicBool::new(false);
-
-/// Force (or release) serial block execution. Benchmark surface only.
-#[doc(hidden)]
-pub fn force_serial_blocks(on: bool) {
-    FORCE_SERIAL_BLOCKS.store(on, Ordering::Relaxed);
-}
 
 /// Statistics returned by one kernel launch.
 #[derive(Debug, Clone)]
@@ -264,9 +251,9 @@ impl Gpu {
     /// bit-identical to running the same blocks sequentially through
     /// [`Gpu::launch_on`].
     ///
-    /// Small grids (or [`force_serial_blocks`] mode) run serially on the
-    /// calling thread; the parallel split only pays for itself when there
-    /// are enough blocks to amortise thread spawns.
+    /// Small grids run serially on the calling thread; the parallel split
+    /// only pays for itself when there are enough blocks to amortise thread
+    /// spawns.
     pub fn launch_blocks_on<T, F>(
         &mut self,
         stream: usize,
@@ -313,10 +300,7 @@ impl Gpu {
         };
 
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let serial = chunk == 0
-            || blocks < PARALLEL_BLOCK_THRESHOLD
-            || workers < 2
-            || FORCE_SERIAL_BLOCKS.load(Ordering::Relaxed);
+        let serial = chunk == 0 || blocks < PARALLEL_BLOCK_THRESHOLD || workers < 2;
 
         let mut counters = CostCounters { launches: 1, ..Default::default() };
         if serial {
@@ -693,26 +677,6 @@ mod tests {
         assert_eq!(par_stats.counters, serial_stats.counters);
         assert_eq!(par_stats.counters.launches, 1);
         assert_eq!(par_stats.seconds().to_bits(), serial_stats.seconds().to_bits());
-
-        // The forced-serial benchmark path is bit-identical too.
-        let mut forced_gpu = gpu();
-        let input = forced_gpu.alloc_from(&src).unwrap();
-        let mut forced_out = vec![0i32; src.len()];
-        force_serial_blocks(true);
-        let forced_stats = forced_gpu
-            .launch_blocks::<i32, _>(&cfg, &mut forced_out, |ctx, out| {
-                let base = ctx.block_idx.0 * chunk;
-                let mut tmp = vec![0i32; chunk];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                for v in &mut tmp {
-                    *v += 1;
-                }
-                ctx.write_global(out, 0, &tmp);
-            })
-            .unwrap();
-        force_serial_blocks(false);
-        assert_eq!(forced_out, par_out);
-        assert_eq!(forced_stats.counters, par_stats.counters);
     }
 
     /// One batched pass over four members' concatenated blocks produces the

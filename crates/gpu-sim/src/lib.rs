@@ -61,8 +61,6 @@ pub use counters::CostCounters;
 pub use device::{DeviceSpec, TRANSACTION_BYTES};
 pub use error::{SimError, SimResult};
 pub use event::{Event, EventKind, EventLog, DEFAULT_STREAM};
-#[doc(hidden)]
-pub use gpu::force_serial_blocks;
 pub use gpu::{Gpu, KernelStats};
 pub use grid::LaunchConfig;
 pub use memory::{DeviceBuffer, DeviceCopy, MemoryTracker};

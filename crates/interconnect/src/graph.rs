@@ -408,12 +408,23 @@ impl ExecGraph {
     /// times and the availability of every resource it claims; among ready
     /// nodes the scheduler always places the one with the earliest start
     /// (ties broken by insertion order), then marks its resources busy until
-    /// its finish. The result is deterministic for a given graph.
+    /// its finish. The result is deterministic for a given graph: it is one
+    /// admission into an empty fleet at release 0.
     pub fn schedule(&self) -> Schedule {
-        let mut avail = ResourceMap::default();
-        let mut holder = ResourceMap::default();
-        let (start, finish, pred, makespan) =
-            list_schedule(&self.nodes, 0.0, &mut avail, &mut holder, 0);
+        let n = self.nodes.len();
+        let (mut start, mut finish, mut pred) =
+            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        let (_, makespan) = admit_schedule_into(
+            &self.nodes,
+            &[],
+            0.0,
+            &mut ResourceMap::default(),
+            0,
+            &mut SchedScratch::default(),
+            &mut start,
+            &mut finish,
+            &mut pred,
+        );
         Schedule { start, finish, pred, makespan }
     }
 
@@ -423,134 +434,20 @@ impl ExecGraph {
     }
 }
 
-/// The shared deterministic list scheduler (event-heap implementation).
+/// The O(n²) list scheduler: every iteration rescans the whole ready set
+/// for the minimum `(est, index)` pair.
 ///
-/// Places `nodes` one at a time, earliest-start-first (insertion order on
-/// ties). A node's earliest start is the maximum of `release`, its
-/// dependencies' finish times, and the availability of every resource it
-/// claims in `avail`. `holder` remembers which node last held each resource
-/// (for critical-path predecessor links) and `offset` translates local node
-/// indices into the caller's id space — [`ExecGraph::schedule`] passes
-/// empty maps, `release = 0` and `offset = 0`, [`FleetTimeline::admit`]
-/// passes its shared maps so graphs admitted later contend for the same
-/// hardware.
-///
-/// Ready nodes sit in a min-heap keyed by `(est bits, node index)` with
-/// *lazy invalidation*: a stored key is the node's earliest start when it
-/// was pushed, and resource availability only ever moves forward, so keys
-/// are lower bounds. On pop the est is recomputed; a stale entry (the true
-/// est grew past the stored key) is re-pushed with its fresh key, and a
-/// fresh entry is by the lower-bound argument the true lexicographic
-/// minimum over all ready nodes — exactly what the O(n²) reference scan
-/// ([`reference_list_schedule`]) selects. Every est is a non-negative
-/// finite f64, for which IEEE-754 bit order equals value order, so the
-/// `(est.to_bits(), index)` heap keys preserve the reference tie-break and
-/// the schedules match bit for bit.
+/// The executable specification of [`admit_schedule_into`]'s selection
+/// rule, shared by the two oracles: [`reference_schedule`] schedules a
+/// whole graph with it and [`FleetTimeline::reference_schedule`] replays a
+/// fleet's admission log through it. `avail` and `holder` carry resource
+/// availability and the last holder across calls, `release` bounds every
+/// start from below and `offset` translates local node indices into the
+/// caller's id space.
 ///
 /// Returns `(start, finish, pred, makespan)` with `pred` in the caller's
 /// (offset) id space.
-fn list_schedule(
-    nodes: &[ExecNode],
-    release: f64,
-    avail: &mut ResourceMap<f64>,
-    holder: &mut ResourceMap<NodeId>,
-    offset: usize,
-) -> (Vec<f64>, Vec<f64>, Vec<Option<NodeId>>, f64) {
-    let n = nodes.len();
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    // Earliest start imposed by dependencies, folded in as each
-    // dependency is placed (the release time before any).
-    let mut dep_ready = vec![release; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    let mut deps_left: Vec<usize> = nodes.iter().map(|d| d.deps.len()).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in nodes.iter().enumerate() {
-        for d in &node.deps {
-            succs[d.0].push(i);
-        }
-    }
-
-    let est_of = |i: usize, dep_ready: &[f64], avail: &ResourceMap<f64>| {
-        let mut est = dep_ready[i];
-        for r in &nodes[i].resources {
-            est = est.max(avail.get(r).copied().unwrap_or(0.0));
-        }
-        est
-    };
-
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(n);
-    for (i, &left) in deps_left.iter().enumerate() {
-        if left == 0 {
-            heap.push(Reverse((est_of(i, &dep_ready, avail).to_bits(), i)));
-        }
-    }
-
-    let mut placed = 0usize;
-    while placed < n {
-        let Some(Reverse((key, i))) = heap.pop() else {
-            panic!("graph has a cycle or dangling dependency");
-        };
-        let est = est_of(i, &dep_ready, avail);
-        debug_assert!(
-            est.is_finite() && est.to_bits() >= key,
-            "earliest starts must be finite, non-negative and monotone"
-        );
-        if est.to_bits() != key {
-            // Stale lower bound: a resource this node needs was claimed
-            // since the key was pushed. Re-queue at the fresh est.
-            heap.push(Reverse((est.to_bits(), i)));
-            continue;
-        }
-        placed += 1;
-
-        // Record which dependency or resource holder determined the
-        // start (for critical-path reporting). A node that starts exactly
-        // at its release time with no determining dependency or holder
-        // keeps `None` — in a fleet timeline that is the admission point.
-        start[i] = est;
-        finish[i] = est + nodes[i].seconds;
-        if est > 0.0 {
-            pred[i] = nodes[i]
-                .deps
-                .iter()
-                .find(|d| finish[d.0] == est)
-                .map(|d| NodeId(d.0 + offset))
-                .or_else(|| {
-                    nodes[i]
-                        .resources
-                        .iter()
-                        .find(|r| avail.get(r).copied().unwrap_or(0.0) == est)
-                        .and_then(|r| holder.get(r).copied())
-                });
-        }
-        for r in &nodes[i].resources {
-            avail.insert(*r, finish[i]);
-            holder.insert(*r, NodeId(i + offset));
-        }
-        for &s in &succs[i] {
-            dep_ready[s] = dep_ready[s].max(finish[i]);
-            deps_left[s] -= 1;
-            if deps_left[s] == 0 {
-                heap.push(Reverse((est_of(s, &dep_ready, avail).to_bits(), s)));
-            }
-        }
-    }
-
-    let makespan = finish.iter().copied().fold(0.0, f64::max);
-    (start, finish, pred, makespan)
-}
-
-/// The retained O(n²) list scheduler the event-heap implementation
-/// replaced: every iteration rescans the whole ready set for the minimum
-/// `(est, index)` pair.
-///
-/// Kept as the executable specification of [`list_schedule`]'s selection
-/// rule — the property tests in `tests/graph_props.rs` assert the two
-/// produce bit-identical schedules on randomized DAGs, and `bench self`
-/// measures the throughput gap. Not part of the public API.
-#[doc(hidden)]
-pub fn reference_list_schedule(
+fn reference_list_schedule(
     nodes: &[ExecNode],
     release: f64,
     avail: &mut ResourceMap<f64>,
@@ -623,8 +520,9 @@ pub fn reference_list_schedule(
     (start, finish, pred, makespan)
 }
 
-/// Schedule `graph` with the retained O(n²) reference scheduler (see
-/// [`reference_list_schedule`]). Test/benchmark surface only.
+/// Schedule `graph` with the O(n²) rescanning list scheduler: the oracle
+/// [`ExecGraph::schedule`] is checked against. Test/benchmark surface
+/// only.
 #[doc(hidden)]
 pub fn reference_schedule(graph: &ExecGraph) -> Schedule {
     let mut avail = ResourceMap::default();
@@ -675,19 +573,32 @@ struct SchedScratch {
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
-/// The incremental admission scheduler: [`list_schedule`]'s exact
-/// selection rule, restated to (a) read node resources *through* an
-/// admission remap table instead of requiring a rewritten graph, (b) reuse
-/// the caller's [`SchedScratch`] buffers, and (c) append starts/finishes/
-/// predecessors directly onto the fleet's flat arrays. Only the resources
-/// the admitted graph actually touches are examined — the fleet's
-/// availability index is consulted per claimed resource, never scanned.
+/// The deterministic list scheduler (event-heap implementation): places
+/// `nodes` one at a time, earliest-start-first (insertion order on ties),
+/// against the availability `index`, and appends their starts, finishes
+/// and predecessors onto the caller's arrays at `offset`.
+/// [`ExecGraph::schedule`] calls it with an empty index, an empty remap
+/// and `release = 0`; [`FleetTimeline::admit_shared`] with the fleet's
+/// shared index and pooled [`SchedScratch`], so graphs admitted later
+/// contend for the same hardware.
 ///
-/// Bit-equality with [`list_schedule`] on the remapped graph: mapping each
-/// claimed resource through `remap` at lookup time touches the same map
-/// keys in the same order as scheduling a graph whose resource lists were
-/// rewritten up front, and every other operation (est folds, heap keys,
-/// predecessor search, holder updates) is unchanged.
+/// A node's earliest start is the maximum of `release`, its dependencies'
+/// finish times, and the availability of every resource it claims, read
+/// *through* the `remap` table (empty = identity), so a plan-cached graph
+/// is scheduled onto its lease without being rewritten. Only the
+/// resources the graph claims are looked up; the index is never scanned.
+///
+/// Ready nodes sit in a min-heap keyed by `(est bits, node index)` with
+/// *lazy invalidation*: a stored key is the node's earliest start when it
+/// was pushed, and resource availability only ever moves forward, so keys
+/// are lower bounds. On pop the est is recomputed; a stale entry (the true
+/// est grew past the stored key) is re-pushed with its fresh key, and a
+/// fresh entry is by the lower-bound argument the true lexicographic
+/// minimum over all ready nodes — exactly what the O(n²) rescan of
+/// [`reference_list_schedule`] selects on the remapped graph. Every est is
+/// a non-negative finite f64, for which IEEE-754 bit order equals value
+/// order, so the `(est.to_bits(), index)` heap keys preserve the reference
+/// tie-break and the schedules match bit for bit.
 ///
 /// Returns `(first_start, makespan)` of the admitted nodes.
 #[allow(clippy::too_many_arguments)]
@@ -767,11 +678,17 @@ fn admit_schedule_into(
             "earliest starts must be finite, non-negative and monotone"
         );
         if est.to_bits() != key {
+            // Stale lower bound: a resource this node needs was claimed
+            // since the key was pushed. Re-queue at the fresh est.
             s.heap.push(Reverse((est.to_bits(), i)));
             continue;
         }
         placed += 1;
 
+        // Record which dependency or resource holder determined the
+        // start (for critical-path reporting). A node that starts exactly
+        // at its release time with no determining dependency or holder
+        // keeps `None` — in a fleet timeline that is the admission point.
         start[i] = est;
         finish[i] = est + nodes[i].seconds;
         first_start = first_start.min(est);
@@ -784,8 +701,7 @@ fn admit_schedule_into(
                 .map(|d| NodeId(d.0 + offset))
                 .or_else(|| {
                     // One lookup finds both the availability time and its
-                    // holder: the index stores them together, always
-                    // inserted (and pruned) as a pair.
+                    // holder: the index stores them together.
                     nodes[i].resources.iter().find_map(|r| {
                         index.get(&map_r(remap, *r)).and_then(|&(t, h)| (t == est).then_some(h))
                     })
@@ -833,15 +749,17 @@ impl Admission {
 }
 
 /// One admitted graph as the fleet records it: shared (possibly
-/// plan-cached) pristine storage plus the admission's resource remap and
-/// label prefix. Node vectors are never copied at admission time — the
-/// fleet *materializes* prefixed, remapped nodes only when a trace
-/// consumer asks for the fleet-wide graph.
+/// plan-cached) pristine storage plus the admission's resource remap,
+/// release time and label prefix. Node vectors are never copied at
+/// admission time — the fleet *materializes* prefixed, remapped nodes only
+/// when a trace consumer asks for the fleet-wide graph, and the log is all
+/// [`FleetTimeline::reference_schedule`] needs to replay the admissions.
 #[derive(Debug, Clone)]
 struct AdmittedGraph {
     prefix: String,
     graph: Arc<ExecGraph>,
     remap: RemapTable,
+    release: f64,
 }
 
 /// One shared resource timeline that many [`ExecGraph`]s are admitted
@@ -856,9 +774,9 @@ struct AdmittedGraph {
 ///
 /// Admission is **incremental**: only the resources the incoming graph
 /// actually claims are consulted in the per-resource availability index
-/// (entries left behind by drained admissions are pruned lazily, see
-/// [`FleetTimeline::admit_shared`]), the scheduler's working buffers are
-/// pooled across admissions, and the admitted node storage is *shared* —
+/// (one entry per resource ever claimed, so a serving pool's streams and
+/// links bound its size), the scheduler's working buffers are pooled
+/// across admissions, and the admitted node storage is *shared* —
 /// the fleet keeps an [`Arc`] to the admitted graph plus a resource remap
 /// table instead of cloning node vectors. The fleet-wide labelled graph is
 /// materialized on demand ([`FleetTimeline::graph`]) and is identical to
@@ -868,68 +786,28 @@ struct AdmittedGraph {
 /// Admissions must be issued in non-decreasing release order (the natural
 /// order of a simulated-clock service loop); this keeps the sequential
 /// admission schedule identical to what one global scheduler would produce
-/// for the combined graph.
-#[derive(Debug, Clone)]
+/// for the combined graph. The admission log is kept, so
+/// [`FleetTimeline::reference_schedule`] can check the live schedule after
+/// the fact by replaying it through the O(n²) reference scheduler.
+#[derive(Debug, Clone, Default)]
 pub struct FleetTimeline {
     log: Vec<AdmittedGraph>,
     nodes_total: usize,
     start: Vec<f64>,
     finish: Vec<f64>,
     pred: Vec<Option<NodeId>>,
-    /// Fast-path availability index: per resource, when it frees up and
-    /// which node holds it — one map, one lookup.
+    /// Availability index: per resource, when it frees up and which node
+    /// holds it — one map, one lookup.
     index: ResourceMap<(f64, NodeId)>,
-    /// Reference-engine state ([`FleetTimeline::reference`] mode only):
-    /// the pre-incremental engine's separate availability/holder maps.
-    avail: ResourceMap<f64>,
-    holder: ResourceMap<NodeId>,
     makespan: f64,
     last_release: f64,
-    admissions: usize,
     scratch: SchedScratch,
-    /// Prune the availability index when it outgrows this watermark; the
-    /// watermark doubles with the live set, making pruning amortized O(1)
-    /// per admission.
-    prune_at: usize,
-    /// When set, admissions run through [`reference_list_schedule`] with no
-    /// resource-map pruning — the pre-heap engine, kept for property
-    /// tests and the `bench self` slow path.
-    reference: bool,
-}
-
-impl Default for FleetTimeline {
-    fn default() -> Self {
-        FleetTimeline {
-            log: Vec::new(),
-            nodes_total: 0,
-            start: Vec::new(),
-            finish: Vec::new(),
-            pred: Vec::new(),
-            index: ResourceMap::default(),
-            avail: ResourceMap::default(),
-            holder: ResourceMap::default(),
-            makespan: 0.0,
-            last_release: 0.0,
-            admissions: 0,
-            scratch: SchedScratch::default(),
-            prune_at: 64,
-            reference: false,
-        }
-    }
 }
 
 impl FleetTimeline {
     /// An empty timeline: every resource available at time 0.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty timeline whose admissions use the retained O(n²) reference
-    /// scheduler and never prune resource maps — faithfully the engine
-    /// before the event-heap fast path. Test/benchmark surface only.
-    #[doc(hidden)]
-    pub fn reference() -> Self {
-        FleetTimeline { reference: true, ..Self::default() }
     }
 
     /// Admit `graph` at `release`, scheduling it against the fleet's
@@ -962,9 +840,7 @@ impl FleetTimeline {
     ///
     /// The schedule is bit-identical to [`FleetTimeline::admit`] of the
     /// remapped graph: lookups touch the same availability entries in the
-    /// same order, and stale index entries (finish times before `release`)
-    /// can never determine an earliest start (every est is ≥ `release`),
-    /// so the lazy amortized pruning of the index is unobservable.
+    /// same order.
     ///
     /// # Panics
     /// Panics under the same conditions as [`FleetTimeline::admit`].
@@ -982,54 +858,23 @@ impl FleetTimeline {
             self.last_release
         );
         self.last_release = release;
-        self.admissions += 1;
 
         let offset = self.nodes_total;
         let n = graph.nodes.len();
-        let (first_start, makespan) = if self.reference {
-            // The retained engine wants a materialized remapped graph and
-            // fresh per-call buffers — faithfully the pre-incremental path.
-            let remapped;
-            let nodes = if remap.is_empty() {
-                &graph.nodes
-            } else {
-                let mut g = (*graph).clone();
-                g.remap_resources(|r| map_r(&remap, *r));
-                remapped = g.nodes;
-                &remapped
-            };
-            let (start, finish, pred, makespan) =
-                reference_list_schedule(nodes, release, &mut self.avail, &mut self.holder, offset);
-            self.start.extend_from_slice(&start);
-            self.finish.extend_from_slice(&finish);
-            self.pred.extend_from_slice(&pred);
-            (start.iter().copied().fold(f64::INFINITY, f64::min), makespan)
-        } else {
-            // Lazily prune the availability index: an entry strictly before
-            // `release` can never again determine an earliest start (every
-            // est is ≥ release) nor match the `avail == est` predecessor
-            // lookup, so dropping it is unobservable. Pruning only when the
-            // index outgrows its watermark keeps the amortized cost O(1)
-            // per admission instead of a full sweep each time.
-            if self.index.len() > self.prune_at {
-                self.index.retain(|_, (t, _)| *t >= release);
-                self.prune_at = (self.index.len() * 2).max(64);
-            }
-            admit_schedule_into(
-                &graph.nodes,
-                &remap,
-                release,
-                &mut self.index,
-                offset,
-                &mut self.scratch,
-                &mut self.start,
-                &mut self.finish,
-                &mut self.pred,
-            )
-        };
+        let (first_start, makespan) = admit_schedule_into(
+            &graph.nodes,
+            &remap,
+            release,
+            &mut self.index,
+            offset,
+            &mut self.scratch,
+            &mut self.start,
+            &mut self.finish,
+            &mut self.pred,
+        );
         self.makespan = self.makespan.max(makespan);
         self.nodes_total += n;
-        self.log.push(AdmittedGraph { prefix, graph, remap });
+        self.log.push(AdmittedGraph { prefix, graph, remap, release });
 
         Admission {
             nodes: offset..offset + n,
@@ -1090,18 +935,47 @@ impl FleetTimeline {
 
     /// Number of graphs admitted so far.
     pub fn admissions(&self) -> usize {
-        self.admissions
+        self.log.len()
     }
 
     /// When `resource` becomes free given everything admitted so far
-    /// (0 if nothing has claimed it, or if its last claim has already been
-    /// pruned as unobservable — strictly before the latest release).
+    /// (0 if nothing has claimed it).
     pub fn resource_available(&self, resource: Resource) -> f64 {
-        if self.reference {
-            self.avail.get(&resource).copied().unwrap_or(0.0)
-        } else {
-            self.index.get(&resource).map_or(0.0, |&(t, _)| t)
+        self.index.get(&resource).map_or(0.0, |&(t, _)| t)
+    }
+
+    /// Replay the admission log through the O(n²) rescanning list
+    /// scheduler — each admission's graph rewritten through its remap
+    /// table, at its release, against availability carried across
+    /// admissions — and return the fleet schedule it produces. The
+    /// differential oracle for [`FleetTimeline::schedule`], which must
+    /// equal it bit for bit. Test/benchmark surface only.
+    #[doc(hidden)]
+    pub fn reference_schedule(&self) -> Schedule {
+        let mut avail = ResourceMap::default();
+        let mut holder = ResourceMap::default();
+        let mut replay = Schedule {
+            start: Vec::with_capacity(self.nodes_total),
+            finish: Vec::with_capacity(self.nodes_total),
+            pred: Vec::with_capacity(self.nodes_total),
+            makespan: 0.0,
+        };
+        for adm in &self.log {
+            let mut graph = (*adm.graph).clone();
+            graph.remap_resources(|r| map_r(&adm.remap, *r));
+            let (start, finish, pred, makespan) = reference_list_schedule(
+                &graph.nodes,
+                adm.release,
+                &mut avail,
+                &mut holder,
+                replay.start.len(),
+            );
+            replay.start.extend(start);
+            replay.finish.extend(finish);
+            replay.pred.extend(pred);
+            replay.makespan = replay.makespan.max(makespan);
         }
+        replay
     }
 
     /// The materialized fleet graph and schedule, consumed for trace

@@ -38,12 +38,12 @@ pub use collectives::{
 pub use fault::{
     apply_link_faults, FaultError, FaultEvent, FaultPlan, FaultReport, GpuEviction, LinkFault,
 };
+#[doc(hidden)]
+pub use graph::reference_schedule;
 pub use graph::{
     empty_remap, merge_fleet_parts, Admission, ExecGraph, ExecNode, FleetTimeline, FxBuildHasher,
     FxHasher, NodeId, NodeMeta, RemapTable, Resource, ResourceMap, Schedule,
 };
-#[doc(hidden)]
-pub use graph::{reference_list_schedule, reference_schedule};
 pub use link::{FabricSpec, LinkParams};
 pub use mpi::{MpiComm, MpiCost};
 pub use timeline::{Phase, Timeline};

@@ -668,6 +668,19 @@ impl FleetTrace {
         self.fleet.as_ref().expect("fleet trace has a timeline").utilization()
     }
 
+    /// The fleet schedule replayed from the admission log through the
+    /// O(n²) reference scheduler (see
+    /// [`FleetTimeline::reference_schedule`]); never materializes.
+    /// Test/benchmark surface only.
+    ///
+    /// # Panics
+    /// Panics on a trace wrapped with [`FleetTrace::from_trace`], which
+    /// has no admission log.
+    #[doc(hidden)]
+    pub fn reference_schedule(&self) -> Schedule {
+        self.fleet.as_ref().expect("fleet trace has a timeline").reference_schedule()
+    }
+
     /// Critical-path attribution (materializes the trace on first use).
     pub fn critical_path(&self) -> CriticalPathReport {
         self.force().critical_path()

@@ -1,10 +1,12 @@
 //! Property-based tests of the execution-graph scheduler: the DAG model
 //! must *contain* the old phase-synchronous model exactly.
 
+use std::sync::Arc;
+
 use gpu_sim::EventKind;
 use interconnect::{
-    apply_link_faults, reference_schedule, ExecGraph, FaultPlan, FaultReport, FleetTimeline,
-    NodeId, Resource, Timeline, Trace,
+    apply_link_faults, empty_remap, reference_schedule, ExecGraph, FaultPlan, FaultReport,
+    FleetTimeline, NodeId, RemapTable, Resource, Timeline, Trace,
 };
 use proptest::prelude::*;
 
@@ -127,9 +129,19 @@ fn random_node() -> impl Strategy<Value = (f64, u64, u64)> {
     (0.0f64..2.0, any::<u64>(), any::<u64>())
 }
 
+/// The small shared resource pool random graphs draw from: four streams,
+/// one PCIe network and a second stream on GPU 0.
+const POOL: [Resource; 6] = [
+    Resource::Stream { gpu: 0, stream: 0 },
+    Resource::Stream { gpu: 1, stream: 0 },
+    Resource::Stream { gpu: 2, stream: 0 },
+    Resource::Stream { gpu: 3, stream: 0 },
+    Resource::PcieNetwork { node: 0, network: 0 },
+    Resource::Stream { gpu: 0, stream: 1 },
+];
+
 /// Materialise a random DAG: each node may depend on any of the eight
-/// nodes before it and claims up to two resources from a small shared pool
-/// (four streams, a second stream on GPU 0, and one PCIe network), so
+/// nodes before it and claims up to two resources from [`POOL`], so
 /// schedules exercise dependency waits, resource contention, exact ties
 /// (duration 0 draws) and holder-based `pred` links.
 fn random_graph(spec: &[(f64, u64, u64)]) -> ExecGraph {
@@ -139,21 +151,30 @@ fn random_graph(spec: &[(f64, u64, u64)]) -> ExecGraph {
     for (i, &(dur, dep_bits, res_bits)) in spec.iter().enumerate() {
         let deps: Vec<NodeId> =
             (0..i.min(8)).filter(|k| dep_bits >> k & 1 == 1).map(|k| ids[i - 1 - k]).collect();
-        let mut resources = Vec::new();
-        for j in 0..(res_bits % 3) as usize {
-            resources.push(match (res_bits >> (8 * (j + 1))) % 6 {
-                pick @ 0..=3 => Resource::Stream { gpu: pick as usize, stream: 0 },
-                4 => Resource::PcieNetwork { node: 0, network: 0 },
-                _ => Resource::Stream { gpu: 0, stream: 1 },
-            });
-        }
+        let resources: Vec<Resource> = (0..(res_bits % 3) as usize)
+            .map(|j| POOL[((res_bits >> (8 * (j + 1))) % 6) as usize])
+            .collect();
         ids.push(g.add(p, format!("n{i}"), EventKind::Kernel, dur, &deps, &resources));
     }
     g
 }
 
+/// A bijective remap of [`POOL`] onto itself: the permutation whose i-th
+/// resource takes the remaining target picked by `seed`'s i-th mixed-radix
+/// digit.
+fn pool_remap(mut seed: u64) -> RemapTable {
+    let mut targets = POOL.to_vec();
+    POOL.iter()
+        .map(|&from| {
+            let pick = (seed % targets.len() as u64) as usize;
+            seed /= targets.len() as u64;
+            (from, targets.remove(pick))
+        })
+        .collect()
+}
+
 proptest! {
-    /// The event-heap scheduler is bit-identical to the retained O(n²)
+    /// The event-heap scheduler is bit-identical to the O(n²) rescanning
     /// reference on arbitrary DAGs: same starts, finishes, predecessor
     /// links and makespan.
     #[test]
@@ -175,41 +196,52 @@ proptest! {
         prop_assert_eq!(fast.makespan.to_bits(), slow.makespan.to_bits());
     }
 
-    /// Fleet admission with the heap scheduler and resource-map compaction
-    /// is bit-identical to the reference timeline across a whole admission
-    /// sequence: graphs admitted at increasing releases contend for the
-    /// same shared streams/links in both, and the accumulated fleet
-    /// schedules match bit for bit.
+    /// The live fleet scheduler is bit-identical to the replay of its
+    /// admission log through the O(n²) reference: graphs admitted at
+    /// increasing releases contend for the same shared streams and links,
+    /// and every other graph is admitted through a random bijective
+    /// resource remap, the way the plan cache retargets a cached graph
+    /// onto a lease. Each admission's start and finish must match its
+    /// replayed nodes too.
     #[test]
     fn fleet_admissions_match_reference_timeline(
         spec in prop::collection::vec(random_node(), 4..48),
         gaps in prop::collection::vec(0.0f64..3.0, 1..8),
+        remap_seeds in prop::collection::vec(any::<u64>(), 1..8),
     ) {
-        let mut fast = FleetTimeline::new();
-        let mut slow = FleetTimeline::reference();
+        let mut fleet = FleetTimeline::new();
         let chunk = spec.len().div_ceil(gaps.len());
         let mut release = 0.0f64;
+        let mut admissions = Vec::new();
         for (k, part) in spec.chunks(chunk).enumerate() {
             release += gaps[k.min(gaps.len() - 1)];
-            let g = random_graph(part);
-            let a = fast.admit(&g, release, &format!("r{k}:"));
-            let b = slow.admit(&g, release, &format!("r{k}:"));
-            prop_assert_eq!(a.start.to_bits(), b.start.to_bits());
-            prop_assert_eq!(a.finish.to_bits(), b.finish.to_bits());
-            prop_assert_eq!(&a.nodes, &b.nodes);
+            let remap = if k % 2 == 1 {
+                pool_remap(remap_seeds[k % remap_seeds.len()])
+            } else {
+                empty_remap()
+            };
+            let graph = Arc::new(random_graph(part));
+            admissions.push(fleet.admit_shared(graph, remap, release, format!("r{k}:")));
         }
-        let fs = fast.schedule();
-        let ss = slow.schedule();
+        let live = fleet.schedule();
+        let replay = fleet.reference_schedule();
         prop_assert_eq!(
-            fs.start.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-            ss.start.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+            live.start.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+            replay.start.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
         );
         prop_assert_eq!(
-            fs.finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-            ss.finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
+            live.finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+            replay.finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
         );
-        prop_assert_eq!(&fs.pred, &ss.pred);
-        prop_assert_eq!(fs.makespan.to_bits(), ss.makespan.to_bits());
+        prop_assert_eq!(&live.pred, &replay.pred);
+        prop_assert_eq!(live.makespan.to_bits(), replay.makespan.to_bits());
+        for a in &admissions {
+            let first =
+                replay.start[a.nodes.clone()].iter().copied().fold(f64::INFINITY, f64::min);
+            let last = replay.finish[a.nodes.clone()].iter().copied().fold(a.release, f64::max);
+            prop_assert_eq!(a.start.to_bits(), first.to_bits());
+            prop_assert_eq!(a.finish.to_bits(), last.to_bits());
+        }
     }
 }
 

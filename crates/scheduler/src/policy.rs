@@ -8,11 +8,20 @@
 //! All keys end with `(priority, arrival bits, id)`: `priority` breaks
 //! ties inside a policy's primary key, arrival breaks priority ties, and
 //! the dense id makes the order total. Arrival times and deadlines are
-//! non-negative finite `f64`s, for which the IEEE-754 bit pattern orders
-//! exactly like the value — so the key is plain integers and the sort is
-//! trivially deterministic.
+//! finite `f64`s with a clear sign bit (the serving boundary rejects any
+//! other), for which the IEEE-754 bit pattern orders exactly like the
+//! value — so the key is plain integers and the sort is trivially
+//! deterministic.
 
 use crate::request::ServeRequest;
+
+/// Whether `t` may be an arrival time or deadline: finite with a clear
+/// sign bit. Only there does the bit pattern the policy keys sort by order
+/// like the value; a negative time, `-0.0` included, or an infinite one
+/// would sort after every finite time.
+pub(crate) fn is_key_time(t: f64) -> bool {
+    t.is_finite() && t.is_sign_positive()
+}
 
 /// Which order the queue drains in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +62,7 @@ impl Policy {
 
     /// The sort key: requests dispatch in ascending key order.
     pub fn key(&self, r: &ServeRequest) -> (u64, u8, u64, usize) {
-        debug_assert!(r.arrival.is_finite() && r.arrival >= 0.0);
+        debug_assert!(is_key_time(r.arrival) && r.deadline.is_none_or(is_key_time));
         let arrival = r.arrival.to_bits();
         let primary = match self {
             Policy::Fifo => arrival,

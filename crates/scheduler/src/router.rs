@@ -124,11 +124,6 @@ pub struct RouterConfig {
     pub keep_outputs: bool,
     /// Memoize built execution plans per shard.
     pub plan_cache: bool,
-    /// Drive every shard with the retained O(n²) reference fleet
-    /// scheduler instead of the incremental availability index
-    /// (differential tests; same meaning as
-    /// [`ServeConfig::reference_timings`]).
-    pub reference_timings: bool,
     /// Each shard's device mix, in GPU-id order (same meaning as
     /// [`ServeConfig::devices`]); empty = a homogeneous Tesla K80 pool of
     /// [`RouterConfig::gpus_per_shard`] GPUs.
@@ -161,7 +156,6 @@ impl RouterConfig {
             input_seed,
             keep_outputs: false,
             plan_cache: true,
-            reference_timings: false,
             devices: Vec::new(),
             fabric: FabricPreset::Pcie,
             threads: 0,
@@ -176,7 +170,6 @@ impl RouterConfig {
             input_seed: self.input_seed,
             keep_outputs: self.keep_outputs,
             plan_cache: self.plan_cache,
-            reference_timings: self.reference_timings,
             devices: self.devices.clone(),
             fabric: self.fabric,
         }
@@ -328,13 +321,7 @@ impl Router {
         // Every shard's engine serves the same configuration.
         self.engines[0].check_arrivals(requests)?;
         let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
-            .map(|s| {
-                Mutex::new(ShardState::new(
-                    s,
-                    self.engines[s].new_pool(),
-                    self.config.reference_timings,
-                ))
-            })
+            .map(|s| Mutex::new(ShardState::new(s, self.engines[s].new_pool())))
             .collect();
         let threads = self.effective_threads();
         let (rejections, redirects_in, steals_out) = if threads <= 1 {

@@ -59,7 +59,7 @@ use skeletons::{
 
 use crate::coalesce;
 use crate::metrics::FleetMetrics;
-use crate::policy::Policy;
+use crate::policy::{is_key_time, Policy};
 use crate::pool::{DevicePool, PoolDevice, PoolLease};
 use crate::request::{OpKind, ServeRequest};
 use crate::shard::{self, Launch, Miss, ResponseKey, ShardState};
@@ -116,11 +116,6 @@ pub struct ServeConfig {
     /// launch whose shape (problem, lease, tuple, policy) has run before
     /// replays the cached graph bit-identically instead of rebuilding it.
     pub plan_cache: bool,
-    /// Use the retained O(n²) reference list scheduler for fleet
-    /// admissions. Benchmark baseline only — outputs are bit-identical
-    /// either way, just slower.
-    #[doc(hidden)]
-    pub reference_timings: bool,
     /// Device generations in the pool, as `(model, count)` runs in GPU-id
     /// order. Empty (the default) = a homogeneous pool of
     /// [`ServeConfig::pool_gpus`] Tesla K80s — the paper's cluster,
@@ -144,7 +139,6 @@ impl ServeConfig {
             input_seed,
             keep_outputs: false,
             plan_cache: true,
-            reference_timings: false,
             devices: Vec::new(),
             fabric: FabricPreset::Pcie,
         }
@@ -501,14 +495,16 @@ impl Server {
             .spec
     }
 
-    /// Check a window before serving it. Arrivals must be finite,
-    /// non-negative and sorted: the loop's clock only moves forward from
-    /// zero. `n` and `g` must be below [`ProblemParams::LOG2_LIMIT`], and
-    /// each batch must fit the device memory of the largest grant its
-    /// request could get: `min(gpus_wanted, pool GPUs)` devices of the
-    /// pool's largest memory.
+    /// Check a window before serving it. Arrivals must be sorted, and
+    /// arrivals and deadlines finite and non-negative, `-0.0` excluded
+    /// ([`is_key_time`]): the loop's clock only moves forward from zero,
+    /// and the policy keys order times by bit pattern, which matches value
+    /// order only there. `n` and `g` must be below
+    /// [`ProblemParams::LOG2_LIMIT`], and each batch must fit the device
+    /// memory of the largest grant its request could get:
+    /// `min(gpus_wanted, pool GPUs)` devices of the pool's largest memory.
     pub(crate) fn check_arrivals(&self, requests: &[ServeRequest]) -> ScanResult<()> {
-        if let Some(r) = requests.iter().find(|r| !(r.arrival.is_finite() && r.arrival >= 0.0)) {
+        if let Some(r) = requests.iter().find(|r| !is_key_time(r.arrival)) {
             return Err(ScanError::InvalidConfig(format!(
                 "request {}: arrival {} is not a finite, non-negative time",
                 r.id, r.arrival
@@ -522,6 +518,12 @@ impl Server {
         }
         let device_mem = self.classes.iter().map(|c| c.spec.global_mem_bytes).max().unwrap_or(0);
         for r in requests {
+            if let Some(d) = r.deadline.filter(|&d| !is_key_time(d)) {
+                return Err(ScanError::InvalidConfig(format!(
+                    "request {}: deadline {d} is not a finite, non-negative time",
+                    r.id
+                )));
+            }
             let limit = ProblemParams::LOG2_LIMIT;
             if r.n >= limit || r.g >= limit {
                 return Err(ScanError::InvalidConfig(format!(
@@ -572,7 +574,7 @@ impl Server {
         // One shard's worth of state is the whole server here; the sharded
         // router drives N of these with the same dispatch/sample/retire
         // methods, which is what makes its 1-shard path byte-equal.
-        let mut state = ShardState::new(0, self.new_pool(), self.config.reference_timings);
+        let mut state = ShardState::new(0, self.new_pool());
         let mut next = 0; // index into `requests`
         let mut now = 0.0f64;
 
@@ -1576,15 +1578,28 @@ mod tests {
         nan[4].arrival = f64::NAN;
         let mut infinite = requests.clone();
         infinite[11].arrival = f64::INFINITY;
+        let mut negative_zero = requests.clone();
+        negative_zero[0].arrival = -0.0;
         let mut too_wide = requests.clone();
         too_wide[5].n = 45;
+        let mut negative_deadline = requests.clone();
+        negative_deadline[2].deadline = Some(-1.0);
+        let mut infinite_deadline = requests.clone();
+        infinite_deadline[6].deadline = Some(f64::INFINITY);
+        let mut nan_deadline = requests.clone();
+        nan_deadline[8].deadline = Some(f64::NAN);
         // Both parse, but neither batch fits a grant of the 8-GPU pool.
         let oversized = [
             r#"{"requests": [{"arrival": 0.0, "n": 39, "g": 39}]}"#,
             r#"{"requests": [{"arrival": 0.0, "n": 30, "g": 12}]}"#,
         ]
         .map(|trace| crate::workload::requests_from_json(trace).expect("the trace parses"));
-        for bad in [unsorted, negative, nan, infinite, too_wide].into_iter().chain(oversized) {
+        let deadlines = [negative_deadline, infinite_deadline, nan_deadline];
+        for bad in [unsorted, negative, nan, infinite, negative_zero, too_wide]
+            .into_iter()
+            .chain(deadlines)
+            .chain(oversized)
+        {
             let err = server.run(&bad).expect_err("malformed arrivals");
             assert!(matches!(err, ScanError::InvalidConfig(_)), "{err:?}");
             assert_eq!(server.response_stats(), before, "a failed call changes no memo state");

@@ -98,15 +98,11 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(shard: usize, pool: DevicePool, reference_timings: bool) -> Self {
+    pub(crate) fn new(shard: usize, pool: DevicePool) -> Self {
         ShardState {
             shard,
             pool,
-            fleet: if reference_timings {
-                FleetTimeline::reference()
-            } else {
-                FleetTimeline::new()
-            },
+            fleet: FleetTimeline::new(),
             queue: Vec::new(),
             queue_sorted: true,
             running: Vec::new(),

@@ -13,6 +13,7 @@ use scan_core::ProblemParams;
 use skeletons::{AffinePair, SegPair};
 
 use crate::json::Json;
+use crate::policy::is_key_time;
 use crate::request::{OpKind, ServeRequest};
 
 /// Parameters of the seeded workload generator.
@@ -318,7 +319,7 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
             field(key)?.as_usize().ok_or(format!("request {id}: \"{key}\" must be an integer"))
         };
         let arrival = num("arrival")?;
-        if !(arrival.is_finite() && arrival >= 0.0) {
+        if !is_key_time(arrival) {
             return Err(format!("request {id}: bad arrival {arrival}"));
         }
         let opt_int = |key: &str| match entry.get(key) {
@@ -330,7 +331,13 @@ pub fn requests_from_json(text: &str) -> Result<Vec<ServeRequest>, String> {
         let deadline = match entry.get("deadline") {
             None | Some(Json::Null) => None,
             Some(v) => {
-                Some(v.as_f64().ok_or(format!("request {id}: \"deadline\" must be a number"))?)
+                let d = v.as_f64().ok_or(format!("request {id}: \"deadline\" must be a number"))?;
+                if !is_key_time(d) {
+                    return Err(format!(
+                        "request {id}: \"deadline\" = {d} must be a finite, non-negative time"
+                    ));
+                }
+                Some(d)
             }
         };
         let op = match entry.get("op") {
@@ -505,6 +512,11 @@ mod tests {
         assert_eq!(ok[0].deadline, None);
         assert!(requests_from_json("[]").is_err());
         assert!(requests_from_json(r#"{"requests": [{"n": 11, "g": 1}]}"#).is_err());
+        // `-0` would sort after every positive arrival under the policy keys.
+        for arrival in ["-1e-6", "-0", "1e999"] {
+            let trace = format!(r#"{{"requests": [{{"arrival": {arrival}, "n": 11, "g": 1}}]}}"#);
+            assert!(requests_from_json(&trace).unwrap_err().contains("request 0: bad arrival"));
+        }
         let unsorted = r#"{"requests": [
             {"arrival": 1.0, "n": 11, "g": 1},
             {"arrival": 0.5, "n": 11, "g": 1}
@@ -520,6 +532,11 @@ mod tests {
             (r#"{"arrival": 0, "n": 40, "g": 1}"#, "n"),
             (r#"{"arrival": 0, "n": 11, "g": 40}"#, "g"),
             (r#"{"arrival": 0, "n": 11, "g": 1, "gpus": 0}"#, "gpus"),
+            // A negative or infinite deadline would sort after every finite
+            // one under EDF's bit-pattern key.
+            (r#"{"arrival": 0, "n": 11, "g": 1, "deadline": -1.0}"#, "deadline"),
+            (r#"{"arrival": 0, "n": 11, "g": 1, "deadline": -0}"#, "deadline"),
+            (r#"{"arrival": 0, "n": 11, "g": 1, "deadline": 1e999}"#, "deadline"),
         ] {
             let err = requests_from_json(&format!(r#"{{"requests": [{entry}]}}"#)).unwrap_err();
             assert!(err.contains(&format!("request 0: \"{field}\"")), "{entry}: {err}");

@@ -462,47 +462,55 @@ fn parallel_stepping_is_byte_equal_under_steals() {
     assert_eq!(deep_snapshot(&run(1)), deep_snapshot(&parallel));
 }
 
-/// The tentpole differential: incremental fleet admission (per-resource
-/// availability index with lazy pruning) must be **bit-equal** to the
-/// retained O(n²) reference list scheduler — same completion order, same
-/// checksums, same finish-time bits, same makespan bits — across seeds ×
-/// queue policies × shard counts. `reference_timings` is the only knob
-/// flipped, so any divergence is the admission index's fault alone.
+/// The fleet-admission differential: every shard's live schedule —
+/// incremental admission through the per-resource availability index and
+/// plan-cache remap tables — must be **bit-equal**, node by node, to the
+/// replay of that shard's admission log through the O(n²) reference list
+/// scheduler: same starts, finishes and predecessors, same makespan bits,
+/// across seeds × queue policies × shard counts.
 #[test]
 fn incremental_admission_matches_reference_engine() {
     for seed in [3u64, 11] {
         let requests = mixed_workload(seed, 40);
         for policy in [Policy::Fifo, Policy::Sjf, Policy::Edf] {
             for shards in [1usize, 2, 4] {
-                let run = |reference: bool| {
-                    let mut config = RouterConfig::new(shards, policy, seed);
-                    config.reference_timings = reference;
-                    Router::new(config).unwrap().run(&requests).unwrap()
-                };
-                let fast = run(false);
-                let reference = run(true);
+                let report = Router::new(RouterConfig::new(shards, policy, seed))
+                    .unwrap()
+                    .run(&requests)
+                    .unwrap();
                 let ctx = format!("seed {seed}, {policy:?}, {shards} shard(s)");
-
                 assert_eq!(
-                    fast.makespan.to_bits(),
-                    reference.makespan.to_bits(),
-                    "{ctx}: fleet makespan"
+                    report.completions().len(),
+                    requests.len(),
+                    "{ctx}: every request served"
                 );
-                assert_eq!(fast.rejections.len(), reference.rejections.len(), "{ctx}");
-                let a = fast.completions();
-                let b = reference.completions();
-                assert_eq!(a.len(), b.len(), "{ctx}: completion count");
-                assert_eq!(a.len(), requests.len(), "{ctx}: every request served");
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.request.id, y.request.id, "{ctx}: completion order");
-                    assert_eq!(x.checksum, y.checksum, "{ctx}: request {}", x.request.id);
+                let mut nodes = 0;
+                for shard in &report.shards {
+                    let live = shard.report.trace.schedule();
+                    let replay = shard.report.trace.reference_schedule();
+                    let ctx = format!("{ctx}, shard {}", shard.shard);
+                    assert_eq!(live.start.len(), replay.start.len(), "{ctx}: node count");
+                    for i in 0..live.start.len() {
+                        assert_eq!(
+                            live.start[i].to_bits(),
+                            replay.start[i].to_bits(),
+                            "{ctx}: node {i} start"
+                        );
+                        assert_eq!(
+                            live.finish[i].to_bits(),
+                            replay.finish[i].to_bits(),
+                            "{ctx}: node {i} finish"
+                        );
+                        assert_eq!(live.pred[i], replay.pred[i], "{ctx}: node {i} predecessor");
+                    }
                     assert_eq!(
-                        x.finished.to_bits(),
-                        y.finished.to_bits(),
-                        "{ctx}: request {} finish time",
-                        x.request.id
+                        live.makespan.to_bits(),
+                        replay.makespan.to_bits(),
+                        "{ctx}: makespan"
                     );
+                    nodes += live.start.len();
                 }
+                assert!(nodes > 0, "{ctx}: the window admitted no nodes");
             }
         }
     }
@@ -544,15 +552,26 @@ fn malformed_arrivals_are_invalid_config_and_leave_the_router_untouched() {
     negative[0].arrival = -1.0;
     let mut nan = requests.clone();
     nan[3].arrival = f64::NAN;
+    let mut negative_zero = requests.clone();
+    negative_zero[0].arrival = -0.0;
     let mut too_wide = requests.clone();
     too_wide[7].n = 45;
+    let mut negative_deadline = requests.clone();
+    negative_deadline[4].deadline = Some(-1.0);
+    let mut infinite_deadline = requests.clone();
+    infinite_deadline[9].deadline = Some(f64::INFINITY);
     // Both parse, but neither batch fits a grant of an 8-GPU shard.
     let oversized = [
         r#"{"requests": [{"arrival": 0.0, "n": 39, "g": 39}]}"#,
         r#"{"requests": [{"arrival": 0.0, "n": 30, "g": 12}]}"#,
     ]
     .map(|trace| requests_from_json(trace).expect("the trace parses"));
-    for bad in [unsorted, negative, nan, too_wide].into_iter().chain(oversized) {
+    let deadlines = [negative_deadline, infinite_deadline];
+    for bad in [unsorted, negative, nan, negative_zero, too_wide]
+        .into_iter()
+        .chain(deadlines)
+        .chain(oversized)
+    {
         assert!(matches!(router.run(&bad), Err(ScanError::InvalidConfig(_))));
         assert_eq!(router.response_stats(), before, "a failed call changes no memo state");
     }
