@@ -4,11 +4,16 @@
 //! figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR]
 //!         [--seed N] [--requests N] [--policy fifo|sjf|edf|all]
 //!         [--pool-gpus N] [--no-coalesce] [--shards N] [--threads N]
-//!         [--out DIR] [--workload FILE] [--op-mix] [CMD...]
+//!         [--out DIR] [--workload FILE] [--op-mix] [--fabric-sweep]
+//!         [--devices model:count,...] [--fabric NAME] [CMD...]
 //!
 //! CMD: table3 fig1 fig9 fig10 fig11 fig12 fig13 fig14 mw-sweep k-sweep
 //!      ablations trace serve bench-scan self all (default: all)
 //! ```
+//!
+//! Every argument is checked before any command runs: an unknown command
+//! or flag, or a bad or missing value, prints the usage line and exits
+//! with status 2.
 //!
 //! `self` benchmarks the *simulator itself*: wall-clock throughput of the
 //! serving engine with its plan cache against the same engine with the
@@ -51,6 +56,7 @@
 use bench::{average_speedups, render_table, Harness, Series};
 use devices::{DevicePreset, FabricPreset};
 use gpu_sim::{occupancy, AccessWidth, DeviceSpec, Gpu, LaunchConfig};
+use scan_serve::{requests_from_json, Policy, ServeRequest};
 use skeletons::{lf, shared_scan, warp_scan_exclusive, warp_scan_inclusive, Add, Max};
 
 /// A counting wrapper around the system allocator — **bench binary
@@ -92,131 +98,131 @@ fn allocs_now() -> u64 {
     ALLOCS.try_with(std::cell::Cell::get).unwrap_or(0)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut harness = Harness::default();
-    let mut trace_dir = String::from("target/traces");
-    let mut serve_opts = ServeOpts::default();
-    let mut cmds: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--total-log2" => {
-                i += 1;
-                harness.total_log2 = args[i].parse().expect("--total-log2 takes an integer");
-            }
-            "--n-lo" => {
-                i += 1;
-                harness.n_lo = args[i].parse().expect("--n-lo takes an integer");
-            }
-            "--no-verify" => harness.verify = false,
-            "--trace-dir" => {
-                i += 1;
-                trace_dir = args[i].clone();
-            }
-            "--seed" => {
-                i += 1;
-                serve_opts.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--requests" => {
-                i += 1;
-                serve_opts.requests = args[i].parse().expect("--requests takes an integer");
-            }
-            "--policy" => {
-                i += 1;
-                serve_opts.policy = args[i].clone();
-            }
-            "--pool-gpus" => {
-                i += 1;
-                serve_opts.pool_gpus = args[i].parse().expect("--pool-gpus takes an integer");
-            }
-            "--no-coalesce" => serve_opts.coalesce = false,
-            "--shards" => {
-                i += 1;
-                serve_opts.shards = args[i].parse().expect("--shards takes an integer");
-            }
-            "--threads" => {
-                i += 1;
-                serve_opts.threads = args[i].parse().expect("--threads takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                serve_opts.out = args[i].clone();
-            }
-            "--workload" => {
-                i += 1;
-                serve_opts.workload = Some(args[i].clone());
-            }
-            "--op-mix" => serve_opts.op_mix = true,
-            "--fabric-sweep" => serve_opts.fabric_sweep = true,
-            "--devices" => {
-                i += 1;
-                serve_opts.devices = parse_devices(&args[i]);
-            }
-            "--fabric" => {
-                i += 1;
-                serve_opts.fabric = FabricPreset::parse(&args[i])
-                    .expect("--fabric takes pcie|nvlink|nvswitch|dgx1|dgx2");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR] \
-                     [--seed N] [--requests N] [--policy fifo|sjf|edf|all] [--pool-gpus N] \
-                     [--no-coalesce] [--shards N] [--threads N] [--out DIR] \
-                     [--workload FILE] [--op-mix] \
-                     [--fabric-sweep] [--devices model:count,...] \
-                     [--fabric pcie|nvlink|nvswitch|dgx1|dgx2] \
-                     [table3 fig1 fig9 fig10 fig11 fig12 fig13 fig14 mw-sweep k-sweep ablations \
-                     trace serve bench-scan self all]"
-                );
-                return;
-            }
-            cmd => cmds.push(cmd.to_string()),
-        }
-        i += 1;
-    }
-    if cmds.is_empty() {
-        cmds.push("all".into());
-    }
+/// Everything the commands read from the command line.
+#[derive(Default)]
+struct Opts {
+    harness: Harness,
+    trace_dir: String,
+    serve: ServeOpts,
+}
 
+type Command = fn(&Opts);
+
+/// The paper's tables and figures, in the order `all` runs them.
+const PAPER: [(&str, Command); 11] = [
+    ("table3", |_| table3()),
+    ("fig1", |_| fig1()),
+    ("fig9", |o| fig9(&o.harness)),
+    ("fig10", |o| fig10(&o.harness)),
+    ("fig11", |o| fig11(&o.harness)),
+    ("fig12", |o| fig12(&o.harness)),
+    ("fig13", |o| fig13(&o.harness)),
+    ("fig14", |o| fig14(&o.harness)),
+    ("mw-sweep", |o| mw_sweep(&o.harness)),
+    ("k-sweep", |o| k_sweep(&o.harness)),
+    ("ablations", |_| ablations()),
+];
+
+/// The commands `all` leaves out.
+const TOOLS: [(&str, Command); 4] = [
+    ("trace", |o| trace_export(&o.trace_dir)),
+    ("serve", |o| serve(&o.serve, &o.trace_dir)),
+    ("bench-scan", |o| bench_scan(&o.serve.out, o.serve.fabric_sweep)),
+    ("self", |o| bench_self(&o.serve)),
+];
+
+fn usage() -> String {
+    let commands: Vec<&str> = PAPER.iter().chain(&TOOLS).map(|&(name, _)| name).collect();
+    format!(
+        "figures [--total-log2 N] [--n-lo N] [--no-verify] [--trace-dir DIR] \
+         [--seed N] [--requests N] [--policy fifo|sjf|edf|all] [--pool-gpus N] \
+         [--no-coalesce] [--shards N] [--threads N] [--out DIR] [--workload FILE] [--op-mix] \
+         [--fabric-sweep] [--devices model:count,...] [--fabric pcie|nvlink|nvswitch|dgx1|dgx2] \
+         [{} all]",
+        commands.join(" ")
+    )
+}
+
+fn main() {
+    let (opts, commands) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => return println!("{}", usage()),
+        Err(err) => {
+            eprintln!("figures: {err}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     println!(
         "# Reproduction harness — total = 2^{} elements per point, n = {}..={}, verify = {}\n",
-        harness.total_log2, harness.n_lo, harness.total_log2, harness.verify
+        opts.harness.total_log2, opts.harness.n_lo, opts.harness.total_log2, opts.harness.verify
     );
+    for command in commands {
+        command(&opts);
+    }
+}
 
-    for cmd in &cmds {
-        match cmd.as_str() {
-            "table3" => table3(),
-            "fig1" => fig1(),
-            "fig9" => fig9(&harness),
-            "fig10" => fig10(&harness),
-            "fig11" => fig11(&harness),
-            "fig12" => fig12(&harness),
-            "fig13" => fig13(&harness),
-            "fig14" => fig14(&harness),
-            "mw-sweep" => mw_sweep(&harness),
-            "k-sweep" => k_sweep(&harness),
-            "ablations" => ablations(),
-            "trace" => trace_export(&trace_dir),
-            "serve" => serve(&serve_opts, &trace_dir),
-            "bench-scan" => bench_scan(&serve_opts.out, serve_opts.fabric_sweep),
-            "self" => bench_self(&serve_opts),
-            "all" => {
-                table3();
-                fig1();
-                fig9(&harness);
-                fig10(&harness);
-                fig11(&harness);
-                fig12(&harness);
-                fig13(&harness);
-                fig14(&harness);
-                mw_sweep(&harness);
-                k_sweep(&harness);
-                ablations();
+/// Parse the whole command line before anything runs: the options and the
+/// commands to run in order (`all` by default), `None` for `--help`, or
+/// what is wrong with an argument.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<(Opts, Vec<Command>)>, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+        value.parse().map_err(|_| format!("{flag} takes an integer, not {value:?}"))
+    }
+    let mut opts = Opts { trace_dir: "target/traces".into(), ..Opts::default() };
+    let mut commands: Vec<Command> = Vec::new();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} takes a value"));
+        let serve = &mut opts.serve;
+        match arg.as_str() {
+            "--total-log2" => opts.harness.total_log2 = number(&arg, value()?)?,
+            "--n-lo" => opts.harness.n_lo = number(&arg, value()?)?,
+            "--no-verify" => opts.harness.verify = false,
+            "--trace-dir" => opts.trace_dir = value()?,
+            "--seed" => serve.seed = number(&arg, value()?)?,
+            "--requests" => serve.requests = number(&arg, value()?)?,
+            "--policy" => {
+                serve.policy = value()?;
+                if serve.policy != "all" && Policy::parse(&serve.policy).is_none() {
+                    return Err(format!("--policy takes fifo|sjf|edf|all, not {:?}", serve.policy));
+                }
             }
-            other => eprintln!("unknown command: {other}"),
+            "--pool-gpus" => serve.pool_gpus = number(&arg, value()?)?,
+            "--no-coalesce" => serve.coalesce = false,
+            "--shards" => serve.shards = number(&arg, value()?)?,
+            "--threads" => serve.threads = number(&arg, value()?)?,
+            "--out" => serve.out = value()?,
+            "--workload" => {
+                let path = value()?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("--workload cannot read {path:?}: {e}"))?;
+                let requests = requests_from_json(&text)
+                    .map_err(|e| format!("--workload {path:?} is not a request trace: {e}"))?;
+                serve.workload = Some(requests);
+            }
+            "--op-mix" => serve.op_mix = true,
+            "--fabric-sweep" => serve.fabric_sweep = true,
+            "--devices" => serve.devices = parse_devices(&value()?)?,
+            "--fabric" => {
+                let name = value()?;
+                serve.fabric = FabricPreset::parse(&name).ok_or_else(|| {
+                    format!("--fabric takes pcie|nvlink|nvswitch|dgx1|dgx2, not {name:?}")
+                })?;
+            }
+            "--help" | "-h" => return Ok(None),
+            "all" => commands.extend(PAPER.map(|(_, command)| command)),
+            name => match PAPER.iter().chain(&TOOLS).find(|&&(known, _)| known == name) {
+                Some(&(_, command)) => commands.push(command),
+                None if name.starts_with('-') => return Err(format!("unknown flag {name:?}")),
+                None => return Err(format!("unknown command {name:?}")),
+            },
         }
     }
+    if commands.is_empty() {
+        commands.extend(PAPER.map(|(_, command)| command));
+    }
+    Ok(Some((opts, commands)))
 }
 
 fn table3() {
@@ -417,7 +423,8 @@ struct ServeOpts {
     shards: usize,
     threads: usize,
     out: String,
-    workload: Option<String>,
+    /// The `--workload` trace, read and checked at parse.
+    workload: Option<Vec<ServeRequest>>,
     op_mix: bool,
     fabric_sweep: bool,
     devices: Vec<(DevicePreset, usize)>,
@@ -446,14 +453,18 @@ impl Default for ServeOpts {
 
 /// Parse `--devices` specs like `v100:4,a100:4` into `(model, count)`
 /// runs in GPU-id order.
-fn parse_devices(spec: &str) -> Vec<(DevicePreset, usize)> {
+fn parse_devices(spec: &str) -> Result<Vec<(DevicePreset, usize)>, String> {
     spec.split(',')
         .map(|run| {
-            let (name, count) =
-                run.split_once(':').expect("--devices takes model:count[,model:count...]");
+            let (name, count) = run.split_once(':').ok_or_else(|| {
+                format!("--devices takes model:count[,model:count...], not {spec:?}")
+            })?;
             let preset = DevicePreset::parse(name)
-                .unwrap_or_else(|| panic!("unknown device model {name:?}"));
-            (preset, count.parse().expect("--devices count must be an integer"))
+                .ok_or_else(|| format!("unknown device model {name:?}"))?;
+            let count = count
+                .parse()
+                .map_err(|_| format!("--devices count must be an integer: {run:?}"))?;
+            Ok((preset, count))
         })
         .collect()
 }
@@ -466,13 +477,10 @@ fn parse_devices(spec: &str) -> Vec<(DevicePreset, usize)> {
 /// exported.
 fn serve(opts: &ServeOpts, trace_dir: &str) {
     use bench::{bench_serve_json, serve_windows, sharded_windows};
-    use scan_serve::{requests_from_json, Policy, WorkloadSpec};
+    use scan_serve::WorkloadSpec;
 
     let requests = match &opts.workload {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).expect("read --workload file");
-            requests_from_json(&text).expect("parse --workload JSON")
-        }
+        Some(requests) => requests.clone(),
         None if opts.op_mix => WorkloadSpec::mixed_ops_for(opts.seed, opts.requests).generate(),
         None => WorkloadSpec::default_for(opts.seed, opts.requests).generate(),
     };
@@ -514,7 +522,7 @@ fn serve(opts: &ServeOpts, trace_dir: &str) {
     let selected: Vec<Policy> = if opts.policy == "all" {
         Policy::all().to_vec()
     } else {
-        vec![Policy::parse(&opts.policy).expect("--policy takes fifo|sjf|edf|all")]
+        vec![Policy::parse(&opts.policy).expect("--policy was checked at parse")]
     };
     std::fs::create_dir_all(&opts.out).expect("create --out dir");
     std::fs::create_dir_all(trace_dir).expect("create trace dir");
@@ -647,7 +655,7 @@ fn bench_scan(out: &str, fabric_sweep: bool) {
 /// byte-stable golden.
 fn bench_self(opts: &ServeOpts) {
     use interconnect::reference_schedule;
-    use scan_serve::{Policy, ServeConfig, Server, WorkloadSpec};
+    use scan_serve::{ServeConfig, Server, WorkloadSpec};
     use std::time::Instant;
 
     println!(

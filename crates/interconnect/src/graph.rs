@@ -978,19 +978,6 @@ impl FleetTimeline {
         replay
     }
 
-    /// The materialized fleet graph and schedule, consumed for trace
-    /// export.
-    pub fn into_parts(self) -> (ExecGraph, Schedule) {
-        let graph = self.graph();
-        let schedule = Schedule {
-            start: self.start,
-            finish: self.finish,
-            pred: self.pred,
-            makespan: self.makespan,
-        };
-        (graph, schedule)
-    }
-
     /// Visit every admitted node without materializing the fleet graph:
     /// `f(admission node offset, local node index, node, admission remap)`.
     /// The node's fleet id is `offset + local`; its dependencies are local

@@ -78,7 +78,7 @@ pub fn plan_len<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::OpKind;
+    use crate::kind::OpKind;
 
     fn req(id: usize, n: u32, g: u32, gpus: usize) -> ServeRequest {
         ServeRequest {

@@ -66,7 +66,9 @@ impl Json {
     /// The number as a non-negative integer, if it is one exactly.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= usize::MAX as f64 => {
+            // `usize::MAX as f64` rounds up to `usize::MAX + 1`, which must
+            // not saturate to `usize::MAX`.
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < usize::MAX as f64 => {
                 Some(*v as usize)
             }
             _ => None,
@@ -169,12 +171,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Four hex digits exactly: `from_str_radix` alone
+                        // would also take a leading `+`.
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or("bad \\u escape: want four hex digits")?;
+                        let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         out.push(
                             char::from_u32(code)
                                 .ok_or(format!("\\u{hex} is not a scalar value"))?,
@@ -186,12 +190,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash, validated
+                // once: both are ASCII, so a run never splits a character.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| *pos + run);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| "invalid UTF-8 in string")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -295,5 +303,19 @@ mod tests {
         assert_eq!(Json::parse("3").unwrap().as_usize(), Some(3));
         assert_eq!(Json::parse("3.5").unwrap().as_usize(), None);
         assert_eq!(Json::parse("-1").unwrap().as_usize(), None);
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // Two-byte characters, an escape and one-byte characters: 1 MiB.
+        let text = format!("[\"{}\\n{}\"]", "é".repeat(1 << 18), "x".repeat(1 << 19));
+        let start = std::time::Instant::now();
+        let doc = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < std::time::Duration::from_secs(1), "took {elapsed:?}");
+        let s = doc.as_array().unwrap()[0].as_str().unwrap();
+        assert_eq!(s.len(), (1 << 20) + 1);
+        assert_eq!(s.find('\n'), Some(1 << 19));
+        assert!(s.starts_with('é') && s.ends_with('x'));
     }
 }

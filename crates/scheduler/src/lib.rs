@@ -52,6 +52,7 @@
 
 pub mod coalesce;
 pub mod json;
+pub mod kind;
 pub mod metrics;
 pub mod policy;
 pub mod pool;
@@ -63,16 +64,16 @@ pub mod workload;
 
 pub use coalesce::CoalescePlan;
 pub use json::Json;
+pub use kind::{
+    request_input_f64_into, request_input_gated_into, request_input_into, request_input_seg_into,
+    OpKind, ServedKind, ServedOutput,
+};
 pub use metrics::{FleetMetrics, ShardedMetrics};
 pub use policy::Policy;
 pub use pool::{DevicePool, PoolDevice, PoolLease};
-pub use request::{OpKind, ServeRequest};
+pub use request::ServeRequest;
 pub use router::{
     Placement, Rejection, Router, RouterConfig, ShardReport, ShardedReport, SloConfig,
 };
-pub use serve::{Completion, ResponseStats, ServeConfig, ServeReport, ServedOutput, Server};
-pub use workload::{
-    request_input, request_input_f64, request_input_f64_into, request_input_gated,
-    request_input_gated_into, request_input_into, request_input_seg, request_input_seg_into,
-    requests_from_json, requests_to_json, WorkloadSpec,
-};
+pub use serve::{Completion, ResponseStats, ServeConfig, ServeReport, Server};
+pub use workload::{request_input, requests_from_json, requests_to_json, WorkloadSpec};

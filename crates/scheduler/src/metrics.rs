@@ -388,7 +388,7 @@ fn percentile(sorted: &[f64], p: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::OpKind;
+    use crate::kind::OpKind;
     use crate::serve::Completion;
     use std::sync::Arc;
 

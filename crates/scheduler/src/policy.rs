@@ -87,7 +87,7 @@ mod tests {
             priority: 0,
             tenant: 0,
             deadline,
-            op: crate::request::OpKind::AddI32,
+            op: crate::kind::OpKind::AddI32,
         }
     }
 

@@ -2,67 +2,7 @@
 
 use scan_core::ProblemParams;
 
-/// The operator/element-type pairs the serving engine accepts.
-///
-/// Each kind pins both the monoid and the element type, so a request is a
-/// complete description of the computation: the serving layer dispatches
-/// on this tag to a fully typed scan instantiation. Requests of different
-/// kinds never coalesce into one launch and never share plan-cache or
-/// response-memo entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Inclusive wrapping sum over `i32` — the paper's evaluation
-    /// workload and the default everywhere.
-    #[default]
-    AddI32,
-    /// Running maximum over `f64` (exactly associative: comparisons only).
-    MaxF64,
-    /// Segmented wrapping sum over `(i32, head-flag)` pairs.
-    SegSumI32,
-    /// The gated first-order recurrence `x[t] = gate[t]·x[t-1] + token[t]`
-    /// over `f64` affine pairs (the SSM-style workload).
-    GatedF64,
-}
-
-impl OpKind {
-    /// Every kind, in dispatch order.
-    pub fn all() -> [OpKind; 4] {
-        [OpKind::AddI32, OpKind::MaxF64, OpKind::SegSumI32, OpKind::GatedF64]
-    }
-
-    /// Stable name used in JSON traces and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OpKind::AddI32 => "add_i32",
-            OpKind::MaxF64 => "max_f64",
-            OpKind::SegSumI32 => "seg_sum_i32",
-            OpKind::GatedF64 => "gated_f64",
-        }
-    }
-
-    /// Inverse of [`OpKind::as_str`].
-    pub fn parse(s: &str) -> Option<OpKind> {
-        OpKind::all().into_iter().find(|k| k.as_str() == s)
-    }
-
-    /// In-memory bytes per element of this kind's payload — what a
-    /// cross-shard steal moves over the fabric (`i32` = 4, `f64` = 8, a
-    /// `SegPair<i32>` = 8 with its padded flag, an `AffinePair<f64>` = 16).
-    pub fn elem_bytes(self) -> usize {
-        match self {
-            OpKind::AddI32 => 4,
-            OpKind::MaxF64 => 8,
-            OpKind::SegSumI32 => 8,
-            OpKind::GatedF64 => 16,
-        }
-    }
-}
-
-impl std::fmt::Display for OpKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+use crate::kind::OpKind;
 
 /// A queued scan job: what to scan, when it arrived, how many GPUs it
 /// wants, and how urgent it is.
@@ -128,14 +68,5 @@ mod tests {
         assert_eq!(r.problem().problem_size(), 4096);
         assert_eq!(r.problem().batch(), 8);
         assert_eq!(r.total_elems(), 8 * 4096);
-    }
-
-    #[test]
-    fn op_kind_names_round_trip() {
-        for kind in OpKind::all() {
-            assert_eq!(OpKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(OpKind::parse("bogus"), None);
-        assert_eq!(OpKind::default(), OpKind::AddI32);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * **placement** — a pluggable [`Placement`] policy picks each arrival's
 //!   primary shard (hash over `(id, tenant)`, least-loaded, or
-//!   locality-by-[`OpKind`] so per-shard plan/response caches stay hot);
+//!   locality-by-[`OpKind`](crate::OpKind) so per-shard plan/response caches stay hot);
 //! * **admission control** — bounded per-shard queues
 //!   ([`RouterConfig::queue_capacity`]) with deterministic redirect to the
 //!   emptiest shard with room, and a recorded [`Rejection`] when every
@@ -36,7 +36,7 @@ use scan_core::{ScanError, ScanResult};
 
 use crate::metrics::ShardedMetrics;
 use crate::policy::Policy;
-use crate::request::{OpKind, ServeRequest};
+use crate::request::ServeRequest;
 use crate::serve::{Completion, ResponseStats, ServeConfig, ServeReport, Server};
 use crate::shard::{QueueEntry, ShardState, STEAL_NODE_BASE};
 
@@ -50,7 +50,7 @@ pub enum Placement {
     /// The shard with the fewest queued + in-flight requests (ties to the
     /// lowest shard id).
     LeastLoaded,
-    /// By the request's [`OpKind`] (operator index modulo shards): keeps
+    /// By the request's [`OpKind`](crate::OpKind) (operator index modulo shards): keeps
     /// each shard's plan cache and response memo hot for its kinds, and
     /// maximizes coalescing (only same-kind requests share a queue).
     LocalityByOp,
@@ -562,10 +562,7 @@ impl Router {
                     (st.queue.len() + st.running.len(), s)
                 })
                 .expect("at least one shard"),
-            Placement::LocalityByOp => {
-                let idx = OpKind::all().iter().position(|&k| k == r.op).expect("known kind");
-                idx % shards
-            }
+            Placement::LocalityByOp => r.op as usize % shards,
         }
     }
 }

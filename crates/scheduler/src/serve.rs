@@ -30,18 +30,18 @@
 //! simulated number.
 //!
 //! One window serves a *mixed-operator* workload: each request names an
-//! [`OpKind`] — inclusive `Add` over `i32` (the paper's evaluation
-//! workload and the default), `Max` over `f64`, segmented sum over
-//! head-flag pairs, or the gated first-order recurrence over `f64` affine
-//! pairs — and the dispatcher instantiates the fully typed pipeline for
-//! its launch. Requests of different kinds never coalesce, and plan-cache
-//! and response-memo entries are keyed by kind, so operators cannot
-//! cross-contaminate. Served outputs and checksums are computed in the
-//! canonical sequential reference order per tenant, so every completion
-//! is bit-equal to an isolated CPU-reference run of the same request —
-//! for any operator, including the non-exactly-associative float kinds
-//! (see `docs/operators.md`).
+//! [`OpKind`], and the dispatcher instantiates the fully typed pipeline
+//! for its launch through the kind's [`ServedKind`] impl
+//! ([`crate::kind`]). Requests of different kinds never coalesce, and
+//! plan-cache and response-memo entries are keyed by kind, so operators
+//! cannot cross-contaminate. Served outputs and checksums are computed in
+//! the canonical sequential reference order per tenant, so every
+//! completion is bit-equal to an isolated CPU-reference run of the same
+//! request — for any operator, including the non-exactly-associative
+//! float kinds (see `docs/operators.md`).
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
@@ -53,49 +53,15 @@ use scan_core::{
     scan_on_lease, CacheStats, PipelinePolicy, PlanCache, ProblemParams, ScanError, ScanKind,
     ScanResult,
 };
-use skeletons::{
-    Add, AffinePair, GatedOp, Max, ScanOp, Scannable, SegPair, SegmentedAdd, SplkTuple,
-};
+use skeletons::{ScanOp, SplkTuple};
 
 use crate::coalesce;
+use crate::kind::{with_kind, OpKind, ServedKind, ServedOutput, FNV_OFFSET};
 use crate::metrics::FleetMetrics;
 use crate::policy::{is_key_time, Policy};
 use crate::pool::{DevicePool, PoolDevice, PoolLease};
-use crate::request::{OpKind, ServeRequest};
+use crate::request::ServeRequest;
 use crate::shard::{self, Launch, Miss, ResponseKey, ShardState};
-use crate::workload::{
-    request_input_f64_into, request_input_gated_into, request_input_into, request_input_seg_into,
-};
-
-/// Run `$body` with `$op` bound to `$kind`'s monoid and the type alias `$t`
-/// to its element type: where the serving loop turns an [`OpKind`] into
-/// types, for launches and for the response pass alike.
-macro_rules! with_kind {
-    ($kind:expr, |$op:ident: $t:ident| $body:expr) => {
-        match $kind {
-            OpKind::AddI32 => {
-                type $t = i32;
-                let $op = Add;
-                $body
-            }
-            OpKind::MaxF64 => {
-                type $t = f64;
-                let $op = Max;
-                $body
-            }
-            OpKind::SegSumI32 => {
-                type $t = SegPair<i32>;
-                let $op = SegmentedAdd;
-                $body
-            }
-            OpKind::GatedF64 => {
-                type $t = AffinePair<f64>;
-                let $op = GatedOp;
-                $body
-            }
-        }
-    };
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -183,176 +149,10 @@ pub struct Completion {
     pub output: Option<ServedOutput>,
 }
 
-/// One request's kept output, typed by its [`OpKind`].
-///
-/// Checksum byte encodings: `i32` hashes as 4 little-endian bytes, `f64`
-/// as the 8 little-endian bytes of its bit pattern, a [`SegPair`] as its
-/// value followed by one flag byte, an [`AffinePair`] as `a` then `b`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServedOutput {
-    /// [`OpKind::AddI32`] — running wrapping sums.
-    I32(Vec<i32>),
-    /// [`OpKind::MaxF64`] — running maxima.
-    F64(Vec<f64>),
-    /// [`OpKind::SegSumI32`] — running segmented sums (flags carried
-    /// through).
-    SegI32(Vec<SegPair<i32>>),
-    /// [`OpKind::GatedF64`] — composed affine maps; the recurrence's
-    /// solution is each pair's `b` component.
-    GatedF64(Vec<AffinePair<f64>>),
-}
-
-impl ServedOutput {
-    /// Elements in the output.
-    pub fn len(&self) -> usize {
-        match self {
-            ServedOutput::I32(v) => v.len(),
-            ServedOutput::F64(v) => v.len(),
-            ServedOutput::SegI32(v) => v.len(),
-            ServedOutput::GatedF64(v) => v.len(),
-        }
-    }
-
-    /// Whether the output is empty (never, for a valid request).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i32` sum-scan output, if this is an [`OpKind::AddI32`]
-    /// completion.
-    pub fn as_i32(&self) -> Option<&[i32]> {
-        match self {
-            ServedOutput::I32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The `f64` max-scan output, if this is an [`OpKind::MaxF64`]
-    /// completion.
-    pub fn as_f64(&self) -> Option<&[f64]> {
-        match self {
-            ServedOutput::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The segmented-sum output, if this is an [`OpKind::SegSumI32`]
-    /// completion.
-    pub fn as_seg_i32(&self) -> Option<&[SegPair<i32>]> {
-        match self {
-            ServedOutput::SegI32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The gated-recurrence output, if this is an [`OpKind::GatedF64`]
-    /// completion.
-    pub fn as_gated_f64(&self) -> Option<&[AffinePair<f64>]> {
-        match self {
-            ServedOutput::GatedF64(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 /// Interleaved lanes per response-pass worker: four independent FNV-1a
 /// multiply chains advance in one loop, so each chain's latency hides
 /// behind the other three.
 const LANES: usize = 4;
-
-/// An element type the serving engine hosts: how to fetch a tenant's
-/// deterministic input stream, hash an output value into the response
-/// checksum, and box a kept output.
-trait ServedElem: Scannable {
-    /// Fetch the tenant's deterministic input stream, appending into a
-    /// reused buffer — no allocation once the buffer has grown. The impls
-    /// are `#[inline(never)]`: compiled on its own, the generator inlines
-    /// its RNG's range reduction over constant bounds, while inlined into
-    /// the response pass's lane loop it called the generic reduction out
-    /// of line, at about a third of the speed.
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<Self>);
-    /// Hand a cold launch this thread's pooled batch-input buffer,
-    /// cleared. Thread-local per concrete element type, so cold builds
-    /// stop allocating once the buffer reaches the window's largest batch.
-    fn with_input<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
-    fn push(hash: u64, v: Self) -> u64;
-    fn wrap(out: Vec<Self>) -> ServedOutput;
-}
-
-/// [`ServedElem::with_input`] for one concrete element type (thread-locals
-/// cannot be generic, so each impl declares its own pool).
-macro_rules! served_input {
-    ($ty:ty) => {
-        fn with_input<R>(f: impl FnOnce(&mut Vec<$ty>) -> R) -> R {
-            thread_local! {
-                static INPUT: std::cell::RefCell<Vec<$ty>> =
-                    const { std::cell::RefCell::new(Vec::new()) };
-            }
-            INPUT.with(|input| {
-                let input = &mut *input.borrow_mut();
-                input.clear();
-                f(input)
-            })
-        }
-    };
-}
-
-impl ServedElem for i32 {
-    #[inline(never)]
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<i32>) {
-        request_input_into(seed, id, len, out)
-    }
-    served_input!(i32);
-    fn push(hash: u64, v: i32) -> u64 {
-        fnv1a_push(hash, v)
-    }
-    fn wrap(out: Vec<i32>) -> ServedOutput {
-        ServedOutput::I32(out)
-    }
-}
-
-impl ServedElem for f64 {
-    #[inline(never)]
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<f64>) {
-        request_input_f64_into(seed, id, len, out)
-    }
-    served_input!(f64);
-    fn push(hash: u64, v: f64) -> u64 {
-        fnv1a_bytes(hash, &v.to_bits().to_le_bytes())
-    }
-    fn wrap(out: Vec<f64>) -> ServedOutput {
-        ServedOutput::F64(out)
-    }
-}
-
-impl ServedElem for SegPair<i32> {
-    #[inline(never)]
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<SegPair<i32>>) {
-        request_input_seg_into(seed, id, len, out)
-    }
-    served_input!(SegPair<i32>);
-    fn push(hash: u64, v: SegPair<i32>) -> u64 {
-        fnv1a_bytes(fnv1a_push(hash, v.v), &[v.reset as u8])
-    }
-    fn wrap(out: Vec<SegPair<i32>>) -> ServedOutput {
-        ServedOutput::SegI32(out)
-    }
-}
-
-impl ServedElem for AffinePair<f64> {
-    #[inline(never)]
-    fn fetch_into(seed: u64, id: usize, len: usize, out: &mut Vec<AffinePair<f64>>) {
-        request_input_gated_into(seed, id, len, out)
-    }
-    served_input!(AffinePair<f64>);
-    fn push(hash: u64, v: AffinePair<f64>) -> u64 {
-        let hash = fnv1a_bytes(hash, &v.a.to_bits().to_le_bytes());
-        fnv1a_bytes(hash, &v.b.to_bits().to_le_bytes())
-    }
-    fn wrap(out: Vec<AffinePair<f64>>) -> ServedOutput {
-        ServedOutput::GatedF64(out)
-    }
-}
 
 impl Completion {
     /// Queueing + service time: `finished - arrival`.
@@ -731,8 +531,8 @@ impl Server {
     ) -> ScanResult<Launch> {
         debug_assert!(members.iter().all(|&m| requests[m].op == requests[members[0]].op));
         let fleet = &mut state.fleet;
-        let (admission, gpus) = with_kind!(requests[members[0]].op, |op: T| {
-            self.launch_typed::<T, _>(op, fleet, &lease, requests, members, g_combined, now)
+        let (admission, gpus) = with_kind!(requests[members[0]].op, T => {
+            self.launch_typed::<T>(fleet, &lease, requests, members, g_combined, now)
         })?;
 
         let lookups = self.config.plan_cache && !self.config.keep_outputs;
@@ -774,10 +574,8 @@ impl Server {
 
     /// The typed body of [`Server::launch`]: plan the launch and admit its
     /// graph into the fleet. Returns the admission and the GPUs it ran on.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_typed<T: ServedElem, O: ScanOp<T>>(
+    fn launch_typed<T: ServedKind>(
         &self,
-        op: O,
         fleet: &mut FleetTimeline,
         lease: &PoolLease,
         requests: &[ServeRequest],
@@ -809,7 +607,7 @@ impl Server {
         // table).
         let mut cold_plan = None;
         if self.config.plan_cache {
-            let planned = self.cache.plan::<T, O>(
+            let planned = self.cache.plan::<T, T::Op>(
                 device,
                 &self.fabric,
                 &gpu_lease,
@@ -833,16 +631,16 @@ impl Server {
         // reference-order pass, which the cache layer's self-validation
         // pins equal for the integer kinds and which is the canonical
         // answer for the float kinds.
-        let leased = T::with_input(|input| {
+        let leased = with_pooled_input(|input| {
             for &m in members {
                 let m = &requests[m];
-                T::fetch_into(self.config.input_seed, m.id, m.total_elems(), input);
+                T::input_into(self.config.input_seed, m.id, m.total_elems(), input);
             }
             debug_assert_eq!(input.len(), problem.total_elems());
             match cold_plan {
-                Some(planned) => planned.run(op, input),
+                Some(planned) => planned.run(T::OP, input),
                 None => scan_on_lease(
-                    op,
+                    T::OP,
                     self.tuple,
                     device,
                     &self.fabric,
@@ -903,10 +701,7 @@ impl Server {
 /// in the window, when that came from an earlier launch.
 fn shared_misses(misses: &[Miss]) -> Vec<Option<usize>> {
     let mut order: Vec<usize> = (0..misses.len()).collect();
-    order.sort_unstable_by_key(|&i| {
-        let (id, n, g, op) = misses[i].key;
-        (id, n, g, op as u8, i)
-    });
+    order.sort_unstable_by_key(|&i| (misses[i].key, i));
     let mut shared = vec![None; misses.len()];
     for group in order.chunk_by(|&a, &b| misses[a].key == misses[b].key) {
         let first = group[0];
@@ -957,11 +752,11 @@ fn response_pass(
             continue;
         }
         let threads = workers(members.iter().map(|m| m.len).sum());
-        with_kind!(kind, |op: T| {
+        with_kind!(kind, T => {
             let (kind_sums, kind_outputs) = if keep {
-                kind_pass::<T, _, true>(op, seed, &members, threads)
+                kind_pass::<T, true>(seed, &members, threads)
             } else {
-                kind_pass::<T, _, false>(op, seed, &members, threads)
+                kind_pass::<T, false>(seed, &members, threads)
             };
             for (&i, sum) in idx.iter().zip(kind_sums) {
                 sums[i] = sum;
@@ -993,8 +788,7 @@ struct PassMember {
 /// largest member, so workers allocate nothing and the buffers are freed
 /// before the next kind's pass: at most workers × [`LANES`] member inputs
 /// exist at once.
-fn kind_pass<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
-    op: O,
+fn kind_pass<T: ServedKind, const KEEP: bool>(
     seed: u64,
     members: &[PassMember],
     workers: usize,
@@ -1021,10 +815,9 @@ fn kind_pass<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
                 std::mem::take(&mut outputs).split_at_mut(if KEEP { len } else { 0 });
             (members, sums, outputs) = (rest, rest_sums, rest_outputs);
             if w == workers {
-                lanes::<T, O, KEEP>(op, seed, run, run_sums, run_outputs, bufs);
+                lanes::<T, KEEP>(seed, run, run_sums, run_outputs, bufs);
             } else if !run.is_empty() {
-                scope
-                    .spawn(move || lanes::<T, O, KEEP>(op, seed, run, run_sums, run_outputs, bufs));
+                scope.spawn(move || lanes::<T, KEEP>(seed, run, run_sums, run_outputs, bufs));
             }
         }
     });
@@ -1041,8 +834,7 @@ fn kind_pass<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
 /// The last members, fewer than `LANES`, finish one lane at a time. Each
 /// member's values are hashed in the same order as a sequential reference
 /// scan, so the checksum is the same bits.
-fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
-    op: O,
+fn lanes<T: ServedKind, const KEEP: bool>(
     seed: u64,
     members: &[PassMember],
     sums: &mut [u64],
@@ -1053,7 +845,7 @@ fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
     // and hash.
     let mut member: [Option<usize>; LANES] = [None; LANES];
     let mut pos = [0; LANES];
-    let mut acc = [op.identity(); LANES];
+    let mut acc = [T::OP.identity(); LANES];
     let mut hash = [FNV_OFFSET; LANES];
     let mut finish = |i: usize, hash: u64, buf: &mut Vec<T>| {
         sums[i] = hash;
@@ -1067,8 +859,9 @@ fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
             if member[l].is_none() && next < members.len() {
                 let m = members[next];
                 bufs[l].clear();
-                T::fetch_into(seed, m.id, m.len, &mut bufs[l]);
-                (member[l], pos[l], acc[l], hash[l]) = (Some(next), 0, op.identity(), FNV_OFFSET);
+                T::input_into(seed, m.id, m.len, &mut bufs[l]);
+                (member[l], pos[l], acc[l], hash[l]) =
+                    (Some(next), 0, T::OP.identity(), FNV_OFFSET);
                 next += 1;
             }
         }
@@ -1085,12 +878,12 @@ fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
             &mut b2[pos[2]..pos[2] + step],
             &mut b3[pos[3]..pos[3] + step],
         ];
-        lockstep::<T, O, KEEP>(op, rows, &mut acc, &mut hash);
+        lockstep::<T, KEEP>(rows, &mut acc, &mut hash);
         for l in 0..LANES {
             let m = members[busy[l]];
             pos[l] += step;
             if pos[l] % m.row == 0 {
-                acc[l] = op.identity();
+                acc[l] = T::OP.identity();
             }
             if pos[l] == m.len {
                 finish(busy[l], hash[l], &mut bufs[l]);
@@ -1104,8 +897,8 @@ fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
         let (mut p, mut acc, mut hash) = (pos[l], acc[l], hash[l]);
         while p < m.len {
             let end = p + (m.row - p % m.row);
-            scan_hash::<T, O, KEEP>(op, &mut bufs[l][p..end], &mut acc, &mut hash);
-            (p, acc) = (end, op.identity());
+            scan_hash::<T, KEEP>(&mut bufs[l][p..end], &mut acc, &mut hash);
+            (p, acc) = (end, T::OP.identity());
         }
         finish(i, hash, &mut bufs[l]);
     }
@@ -1116,8 +909,7 @@ fn lanes<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
 /// the lane's FNV-1a chain (with `KEEP`, also store it in place). The
 /// four chains are independent, so their multiplies overlap.
 #[inline(always)]
-fn lockstep<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
-    op: O,
+fn lockstep<T: ServedKind, const KEEP: bool>(
     [x0, x1, x2, x3]: [&mut [T]; LANES],
     acc: &mut [T; LANES],
     hash: &mut [u64; LANES],
@@ -1126,14 +918,14 @@ fn lockstep<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
     let [mut h0, mut h1, mut h2, mut h3] = *hash;
     let rows = x0.iter_mut().zip(x1.iter_mut()).zip(x2.iter_mut()).zip(x3.iter_mut());
     for (((v0, v1), v2), v3) in rows {
-        a0 = op.combine(a0, *v0);
-        a1 = op.combine(a1, *v1);
-        a2 = op.combine(a2, *v2);
-        a3 = op.combine(a3, *v3);
-        h0 = T::push(h0, a0);
-        h1 = T::push(h1, a1);
-        h2 = T::push(h2, a2);
-        h3 = T::push(h3, a3);
+        a0 = T::OP.combine(a0, *v0);
+        a1 = T::OP.combine(a1, *v1);
+        a2 = T::OP.combine(a2, *v2);
+        a3 = T::OP.combine(a3, *v3);
+        h0 = T::fnv1a(h0, a0);
+        h1 = T::fnv1a(h1, a1);
+        h2 = T::fnv1a(h2, a2);
+        h3 = T::fnv1a(h3, a3);
         if KEEP {
             (*v0, *v1, *v2, *v3) = (a0, a1, a2, a3);
         }
@@ -1144,19 +936,31 @@ fn lockstep<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
 
 /// [`lockstep`] for one lane alone: the pass's tail.
 #[inline(always)]
-fn scan_hash<T: ServedElem, O: ScanOp<T>, const KEEP: bool>(
-    op: O,
-    xs: &mut [T],
-    acc: &mut T,
-    hash: &mut u64,
-) {
+fn scan_hash<T: ServedKind, const KEEP: bool>(xs: &mut [T], acc: &mut T, hash: &mut u64) {
     for x in xs {
-        *acc = op.combine(*acc, *x);
-        *hash = T::push(*hash, *acc);
+        *acc = T::OP.combine(*acc, *x);
+        *hash = T::fnv1a(*hash, *acc);
         if KEEP {
             *x = *acc;
         }
     }
+}
+
+/// Hand a cold launch this thread's pooled batch-input buffer for `T`,
+/// cleared: cold builds stop allocating once it reaches the window's
+/// largest batch. One buffer per element type, found by type, since a
+/// thread-local cannot be generic.
+fn with_pooled_input<T: ServedKind, R>(f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    thread_local!(static POOLS: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) });
+    POOLS.with_borrow_mut(|pools| {
+        if !pools.iter().any(|pool| pool.is::<Vec<T>>()) {
+            pools.push(Box::new(Vec::<T>::new()));
+        }
+        let input = pools.iter_mut().find_map(|pool| pool.downcast_mut::<Vec<T>>());
+        let input = input.expect("the type's buffer exists");
+        input.clear();
+        f(input)
+    })
 }
 
 /// Append `v` in decimal — `write!("{v}")` without the formatting
@@ -1176,35 +980,19 @@ fn push_usize(out: &mut String, v: usize) {
     out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over the byte encoding of the output values (see
-/// [`ServedOutput`] for per-type encodings). Test-only: the response pass
-/// hashes outputs as it scans them.
-#[cfg(test)]
-fn fnv1a<T: ServedElem>(values: &[T]) -> u64 {
-    values.iter().fold(FNV_OFFSET, |hash, &v| T::push(hash, v))
-}
-
-fn fnv1a_push(hash: u64, v: i32) -> u64 {
-    fnv1a_bytes(hash, &v.to_le_bytes())
-}
-
-fn fnv1a_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{
-        request_input, request_input_f64, request_input_gated, request_input_seg, WorkloadSpec,
+    use crate::workload::{request_input, WorkloadSpec};
+    use skeletons::{
+        reference_inclusive, Add, AffinePair, GatedOp, Max, Scannable, SegPair, SegmentedAdd,
     };
-    use skeletons::reference_inclusive;
+
+    /// FNV-1a over the byte encoding of the output values (see
+    /// [`ServedOutput`] for per-type encodings).
+    fn fnv1a<T: ServedKind>(values: &[T]) -> u64 {
+        values.iter().fold(FNV_OFFSET, |hash, &v| T::fnv1a(hash, v))
+    }
 
     fn small_workload(seed: u64, count: usize) -> Vec<ServeRequest> {
         let mut spec = WorkloadSpec::default_for(seed, count);
@@ -1242,8 +1030,8 @@ mod tests {
         config.keep_outputs = true;
         let report = Server::new(config).run(&requests).unwrap();
         for c in &report.completions {
-            let input = request_input(9, c.request.id, c.request.total_elems());
-            let output = c.output.as_ref().expect("keep_outputs").as_i32().expect("i32 window");
+            let input = request_input::<i32>(9, c.request.id, c.request.total_elems());
+            let output = c.output.as_ref().expect("keep_outputs").get::<i32>().expect("i32 window");
             let n = c.request.problem().problem_size();
             for g in 0..c.request.problem().batch() {
                 let expected = reference_inclusive(Add, &input[g * n..(g + 1) * n]);
@@ -1280,8 +1068,8 @@ mod tests {
             let row_refs = |g: usize| (g * n, (g + 1) * n);
             match c.request.op {
                 OpKind::AddI32 => {
-                    let input = request_input(9, id, len);
-                    let out = output.as_i32().unwrap();
+                    let input = request_input::<i32>(9, id, len);
+                    let out = output.get::<i32>().unwrap();
                     for g in 0..c.request.problem().batch() {
                         let (a, b) = row_refs(g);
                         assert_eq!(&out[a..b], &reference_inclusive(Add, &input[a..b])[..]);
@@ -1289,8 +1077,8 @@ mod tests {
                     assert_eq!(c.checksum, fnv1a(out));
                 }
                 OpKind::MaxF64 => {
-                    let input = request_input_f64(9, id, len);
-                    let out = output.as_f64().unwrap();
+                    let input = request_input::<f64>(9, id, len);
+                    let out = output.get::<f64>().unwrap();
                     for g in 0..c.request.problem().batch() {
                         let (a, b) = row_refs(g);
                         let expected = reference_inclusive(Max, &input[a..b]);
@@ -1300,8 +1088,8 @@ mod tests {
                     assert_eq!(c.checksum, fnv1a(out));
                 }
                 OpKind::SegSumI32 => {
-                    let input = request_input_seg(9, id, len);
-                    let out = output.as_seg_i32().unwrap();
+                    let input = request_input::<SegPair<i32>>(9, id, len);
+                    let out = output.get::<SegPair<i32>>().unwrap();
                     for g in 0..c.request.problem().batch() {
                         let (a, b) = row_refs(g);
                         assert_eq!(
@@ -1312,8 +1100,8 @@ mod tests {
                     assert_eq!(c.checksum, fnv1a(out));
                 }
                 OpKind::GatedF64 => {
-                    let input = request_input_gated(9, id, len);
-                    let out = output.as_gated_f64().unwrap();
+                    let input = request_input::<AffinePair<f64>>(9, id, len);
+                    let out = output.get::<AffinePair<f64>>().unwrap();
                     for g in 0..c.request.problem().batch() {
                         let (a, b) = row_refs(g);
                         let expected = reference_inclusive(GatedOp, &input[a..b]);
@@ -1490,12 +1278,12 @@ mod tests {
         }
         match op {
             OpKind::AddI32 => ServedOutput::I32(rows(Add, &request_input(seed, id, len), row)),
-            OpKind::MaxF64 => ServedOutput::F64(rows(Max, &request_input_f64(seed, id, len), row)),
+            OpKind::MaxF64 => ServedOutput::F64(rows(Max, &request_input(seed, id, len), row)),
             OpKind::SegSumI32 => {
-                ServedOutput::SegI32(rows(SegmentedAdd, &request_input_seg(seed, id, len), row))
+                ServedOutput::SegI32(rows(SegmentedAdd, &request_input(seed, id, len), row))
             }
             OpKind::GatedF64 => {
-                ServedOutput::GatedF64(rows(GatedOp, &request_input_gated(seed, id, len), row))
+                ServedOutput::GatedF64(rows(GatedOp, &request_input(seed, id, len), row))
             }
         }
     }

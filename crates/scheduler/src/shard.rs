@@ -26,8 +26,9 @@ use std::ops::Range;
 use gpu_sim::EventKind;
 use interconnect::{ExecGraph, FabricSpec, FleetTimeline, NodeMeta, Resource};
 
+use crate::kind::OpKind;
 use crate::pool::{DevicePool, PoolLease};
-use crate::request::{OpKind, ServeRequest};
+use crate::request::ServeRequest;
 use crate::serve::Completion;
 
 /// Virtual node-id base of the inter-shard steal fabric: steal-transfer
@@ -226,7 +227,7 @@ pub(crate) fn admit_steal_transfer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::OpKind;
+    use crate::kind::OpKind;
 
     fn req(id: usize, tenant: u8, deadline: Option<f64>) -> ServeRequest {
         ServeRequest {

@@ -10,11 +10,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use scan_core::ProblemParams;
-use skeletons::{AffinePair, SegPair};
 
 use crate::json::Json;
+use crate::kind::{OpKind, ServedKind};
 use crate::policy::is_key_time;
-use crate::request::{OpKind, ServeRequest};
+use crate::request::ServeRequest;
 
 /// Parameters of the seeded workload generator.
 ///
@@ -212,80 +212,13 @@ fn us_to_s(us: u64) -> f64 {
     us as f64 * 1e-6
 }
 
-/// Deterministic per-request input data: the values each tenant "uploads".
-///
-/// Seeded by `(workload seed, request id)` so a request's input is the same
-/// whether it runs alone or inside a coalesced batch — the bit-identity
-/// property tests depend on this.
-pub fn request_input(seed: u64, id: usize, len: usize) -> Vec<i32> {
+/// Request `id`'s deterministic input data under input seed `seed`: the
+/// values its tenant "uploads" ([`ServedKind::input_into`] into a fresh
+/// vector).
+pub fn request_input<T: ServedKind>(seed: u64, id: usize, len: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(len);
-    request_input_into(seed, id, len, &mut out);
+    T::input_into(seed, id, len, &mut out);
     out
-}
-
-/// [`request_input`], appending into a caller-owned buffer (the serving
-/// hot path recycles pooled buffers instead of allocating per request).
-/// The RNG stream — and therefore every value — is identical.
-pub fn request_input_into(seed: u64, id: usize, len: usize, out: &mut Vec<i32>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| rng.gen_range(-100..=100)));
-}
-
-fn request_rng(seed: u64, id: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// [`request_input`] for `f64` tenants ([`OpKind::MaxF64`]): quarter-integer
-/// values on `[-100, 100]`, exactly representable so max-scans are
-/// bit-reproducible under any combine order.
-pub fn request_input_f64(seed: u64, id: usize, len: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(len);
-    request_input_f64_into(seed, id, len, &mut out);
-    out
-}
-
-/// [`request_input_f64`], appending into a caller-owned buffer.
-pub fn request_input_f64_into(seed: u64, id: usize, len: usize, out: &mut Vec<f64>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| rng.gen_range(-400i32..=400) as f64 * 0.25));
-}
-
-/// [`request_input`] for segmented-sum tenants ([`OpKind::SegSumI32`]):
-/// the same value range as the plain-sum stream, with roughly one element
-/// in eight opening a new segment.
-pub fn request_input_seg(seed: u64, id: usize, len: usize) -> Vec<SegPair<i32>> {
-    let mut out = Vec::with_capacity(len);
-    request_input_seg_into(seed, id, len, &mut out);
-    out
-}
-
-/// [`request_input_seg`], appending into a caller-owned buffer.
-pub fn request_input_seg_into(seed: u64, id: usize, len: usize, out: &mut Vec<SegPair<i32>>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| {
-        let v = rng.gen_range(-100..=100);
-        SegPair::new(v, rng.gen_range(0..8u32) == 0)
-    }));
-}
-
-/// [`request_input`] for gated-recurrence tenants ([`OpKind::GatedF64`]):
-/// each element is the affine pair `(gate[t], token[t])`. Gates sit on
-/// `0.999 + 0.001·u` with `u` uniform on `[0, 1]` — the near-1 decay the
-/// SSM workloads use — and tokens are dyadic rationals on `[-1, 1]`.
-pub fn request_input_gated(seed: u64, id: usize, len: usize) -> Vec<AffinePair<f64>> {
-    let mut out = Vec::with_capacity(len);
-    request_input_gated_into(seed, id, len, &mut out);
-    out
-}
-
-/// [`request_input_gated`], appending into a caller-owned buffer.
-pub fn request_input_gated_into(seed: u64, id: usize, len: usize, out: &mut Vec<AffinePair<f64>>) {
-    let mut rng = request_rng(seed, id);
-    out.extend((0..len).map(|_| {
-        let gate = 0.999 + 0.001 * (rng.gen_range(0..=1000u32) as f64 / 1000.0);
-        let token = rng.gen_range(-128i32..=128) as f64 / 128.0;
-        AffinePair::new(gate, token)
-    }));
 }
 
 /// Read a request trace from JSON.
@@ -422,6 +355,8 @@ pub fn requests_to_json(requests: &[ServeRequest]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop};
+    use skeletons::{AffinePair, SegPair};
 
     #[test]
     fn generator_is_deterministic_and_sorted() {
@@ -445,10 +380,10 @@ mod tests {
 
     #[test]
     fn request_input_is_stable_per_id() {
-        assert_eq!(request_input(7, 3, 64), request_input(7, 3, 64));
-        assert_ne!(request_input(7, 3, 64), request_input(7, 4, 64));
+        assert_eq!(request_input::<i32>(7, 3, 64), request_input::<i32>(7, 3, 64));
+        assert_ne!(request_input::<i32>(7, 3, 64), request_input::<i32>(7, 4, 64));
         // A prefix of a longer draw equals the shorter draw (same stream).
-        assert_eq!(request_input(7, 3, 128)[..64], request_input(7, 3, 64)[..]);
+        assert_eq!(request_input::<i32>(7, 3, 128)[..64], request_input::<i32>(7, 3, 64)[..]);
     }
 
     #[test]
@@ -491,14 +426,16 @@ mod tests {
 
     #[test]
     fn typed_inputs_are_stable_per_id() {
-        assert_eq!(request_input_f64(7, 3, 64), request_input_f64(7, 3, 64));
-        assert_eq!(request_input_seg(7, 3, 64), request_input_seg(7, 3, 64));
-        assert_eq!(request_input_gated(7, 3, 64), request_input_gated(7, 3, 64));
-        assert_ne!(request_input_gated(7, 3, 64), request_input_gated(7, 4, 64));
-        assert!(request_input_gated(7, 3, 256)
+        type Seg = SegPair<i32>;
+        type Gated = AffinePair<f64>;
+        assert_eq!(request_input::<f64>(7, 3, 64), request_input::<f64>(7, 3, 64));
+        assert_eq!(request_input::<Seg>(7, 3, 64), request_input::<Seg>(7, 3, 64));
+        assert_eq!(request_input::<Gated>(7, 3, 64), request_input::<Gated>(7, 3, 64));
+        assert_ne!(request_input::<Gated>(7, 3, 64), request_input::<Gated>(7, 4, 64));
+        assert!(request_input::<Gated>(7, 3, 256)
             .iter()
             .all(|p| (0.999..=1.0).contains(&p.a) && (-1.0..=1.0).contains(&p.b)));
-        let segs = request_input_seg(7, 5, 4096);
+        let segs = request_input::<Seg>(7, 5, 4096);
         let resets = segs.iter().filter(|p| p.reset).count();
         assert!(resets > 256 && resets < 1024, "~1/8 resets, got {resets}");
     }
@@ -532,6 +469,8 @@ mod tests {
             (r#"{"arrival": 0, "n": 40, "g": 1}"#, "n"),
             (r#"{"arrival": 0, "n": 11, "g": 40}"#, "g"),
             (r#"{"arrival": 0, "n": 11, "g": 1, "gpus": 0}"#, "gpus"),
+            // 2^64 is not a usize, though `usize::MAX as f64` rounds to it.
+            (r#"{"arrival": 0, "n": 11, "g": 1, "gpus": 18446744073709551616}"#, "gpus"),
             // A negative or infinite deadline would sort after every finite
             // one under EDF's bit-pattern key.
             (r#"{"arrival": 0, "n": 11, "g": 1, "deadline": -1.0}"#, "deadline"),
@@ -541,7 +480,63 @@ mod tests {
             let err = requests_from_json(&format!(r#"{{"requests": [{entry}]}}"#)).unwrap_err();
             assert!(err.contains(&format!("request 0: \"{field}\"")), "{entry}: {err}");
         }
+        // A `\u` escape takes four hex digits, not a sign: this is not
+        // `add_i32`.
+        let signed = r#"{"requests": [{"arrival": 0, "n": 11, "g": 1, "op": "\u+061dd_i32"}]}"#;
+        assert!(requests_from_json(signed).unwrap_err().contains("bad \\u escape"));
         // Deep nesting is a parse error, not a stack overflow.
         assert!(requests_from_json(&"[".repeat(1 << 20)).is_err());
+    }
+
+    /// Whitespace-separated trace tokens for the fuzzing below: field
+    /// names, values (well- and ill-formed) and punctuation.
+    const KEYS: &str = r#""arrival" "n" "g" "gpus" "priority" "tenant" "deadline" "op" "requests""#;
+    const VALUES: &str = concat!(
+        r#"0 -0 1 11 40 300 0.5 -1e-6 1e999 -1 4294967308 18446744073709551616 true null [] {} "#,
+        r#""add_i32" "gated_f64" "\u0061" "\u+061" "\ud800" "\u12" "é\n""#,
+    );
+    const PUNCT: &str = r#"{ } [ ] : , " \ - ."#;
+
+    fn tokens(words: &'static str) -> Vec<&'static str> {
+        words.split_whitespace().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, soups of trace tokens and entries of random
+        /// fields and values: `requests_from_json` answers each with `Ok`
+        /// or `Err`, never a panic.
+        #[test]
+        fn malformed_traces_are_errors_not_panics(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            soup in prop::collection::vec(
+                prop::sample::select([KEYS, VALUES, PUNCT].map(tokens).concat()),
+                0..48,
+            ),
+            entries in prop::collection::vec(
+                prop::collection::vec(
+                    (prop::sample::select(tokens(KEYS)), prop::sample::select(tokens(VALUES))),
+                    0..8,
+                ),
+                0..4,
+            ),
+        ) {
+            let bytes = String::from_utf8_lossy(&bytes);
+            let soup = soup.concat();
+            let entries: Vec<String> = entries
+                .iter()
+                .map(|fields| {
+                    let fields: Vec<String> =
+                        fields.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+                    format!("{{{}}}", fields.join(", "))
+                })
+                .collect();
+            let trace = format!("{{\"requests\": [{}]}}", entries.join(", "));
+            for text in [&*bytes, &soup, &format!("{{\"requests\": [{soup}"), &trace] {
+                // Either answer is fine; a panic fails the test.
+                let _ = requests_from_json(text);
+            }
+        }
     }
 }

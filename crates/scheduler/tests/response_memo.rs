@@ -3,10 +3,9 @@
 //! stores, and that every checksum equals an isolated CPU-reference run.
 
 use scan_serve::{
-    request_input, request_input_f64, request_input_gated, request_input_seg, OpKind, Policy,
-    ResponseStats, ServeConfig, ServeReport, ServeRequest, Server,
+    request_input, OpKind, Policy, ResponseStats, ServeConfig, ServeReport, ServeRequest, Server,
 };
-use skeletons::{reference_inclusive, Add, GatedOp, Max, SegmentedAdd};
+use skeletons::{reference_inclusive, Add, AffinePair, GatedOp, Max, SegPair, SegmentedAdd};
 
 const SEED: u64 = 21;
 
@@ -25,18 +24,18 @@ fn reference_checksum(r: &ServeRequest) -> u64 {
     let mut bytes: Vec<u8> = Vec::new();
     match r.op {
         OpKind::AddI32 => {
-            for row in request_input(SEED, r.id, len).chunks(n) {
+            for row in request_input::<i32>(SEED, r.id, len).chunks(n) {
                 reference_inclusive(Add, row).iter().for_each(|v| bytes.extend(v.to_le_bytes()));
             }
         }
         OpKind::MaxF64 => {
-            for row in request_input_f64(SEED, r.id, len).chunks(n) {
+            for row in request_input::<f64>(SEED, r.id, len).chunks(n) {
                 let out = reference_inclusive(Max, row);
                 out.iter().for_each(|v| bytes.extend(v.to_bits().to_le_bytes()));
             }
         }
         OpKind::SegSumI32 => {
-            for row in request_input_seg(SEED, r.id, len).chunks(n) {
+            for row in request_input::<SegPair<i32>>(SEED, r.id, len).chunks(n) {
                 for v in reference_inclusive(SegmentedAdd, row) {
                     bytes.extend(v.v.to_le_bytes());
                     bytes.push(v.reset as u8);
@@ -44,7 +43,7 @@ fn reference_checksum(r: &ServeRequest) -> u64 {
             }
         }
         OpKind::GatedF64 => {
-            for row in request_input_gated(SEED, r.id, len).chunks(n) {
+            for row in request_input::<AffinePair<f64>>(SEED, r.id, len).chunks(n) {
                 for v in reference_inclusive(GatedOp, row) {
                     bytes.extend(v.a.to_bits().to_le_bytes());
                     bytes.extend(v.b.to_bits().to_le_bytes());

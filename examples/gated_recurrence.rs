@@ -20,7 +20,7 @@
 //! launches interleaved on the shared cluster.
 
 use multigpu_scan::prelude::*;
-use multigpu_scan::serve::request_input_gated;
+use multigpu_scan::serve::request_input;
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "target/traces".into());
@@ -54,8 +54,9 @@ fn main() {
             continue;
         }
         gated += 1;
-        let input = request_input_gated(seed, c.request.id, c.request.total_elems());
-        let served = c.output.as_ref().and_then(|o| o.as_gated_f64()).expect("kept output");
+        let input = request_input::<AffinePair<f64>>(seed, c.request.id, c.request.total_elems());
+        let served =
+            c.output.as_ref().and_then(|o| o.get::<AffinePair<f64>>()).expect("kept output");
         let n = c.request.problem().problem_size();
         for (g, chunk) in input.chunks(n).enumerate() {
             let mut x = 0.0f64;
