@@ -853,7 +853,7 @@ fn bench_self(opts: &ServeOpts) {
     let serial_rps = requests.len() as f64 / serial_s;
     let parallel_rps = requests.len() as f64 / parallel_s;
     let parallel_speedup = serial_s / parallel_s;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = gpu_sim::host::width();
     println!(
         "  sharded serial   : {serial_s:>8.3} s  ({serial_rps:>9.1} req/s)  \
          {PAR_SHARDS} shards, 1 thread"

@@ -7,8 +7,9 @@
 //! * [`experiments::Harness::k_sweep`] — the Premise 3 `K` ablation;
 //! * Table 3 comes straight from [`gpu_sim::occupancy::table3`].
 //!
-//! The `figures` binary renders them as text tables; the Criterion benches
-//! (`benches/`) measure the *library's* wall-clock performance.
+//! The `figures` binary renders them as text tables. The library's own
+//! wall-clock cost is measured by `perfbench/` (see its README) and by
+//! `figures self`.
 
 #![warn(missing_docs)]
 

@@ -15,7 +15,7 @@
 //!   overlap Stage-1 compute of the next. This is a capability *beyond*
 //!   the paper's model and is off by default (see DESIGN.md §2).
 
-use gpu_sim::{DeviceSpec, EventKind, SimResult};
+use gpu_sim::{host, DeviceSpec, EventKind, SimResult};
 use interconnect::{
     apply_link_faults, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId, NodeMeta,
     Resource, Timeline,
@@ -219,7 +219,9 @@ impl<O> Launch<'_, O> {
 
     /// Run independent GPU groups — each takes an equal, contiguous share
     /// of the batch through [`Launch::group_pipeline`], with no
-    /// communication between groups — on one scoped host thread apiece.
+    /// communication between groups — under one host fan
+    /// ([`gpu_sim::host::fan_out`]), so each group's GPUs and blocks run
+    /// serially inside it.
     /// Returns the scanned batch, the combined graph and the groups' fault
     /// events in group order.
     ///
@@ -242,16 +244,12 @@ impl<O> Launch<'_, O> {
         let sub_problem = ProblemParams::new(problem.n(), per_group.trailing_zeros());
         let share = per_group * problem.problem_size();
         let mut data = vec![T::default(); problem.total_elems()];
-        let parts: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .zip(input.chunks(share).zip(data.chunks_mut(share)))
-                .map(|(gpus, (group_input, out))| {
-                    scope.spawn(move || self.group_pipeline(gpus, 0, sub_problem, group_input, out))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("group thread panicked")).collect()
-        });
+        let parts = host::fan_out(
+            groups.iter().zip(input.chunks(share).zip(data.chunks_mut(share))),
+            |(gpus, (group_input, out))| {
+                self.group_pipeline(gpus, 0, sub_problem, group_input, out)
+            },
+        );
         let mut graph = ExecGraph::new();
         let mut events = Vec::new();
         for part in parts {

@@ -2,12 +2,12 @@
 //! and the auxiliary-array exchange.
 //!
 //! A [`Worker`] owns one simulated GPU and its buffers (input portions,
-//! output, local auxiliary array, received offsets). Phases run on real
-//! host threads — one per GPU — and the phase's simulated duration is the
-//! maximum of the per-GPU times, matching the paper's phase-synchronous
-//! execution.
+//! output, local auxiliary array, received offsets). A phase runs its GPUs
+//! under one host fan ([`gpu_sim::host`]), and the phase's simulated
+//! duration is the maximum of the per-GPU times, matching the paper's
+//! phase-synchronous execution.
 
-use gpu_sim::{CostCounters, DeviceSpec, Gpu, KernelStats, SimResult};
+use gpu_sim::{host, CostCounters, DeviceSpec, Gpu, KernelStats, SimResult};
 use interconnect::{strided_exchange_cost, CollectiveCost, Fabric, StridedPart};
 use skeletons::Scannable;
 
@@ -53,68 +53,43 @@ pub fn build_workers<T: Scannable>(
     let n = plan.problem.problem_size();
     let g_total = plan.problem.batch();
     // Workers share no state (each builds its own Gpu and copies its own
-    // portions), so they are constructed on one host thread apiece and
-    // merged back in `gpu_ids` order — same result as the old sequential
-    // loop, without serialising the per-GPU portion copies.
-    std::thread::scope(|s| {
-        let handles: Vec<_> = gpu_ids
-            .iter()
-            .enumerate()
-            .map(|(w, &gid)| {
-                s.spawn(move || {
-                    let gpu = Gpu::new(gid, device.clone());
-                    let mut local = Vec::with_capacity(plan.elems_per_gpu());
-                    for g in 0..g_total {
-                        let s = g * n + w * plan.portion;
-                        local.extend_from_slice(&input[s..s + plan.portion]);
-                    }
-                    let input_buf = gpu.alloc_from(&local)?;
-                    let output = gpu.alloc(local.len())?;
-                    let aux = gpu.alloc(plan.aux_local_len())?;
-                    let offsets = gpu.alloc(plan.aux_local_len())?;
-                    Ok(Worker {
-                        gpu,
-                        part: w,
-                        global_id: gid,
-                        input: input_buf,
-                        output,
-                        aux,
-                        offsets,
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker builder panicked")).collect()
+    // portions), so they are built under one fan and come back in
+    // `gpu_ids` order.
+    host::fan_out(gpu_ids.iter().enumerate(), |(w, &gid)| {
+        let gpu = Gpu::new(gid, device.clone());
+        let mut local = Vec::with_capacity(plan.elems_per_gpu());
+        for g in 0..g_total {
+            let s = g * n + w * plan.portion;
+            local.extend_from_slice(&input[s..s + plan.portion]);
+        }
+        let input = gpu.alloc_from(&local)?;
+        let output = gpu.alloc(local.len())?;
+        let aux = gpu.alloc(plan.aux_local_len())?;
+        let offsets = gpu.alloc(plan.aux_local_len())?;
+        Ok(Worker { gpu, part: w, global_id: gid, input, output, aux, offsets })
     })
+    .into_iter()
+    .collect()
 }
 
-/// Run `f` on every worker concurrently (one host thread per GPU) and
-/// return, in worker order, each GPU's simulated time spent in the phase
-/// with the hardware counters it accumulated there (the difference of its
-/// event-log totals around `f`) — or the error its launch raised. Callers
-/// that need every GPU to succeed collect the results; the fault replanner
-/// tells an evicted device's expected `DeviceLost` from a real failure on
-/// a survivor.
+/// Run `f` on every worker under one fan ([`gpu_sim::host::fan_out`])
+/// and return, in worker order, each GPU's simulated time spent in the
+/// phase with the hardware counters it accumulated there (the difference
+/// of its event-log totals around `f`) — or the error its launch raised.
+/// Callers that need every GPU to succeed collect the results; the fault
+/// replanner tells an evicted device's expected `DeviceLost` from a real
+/// failure on a survivor.
 pub fn parallel_phase<T, F>(workers: &mut [Worker<T>], f: F) -> Vec<SimResult<(f64, CostCounters)>>
 where
     T: Scannable,
     F: Fn(&mut Worker<T>) -> SimResult<KernelStats> + Sync,
 {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .map(|w| {
-                let f = &f;
-                s.spawn(move || {
-                    let before = w.gpu.elapsed();
-                    let counters_before = w.gpu.log().total_counters();
-                    f(w)?;
-                    let counters = w.gpu.log().total_counters().since(&counters_before);
-                    Ok((w.gpu.elapsed() - before, counters))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+    host::fan_out(workers.iter_mut(), |w| {
+        let before = w.gpu.elapsed();
+        let counters_before = w.gpu.log().total_counters();
+        f(w)?;
+        let counters = w.gpu.log().total_counters().since(&counters_before);
+        Ok((w.gpu.elapsed() - before, counters))
     })
 }
 

@@ -7,11 +7,12 @@ use crate::device::DeviceSpec;
 use crate::error::{SimError, SimResult};
 use crate::event::{Event, EventKind, EventLog, DEFAULT_STREAM};
 use crate::grid::LaunchConfig;
+use crate::host;
 use crate::memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::timing::{KernelTime, TimingModel};
 
-/// Grids smaller than this run serially in [`Gpu::launch_blocks_on`]: the
+/// Grids smaller than this stay one run in [`Gpu::launch_blocks_on`]: the
 /// thread-spawn overhead dominates tiny launches.
 const PARALLEL_BLOCK_THRESHOLD: usize = 8;
 
@@ -251,9 +252,12 @@ impl Gpu {
     /// bit-identical to running the same blocks sequentially through
     /// [`Gpu::launch_on`].
     ///
-    /// Small grids run serially on the calling thread; the parallel split
-    /// only pays for itself when there are enough blocks to amortise thread
-    /// spawns.
+    /// Small grids run on the calling thread; the parallel split only pays
+    /// for itself when there are enough blocks to amortise thread spawns.
+    /// A larger grid is cut into one contiguous run of blocks per thread
+    /// [`host::width`] allows, which is one inside a fan worker: a launch
+    /// made under a wider fan (a group's GPUs, a router's shards) runs its
+    /// blocks serially.
     pub fn launch_blocks_on<T, F>(
         &mut self,
         stream: usize,
@@ -280,10 +284,10 @@ impl Gpu {
         }
         let chunk = out.len() / blocks;
         let grid = cfg.grid;
-        // Each host worker reuses one shared-memory buffer across its
-        // blocks, refilled to the zero-initialised state between blocks —
-        // same semantics as a fresh allocation per block, without the
-        // per-block allocation.
+        // Each run reuses one shared-memory buffer across its blocks,
+        // refilled to the zero-initialised state between blocks — same
+        // semantics as a fresh allocation per block, without the per-block
+        // allocation.
         let run_block = |b: usize, chunk_out: &mut [T], shared: &mut [T]| -> CostCounters {
             let mut counters = CostCounters::default();
             shared.fill(T::default());
@@ -299,44 +303,35 @@ impl Gpu {
             counters
         };
 
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let serial = chunk == 0 || blocks < PARALLEL_BLOCK_THRESHOLD || workers < 2;
-
-        let mut counters = CostCounters { launches: 1, ..Default::default() };
-        if serial {
-            let mut shared = vec![T::default(); cfg.shared_elems];
-            for b in 0..blocks {
-                let lo = b * chunk;
-                counters += run_block(b, &mut out[lo..lo + chunk], &mut shared);
-            }
+        // Contiguous block runs, one per host thread the caller may fan out
+        // to; `split_at_mut` hands each run exactly its blocks' chunks, so
+        // runs share nothing.
+        let runs = if chunk == 0 || blocks < PARALLEL_BLOCK_THRESHOLD {
+            1
         } else {
-            // Contiguous block ranges per worker; `split_at_mut` hands each
-            // worker exactly its blocks' chunks, so threads share nothing.
-            let per = blocks.div_ceil(workers.min(blocks));
-            let merged: Vec<CostCounters> = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                let mut rest = &mut *out;
-                let mut b0 = 0usize;
-                while b0 < blocks {
-                    let count = per.min(blocks - b0);
-                    let (mine, tail) = rest.split_at_mut(count * chunk);
-                    rest = tail;
-                    let run_block = &run_block;
-                    handles.push(s.spawn(move || {
-                        let mut acc = CostCounters::default();
-                        let mut shared = vec![T::default(); cfg.shared_elems];
-                        for (j, chunk_out) in mine.chunks_mut(chunk).enumerate() {
-                            acc += run_block(b0 + j, chunk_out, &mut shared);
-                        }
-                        acc
-                    }));
-                    b0 += count;
-                }
-                handles.into_iter().map(|h| h.join().expect("block worker panicked")).collect()
-            });
-            for part in merged {
-                counters += part;
+            host::width().min(blocks)
+        };
+        let per = blocks.div_ceil(runs);
+        let mut rest = &mut *out;
+        let items: Vec<_> = (0..blocks)
+            .step_by(per)
+            .map(|b0| {
+                let count = per.min(blocks - b0);
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count * chunk);
+                rest = tail;
+                (b0..b0 + count, mine)
+            })
+            .collect();
+        let mut counters = CostCounters { launches: 1, ..Default::default() };
+        for part in host::fan_out(items, |(run, mine)| {
+            let mut acc = CostCounters::default();
+            let mut shared = vec![T::default(); cfg.shared_elems];
+            for (j, b) in run.enumerate() {
+                acc += run_block(b, &mut mine[j * chunk..(j + 1) * chunk], &mut shared);
             }
+            acc
+        }) {
+            counters += part;
         }
 
         Ok(self.finish_launch(stream, cfg, occ, counters))

@@ -48,6 +48,7 @@ pub mod error;
 pub mod event;
 pub mod gpu;
 pub mod grid;
+pub mod host;
 pub mod memory;
 pub mod occupancy;
 pub mod profile;

@@ -171,19 +171,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        // Four hex digits exactly: `from_str_radix` alone
-                        // would also take a leading `+`.
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                            .ok_or("bad \\u escape: want four hex digits")?;
-                        let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
-                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                        let high = hex4(bytes, *pos + 1)?;
+                        *pos += 4;
+                        // A high surrogate takes the low one escaped right
+                        // after it: the UTF-16 pair is one scalar value.
+                        let code = if (0xD800..0xDC00).contains(&high) {
+                            let low = (bytes.get(*pos + 1..*pos + 3) == Some(b"\\u"))
+                                .then(|| hex4(bytes, *pos + 3))
+                                .transpose()?
+                                .filter(|low| (0xDC00..0xE000).contains(low))
+                                .ok_or(format!("\\u{high:04x} is an unpaired surrogate"))?;
+                            *pos += 6;
+                            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+                        } else {
+                            high
+                        };
                         out.push(
                             char::from_u32(code)
-                                .ok_or(format!("\\u{hex} is not a scalar value"))?,
+                                .ok_or(format!("\\u{code:04x} is not a scalar value"))?,
                         );
-                        *pos += 4;
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
@@ -203,6 +209,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The four hex digits at `at`, exactly: `from_str_radix` alone would
+/// also take a leading `+`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes
+        .get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .ok_or("bad \\u escape: want four hex digits")?;
+    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+    Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -303,6 +320,27 @@ mod tests {
         assert_eq!(Json::parse("3").unwrap().as_usize(), Some(3));
         assert_eq!(Json::parse("3.5").unwrap().as_usize(), None);
         assert_eq!(Json::parse("-1").unwrap().as_usize(), None);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_errors() {
+        let parse = |text: &str| Json::parse(text).map(|v| v.as_str().unwrap().to_string());
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(parse(r#""a\uD834\uDD1Eb""#).unwrap(), "a\u{1D11E}b");
+        assert_eq!(parse(r#""\udbff\udfff""#).unwrap(), "\u{10FFFF}");
+        for (text, escape) in [
+            (r#""\ud83d""#, "ud83d"),        // lone high
+            (r#""\ude00""#, "ude00"),        // lone low
+            (r#""\ude00\ud83d""#, "ude00"),  // reversed
+            (r#""\ud83dx\ude00""#, "ud83d"), // high, then not an escape
+            (r#""\ud83d\n""#, "ud83d"),      // high, then another escape
+            (r#""\ud83d\u0041""#, "ud83d"),  // high, then a non-surrogate
+            (r#""\ud83d\ud83d""#, "ud83d"),  // high, then high
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(err.contains(escape), "{text}: {err}");
+        }
+        assert!(parse(r#""\ud83d\ude0""#).unwrap_err().contains("four hex digits"));
     }
 
     #[test]

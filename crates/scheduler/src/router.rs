@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Condvar, Mutex};
 
 use devices::{DevicePreset, FabricPreset};
+use gpu_sim::host;
 use interconnect::{merge_fleet_parts, Resource, Trace};
 use scan_core::{ScanError, ScanResult};
 
@@ -132,11 +133,11 @@ pub struct RouterConfig {
     /// [`ServeConfig::fabric`]).
     pub fabric: FabricPreset,
     /// Worker threads for parallel shard stepping; `0` = one per shard,
-    /// capped at the host's available parallelism. Always capped at the
-    /// shard count; an effective count of 1 steps every shard serially on
-    /// the caller's thread — the engine the parallel stepping is
-    /// differentially pinned against. Thread count never changes any
-    /// output byte.
+    /// capped at the host's fan width (`gpu_sim::host::width`). Always
+    /// capped at the shard count; an effective count of 1 steps every
+    /// shard serially on the caller's thread — the engine the parallel
+    /// stepping is differentially pinned against. Thread count never
+    /// changes any output byte.
     pub threads: usize,
 }
 
@@ -287,14 +288,10 @@ impl Router {
     }
 
     /// The worker count one window actually steps with: the configured
-    /// [`RouterConfig::threads`] (`0` = the host's available parallelism),
-    /// capped at the shard count.
+    /// [`RouterConfig::threads`] (`0` = [`host::width`]), capped at the
+    /// shard count.
     fn effective_threads(&self) -> usize {
-        let want = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        };
+        let want = if self.config.threads == 0 { host::width() } else { self.config.threads };
         want.min(self.config.shards).max(1)
     }
 
@@ -303,14 +300,19 @@ impl Router {
     ///
     /// Shards advance in simulated-clock lockstep. Within a tick each
     /// shard's dispatch touches only its own state and engine (pools,
-    /// timelines, caches and memos are all per-shard), so the dispatch fan
-    /// runs on a scoped worker pool; every cross-shard interaction —
-    /// routing, redirect spill, work stealing, SLO escalation, the clock
-    /// advance — resolves serially at the barrier between ticks, in
-    /// shard-index order. Outputs are therefore byte-identical to serial
-    /// stepping (`threads: 1`) by construction, whatever the thread
-    /// count. Each shard's responses are computed by its engine's
-    /// window-end response pass when the window is finalized.
+    /// timelines, caches and memos are all per-shard), so a tick with two
+    /// or more shards holding queued work runs its dispatch fan on a
+    /// scoped worker pool. With more than one thread, shards are this
+    /// call path's outermost parallel level: the pool workers and the
+    /// main thread are fan workers ([`host::as_worker`]), so every launch
+    /// runs its groups, GPUs and blocks serially. Every cross-shard
+    /// interaction — routing, redirect spill, work stealing, SLO
+    /// escalation, the clock advance — resolves serially at the barrier
+    /// between ticks, in shard-index order. Outputs are therefore
+    /// byte-identical to serial stepping (`threads: 1`) by construction,
+    /// whatever the thread count. Each shard's responses are computed by
+    /// its engine's window-end response pass when the window is
+    /// finalized.
     ///
     /// # Errors
     /// [`ScanError::InvalidConfig`] when an arrival is negative, not
@@ -337,9 +339,12 @@ impl Router {
             };
             std::thread::scope(|scope| {
                 for _ in 0..threads {
-                    scope.spawn(|| shared.worker_loop());
+                    scope.spawn(|| host::as_worker(|| shared.worker_loop()));
                 }
-                let out = self.drive(requests, &states, Some(&shared));
+                // Shards are this call path's outermost parallel level, so
+                // the main thread's own dispatches (single-shard ticks and
+                // steals) run their launches serially too.
+                let out = host::as_worker(|| self.drive(requests, &states, Some(&shared)));
                 shared.shutdown();
                 out
             })?
@@ -348,7 +353,7 @@ impl Router {
             .into_iter()
             .map(|m| m.into_inner().expect("shard state poisoned"))
             .collect::<Vec<_>>();
-        Ok(self.finalize(states, rejections, redirects_in, steals_out))
+        Ok(self.finalize(states, threads, rejections, redirects_in, steals_out))
     }
 
     /// The lockstep serving loop, shared by serial and parallel stepping —
@@ -401,15 +406,18 @@ impl Router {
 
             // Dispatch every shard — inline in shard-id order, or fanned
             // across the worker pool (order-free: shards are disjoint
-            // during dispatch, see `run`).
+            // during dispatch, see `run`). Only a shard with queued work
+            // has anything to dispatch, so a tick with fewer than two of
+            // them stays inline: waking the pool would cost more than the
+            // tick's work.
             let escalate = self.config.slo.is_some().then_some(&over);
-            match pool {
+            match pool.filter(|_| (0..shards).filter(|&s| !lock(s).queue.is_empty()).count() >= 2) {
+                Some(pool) => pool.dispatch_tick(now, escalate)?,
                 None => {
                     for s in 0..shards {
                         self.engines[s].dispatch(&mut lock(s), requests, now, escalate)?;
                     }
                 }
-                Some(pool) => pool.dispatch_tick(now, escalate)?,
             }
 
             // Work stealing (at the barrier, serial): an idle shard (empty
@@ -502,10 +510,13 @@ impl Router {
 
     /// Fold the drained shard states into the fleet-wide report: per-shard
     /// reports, merged trace (resources remapped into disjoint per-shard
-    /// domains), and rollup metrics.
+    /// domains), and rollup metrics. With more than one stepping thread,
+    /// the shards' reports (each with its response pass) are built under
+    /// one host fan, like their dispatches.
     fn finalize(
         &self,
         states: Vec<ShardState>,
+        threads: usize,
         rejections: Vec<Rejection>,
         redirects_in: Vec<usize>,
         steals_out: Vec<usize>,
@@ -514,23 +525,28 @@ impl Router {
         // Every shard's fabric holds `gpus` GPUs at the preset's node
         // arity (8 for the PCIe tree, 16 for DGX-2 chassis).
         let nodes_per_shard = gpus.div_ceil(self.config.fabric.gpus_per_node()).max(1);
-        let mut shard_reports = Vec::with_capacity(states.len());
-        let mut parts = Vec::with_capacity(states.len());
-        for (s, mut state) in states.into_iter().enumerate() {
+        let finish = |(s, mut state): (usize, ShardState)| {
             let stolen_ids = std::mem::take(&mut state.stolen_ids);
             let report = self.engines[s].report(state);
             let mut graph = report.trace.graph().clone();
             graph.remap_resources(|r| remap_shard_resource(r, s, gpus, nodes_per_shard));
-            parts.push((graph, report.trace.schedule().clone(), format!("s{s}:")));
-            shard_reports.push(ShardReport {
+            let part = (graph, report.trace.schedule().clone(), format!("s{s}:"));
+            let shard = ShardReport {
                 shard: s,
                 steals_in: stolen_ids.len(),
                 steals_out: steals_out[s],
                 redirects_in: redirects_in[s],
                 stolen_ids,
                 report,
-            });
-        }
+            };
+            (shard, part)
+        };
+        let states = states.into_iter().enumerate();
+        let (shard_reports, parts): (Vec<_>, Vec<_>) = if threads <= 1 {
+            states.map(finish).unzip()
+        } else {
+            host::fan_out(states, finish).into_iter().unzip()
+        };
         let (graph, schedule) = merge_fleet_parts(parts);
         let trace = Trace::from_parts(graph, schedule);
         let makespan = shard_reports.iter().map(|s| s.report.makespan).fold(0.0f64, f64::max);

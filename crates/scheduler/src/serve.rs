@@ -43,11 +43,10 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 use devices::{DeviceModel, DevicePreset, FabricPreset};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{host, DeviceSpec};
 use interconnect::{empty_remap, Admission, Fabric, FleetTimeline, FleetTrace};
 use scan_core::{
     scan_on_lease, CacheStats, PipelinePolicy, PlanCache, ProblemParams, ScanError, ScanKind,
@@ -720,11 +719,10 @@ fn shared_misses(misses: &[Miss]) -> Vec<Option<usize>> {
 const ELEMS_PER_WORKER: usize = 1 << 16;
 
 /// Workers for a response pass over `elems` elements of one kind: the
-/// host's available parallelism (which honours the affinity mask), fewer
-/// for a small window, none beyond the calling thread for a tiny one.
+/// host fan's width ([`host::width`]), fewer for a small window, none
+/// beyond the calling thread for a tiny one.
 fn pass_workers(elems: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    cores.min(elems / ELEMS_PER_WORKER).max(1)
+    host::width().min(elems / ELEMS_PER_WORKER).max(1)
 }
 
 /// Per key, its response checksum and — when `keep` — its output. Each
@@ -782,12 +780,11 @@ struct PassMember {
 
 /// One kind's response pass: per member, its checksum and (with `KEEP`)
 /// its output, in `members` order. The members split into `workers`
-/// contiguous runs of about equal element counts; every run but the last
-/// gets a scoped thread, the last runs on the calling thread. The calling
-/// thread allocates every worker's lane buffers up front, at the kind's
-/// largest member, so workers allocate nothing and the buffers are freed
-/// before the next kind's pass: at most workers × [`LANES`] member inputs
-/// exist at once.
+/// contiguous runs of about equal element counts, which go to one host
+/// fan ([`host::fan_out`]). The calling thread allocates every run's lane
+/// buffers up front, at the kind's largest member, so runs allocate
+/// nothing and the buffers are freed before the next kind's pass: at most
+/// workers × [`LANES`] member inputs exist at once.
 fn kind_pass<T: ServedKind, const KEEP: bool>(
     seed: u64,
     members: &[PassMember],
@@ -800,26 +797,26 @@ fn kind_pass<T: ServedKind, const KEEP: bool>(
     let workers = workers.max(1);
     let mut lane_sets: Vec<[Vec<T>; LANES]> =
         (0..workers).map(|_| std::array::from_fn(|_| Vec::with_capacity(largest))).collect();
-    std::thread::scope(|scope| {
-        let (mut members, mut sums, mut outputs) = (members, &mut sums[..], &mut outputs[..]);
-        let mut taken = 0; // elements in the runs handed out so far
-        for (w, bufs) in (1..=workers).zip(&mut lane_sets) {
-            let mut len = 0;
-            while len < members.len() && (w == workers || taken < total * w / workers) {
-                taken += members[len].len;
-                len += 1;
-            }
-            let (run, rest) = members.split_at(len);
-            let (run_sums, rest_sums) = std::mem::take(&mut sums).split_at_mut(len);
-            let (run_outputs, rest_outputs) =
-                std::mem::take(&mut outputs).split_at_mut(if KEEP { len } else { 0 });
-            (members, sums, outputs) = (rest, rest_sums, rest_outputs);
-            if w == workers {
-                lanes::<T, KEEP>(seed, run, run_sums, run_outputs, bufs);
-            } else if !run.is_empty() {
-                scope.spawn(move || lanes::<T, KEEP>(seed, run, run_sums, run_outputs, bufs));
-            }
+    let mut runs = Vec::with_capacity(workers);
+    let (mut members, mut sums_left, mut outputs_left) = (members, &mut sums[..], &mut outputs[..]);
+    let mut taken = 0; // elements in the runs handed out so far
+    for (w, bufs) in (1..=workers).zip(&mut lane_sets) {
+        let mut len = 0;
+        while len < members.len() && (w == workers || taken < total * w / workers) {
+            taken += members[len].len;
+            len += 1;
         }
+        let (run, rest) = members.split_at(len);
+        let (run_sums, rest_sums) = std::mem::take(&mut sums_left).split_at_mut(len);
+        let (run_outputs, rest_outputs) =
+            std::mem::take(&mut outputs_left).split_at_mut(if KEEP { len } else { 0 });
+        (members, sums_left, outputs_left) = (rest, rest_sums, rest_outputs);
+        if !run.is_empty() {
+            runs.push((run, run_sums, run_outputs, bufs));
+        }
+    }
+    host::fan_out(runs, |(run, run_sums, run_outputs, bufs)| {
+        lanes::<T, KEEP>(seed, run, run_sums, run_outputs, bufs)
     });
     (sums, outputs)
 }
@@ -1348,8 +1345,8 @@ mod tests {
     fn tiny_windows_run_the_pass_on_the_calling_thread() {
         assert_eq!(pass_workers(0), 1);
         assert_eq!(pass_workers(ELEMS_PER_WORKER - 1), 1);
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        assert_eq!(pass_workers(usize::MAX / 2), cores);
+        assert_eq!(pass_workers(usize::MAX / 2), host::width());
+        host::as_worker(|| assert_eq!(pass_workers(usize::MAX / 2), 1));
     }
 
     #[test]
