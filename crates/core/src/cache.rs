@@ -1,48 +1,47 @@
 //! Plan/graph caching: the serving engine's fast path.
 //!
-//! A scan's *shape* — proposal, problem size, `(s, p, l, K)` tuple, lease,
-//! pipeline policy and element width — fully determines its execution
-//! graph, cost counters, timeline and makespan: the simulator's cost model
-//! is data-independent (durations derive from shape-driven instruction and
-//! transaction counts, never from element values). A serving window
-//! re-submits the same handful of shapes hundreds of times, so rebuilding
-//! and functionally re-executing the pipeline per request is almost pure
-//! redundancy.
+//! A lease launch's *shape* — problem size, `(s, p, l, K)` tuple, lease
+//! shape, pipeline policy and element type — fully determines its
+//! execution graph, cost counters, timeline and makespan: the simulator's
+//! cost model is data-independent (durations derive from shape-driven
+//! instruction and transaction counts, never from element values). A
+//! serving window re-submits the same handful of shapes hundreds of
+//! times, so rebuilding and functionally re-executing the pipeline per
+//! request is almost pure redundancy.
 //!
-//! [`PlanCache`] memoizes the built [`PipelineRun`]/[`RunReport`] per
-//! [`CacheKey`]. On a hit the cached graph is replayed and the functional
-//! result is produced by the CPU reference scan — which the simulated
-//! pipelines match exactly (pinned by `verify_batch` and the serving bit-
-//! identity tests). Each entry self-validates on its cold miss: the
-//! simulated output is compared against the reference, and an entry whose
-//! operator does not reproduce the reference bit-for-bit is marked
-//! non-replayable and never serves a hit, so cached and cold outputs are
-//! always bit-identical.
+//! [`PlanCache`] memoizes one kind of entry: the schedule of a
+//! [`scan_on_lease`] launch (graph, timeline, makespan and the GPUs it
+//! used), looked up through [`PlanCache::plan`]. On a hit the cached
+//! graph is replayed and the functional result is produced by the CPU
+//! reference scan — which the simulated pipelines match exactly (pinned by
+//! `verify_batch` and the serving bit-identity tests). Each entry
+//! self-validates on its cold miss: the simulated output is compared
+//! against the reference, and an entry whose operator does not reproduce
+//! the reference bit-for-bit is marked non-replayable and never serves a
+//! hit, so cached and cold outputs are always bit-identical.
 //!
 //! Keying rules:
-//! * everything the cost model can see is in the key — proposal tag,
-//!   problem `(n, g)`, tuple, scan kind, element width, pipeline policy
-//!   and the device selection (`(W, V, Y, M)`, or a lease's *topological
-//!   shape*: width plus pairwise link classes — raw GPU ids and stream
-//!   ids are remapped on hit, not keyed, so a pool that grants `[2, 3]`
-//!   reuses the plan built on `[0, 1]`);
-//! * the device spec and fabric are folded in *exactly* ([`DeviceKey`],
-//!   [`FabricKey`]: every limit and rate, floats by bit pattern), so two
-//!   clusters that differ in any modelled parameter never share a plan;
-//! * a run under an active `FaultPlan` must **bypass** the cache entirely
-//!   (faults rewrite graphs nondeterministically relative to the shape
-//!   key); bypasses are counted in [`CacheStats`].
+//! * everything the cost model can see is in the key — problem `(n, g)`,
+//!   tuple, scan kind, element type, pipeline policy and the lease's
+//!   *topological shape*: width plus pairwise link classes. Raw GPU ids
+//!   and stream ids are remapped on hit, not keyed, so a pool that grants
+//!   `[2, 3]` reuses the plan built on `[0, 1]`;
+//! * the device spec and fabric are folded in *exactly* (every limit and
+//!   rate, floats by bit pattern), so two clusters that differ in any
+//!   modelled parameter never share a plan;
+//! * lease launches take no fault plan: fault injection runs through
+//!   [`ScanRequest::faults`](crate::ScanRequest::faults), which never
+//!   consults a plan cache.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::DeviceSpec;
 use interconnect::{
-    empty_remap, ExecGraph, Fabric, FxBuildHasher, LinkClass, RemapTable, Resource,
+    empty_remap, ExecGraph, Fabric, FxBuildHasher, LinkClass, RemapTable, Resource, Timeline,
 };
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
@@ -50,14 +49,13 @@ use crate::error::ScanResult;
 use crate::exec::{PipelinePolicy, PipelineRun};
 use crate::lease::{scan_on_lease, GpuLease, LeaseRun};
 use crate::params::{ProblemParams, ScanKind};
-use crate::report::RunReport;
 use crate::verify::{expected_batch, expected_batch_exclusive};
 
 /// Exact identity of a [`DeviceSpec`]: every limit and timing-model rate,
 /// floats by bit pattern. Two specs with equal keys are modelled
 /// identically.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DeviceKey {
+struct DeviceKey {
     name: &'static str,
     compute_capability: (u32, u32),
     limits: [usize; 10],
@@ -66,7 +64,7 @@ pub struct DeviceKey {
 
 impl DeviceKey {
     /// Fingerprint `device`.
-    pub fn of(device: &DeviceSpec) -> Self {
+    fn of(device: &DeviceSpec) -> Self {
         DeviceKey {
             name: device.name,
             compute_capability: device.compute_capability,
@@ -97,7 +95,7 @@ impl DeviceKey {
 /// Exact identity of a [`Fabric`]: topology dimensions plus every link
 /// parameter of its spec, floats by bit pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FabricKey {
+struct FabricKey {
     nodes: usize,
     networks_per_node: usize,
     gpus_per_network: usize,
@@ -111,7 +109,7 @@ pub struct FabricKey {
 
 impl FabricKey {
     /// Fingerprint `fabric`.
-    pub fn of(fabric: &Fabric) -> Self {
+    fn of(fabric: &Fabric) -> Self {
         let t = fabric.topology();
         let s = fabric.spec();
         let class_digest = match t.link_overrides() {
@@ -151,84 +149,57 @@ impl FabricKey {
     }
 }
 
-/// The device-selection half of a [`CacheKey`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum DeviceSel {
-    /// Single-GPU proposals (Scan-SP).
-    Single,
-    /// A `(W, V, Y, M)` node configuration.
-    Node {
-        /// GPUs per problem.
-        w: usize,
-        /// GPUs per node.
-        v: usize,
-        /// PCIe networks per node.
-        y: usize,
-        /// Node count.
-        m: usize,
-    },
-    /// An explicit lease, keyed by *topological shape* rather than raw GPU
-    /// ids: the lease width plus the upper-triangular pairwise
-    /// [`LinkClass`] matrix of the granted GPUs in grant order. Two leases
-    /// with equal shapes produce bit-identical schedules (durations and
-    /// contention depend only on link classes, and the scheduler breaks
-    /// ties by node index), so a plan built on `[0, 1]` is replayed for
-    /// `[2, 3]` with its resources remapped — see
-    /// [`PlanCache::plan`]. The stream id is likewise remapped on
-    /// hit, not keyed.
-    Lease {
-        /// Granted GPU count.
-        width: usize,
-        /// `link_class(ids[i], ids[j])` for all `i < j`, row-major.
-        classes: Vec<LinkClass>,
-        /// Canonical structural co-membership of the grant — `(node rank,
-        /// network rank)` per granted GPU, ranks renumbered by first
-        /// appearance. Empty for purely structural fabrics, where the
-        /// class matrix already *is* the co-membership relation (P2P ⇔
-        /// same network, HostStaged ⇔ same node). Under link-class
-        /// overrides that equivalence breaks (an NVLink mesh classifies
-        /// every intra-node pair P2P), yet a hit's resource remap is
-        /// structural — so structurally distinct grants must not share an
-        /// entry.
-        structure: Vec<(usize, usize)>,
-    },
-}
-
 /// Everything the graph builder and cost model can depend on, hashed into
 /// one lookup key.
+///
+/// The lease enters as its *topological shape* rather than raw GPU ids:
+/// its width plus the upper-triangular pairwise [`LinkClass`] matrix of
+/// the granted GPUs in grant order. Two leases with equal shapes produce
+/// bit-identical schedules (durations and contention depend only on link
+/// classes, and the scheduler breaks ties by node index), so a plan built
+/// on `[0, 1]` is replayed for `[2, 3]` with its resources remapped — see
+/// [`PlanCache::plan`]. The stream id is likewise remapped on hit, not
+/// keyed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Proposal tag (`"Sp"`, `"Mps"`, …, or `"Lease"` for the explicit-ids
-    /// path).
-    pub proposal: &'static str,
+struct CacheKey {
     /// Problem shape `(n, g)`.
-    pub problem: ProblemParams,
+    problem: ProblemParams,
     /// The `(s, p, l, K)` tuning tuple.
-    pub tuple: SplkTuple,
+    tuple: SplkTuple,
     /// Inclusive or exclusive semantics.
-    pub kind: ScanKind,
+    kind: ScanKind,
     /// Element width in bytes (transfer sizes and transaction counts
     /// depend on it).
-    pub elem_bytes: usize,
+    elem_bytes: usize,
     /// Operator fingerprint (`type_name` of the `ScanOp` impl). Two
     /// operators on the same lease shape must not share a retargeted plan:
     /// the memoized `replayable` verdict and the serving layer's response
     /// memo are both operator-dependent.
-    pub op: &'static str,
+    op: &'static str,
     /// Element-type fingerprint (`type_name` of `T`). `elem_bytes` alone
     /// would alias e.g. `i32` and `f32`, whose replayability differs.
-    pub elem: &'static str,
+    elem: &'static str,
     /// Pipeline sub-batch count.
-    pub batches: usize,
+    batches: usize,
     /// Pipeline communication/compute overlap flag.
-    pub overlap: bool,
-    /// Device selection.
-    pub device: DeviceSel,
+    overlap: bool,
+    /// Granted GPU count.
+    width: usize,
+    /// `link_class(ids[i], ids[j])` for all `i < j`, row-major.
+    classes: Vec<LinkClass>,
+    /// Canonical structural co-membership of the grant — `(node rank,
+    /// network rank)` per granted GPU, ranks renumbered by first
+    /// appearance. Empty for purely structural fabrics, where the class
+    /// matrix already *is* the co-membership relation (P2P ⇔ same network,
+    /// HostStaged ⇔ same node). Under link-class overrides that equivalence
+    /// breaks (an NVLink mesh classifies every intra-node pair P2P), yet a
+    /// hit's resource remap is structural — so structurally distinct grants
+    /// must not share an entry.
+    structure: Vec<(usize, usize)>,
     /// Exact fingerprint of the simulated device.
-    pub spec: DeviceKey,
-    /// Exact fingerprint of the fabric, when the path uses one (`None` for
-    /// the fabric-free Scan-SP path).
-    pub fabric: Option<FabricKey>,
+    spec: DeviceKey,
+    /// Exact fingerprint of the fabric.
+    fabric: FabricKey,
 }
 
 /// One memoized retarget of a cached plan: the remap table and remapped
@@ -236,71 +207,54 @@ pub struct CacheKey {
 /// been replayed on. Steady-state hits on the same lease reuse the shared
 /// tables with a refcount bump instead of rebuilding them per request.
 #[derive(Debug, Clone)]
-pub(crate) struct RetargetEntry {
+struct RetargetEntry {
     ids: Box<[usize]>,
     stream: usize,
     remap: RemapTable,
     gpus_used: Arc<[usize]>,
 }
 
-/// One memoized plan: the shape-determined report (graph, timeline,
-/// makespan, counters) and which GPUs the plan settled on.
+/// One memoized lease schedule and which GPUs the plan settled on.
 #[derive(Debug)]
-pub struct CachedPlan {
-    /// The run report produced by the cold run (label, timeline, makespan,
-    /// execution graph).
-    pub report: RunReport,
-    /// GPUs the plan actually used (lease paths; empty elsewhere). Shared
-    /// storage so an identity hit hands the list out without copying.
-    pub gpus_used: Arc<[usize]>,
+struct CachedPlan {
+    /// The cold run's phase timeline.
+    timeline: Timeline,
+    /// The cold run's scheduled makespan.
+    makespan: f64,
+    /// GPUs the plan actually used. Shared storage so an identity hit hands
+    /// the list out without copying.
+    gpus_used: Arc<[usize]>,
     /// The plan's arena entry: the pristine execution graph in shared
     /// storage. Every launch replaying this plan admits the *same* node
     /// vectors (an [`Arc`] clone) with a per-launch resource remap table —
     /// no node storage is copied on a hit.
-    pub(crate) graph: Arc<ExecGraph>,
+    graph: Arc<ExecGraph>,
     /// The distinct resources `graph` claims, in first-appearance order —
     /// the domain of a hit's remap table.
-    pub(crate) resources: Vec<Resource>,
+    resources: Vec<Resource>,
     /// Whether the cold run's simulated output matched the CPU reference
     /// bit-for-bit; entries that did not never serve hits.
-    pub(crate) replayable: bool,
-    /// Lease paths: the GPU ids the cold run was granted, in grant order.
-    /// A hit on a topologically equivalent lease derives its resource
-    /// remap from `lease_ids[i] -> actual_ids[i]`. Empty elsewhere.
-    pub(crate) lease_ids: Vec<usize>,
-    /// Lease paths: the stream id the cold run's kernels were issued on.
-    pub(crate) lease_stream: usize,
+    replayable: bool,
+    /// The GPU ids the cold run was granted, in grant order. A hit on a
+    /// topologically equivalent lease derives its resource remap from
+    /// `lease_ids[i] -> actual_ids[i]`.
+    lease_ids: Vec<usize>,
+    /// The stream id the cold run's kernels were issued on.
+    lease_stream: usize,
     /// Memoized retargets of this plan onto other leases — one entry per
     /// distinct `(granted ids, stream)` seen. Tiny (a serving shard
     /// replays a plan onto a handful of leases), so a linear scan under a
     /// short critical section beats hashing.
-    pub(crate) retargets: Mutex<Vec<RetargetEntry>>,
+    retargets: Mutex<Vec<RetargetEntry>>,
 }
 
-impl Clone for CachedPlan {
-    fn clone(&self) -> Self {
-        CachedPlan {
-            report: self.report.clone(),
-            gpus_used: self.gpus_used.clone(),
-            graph: self.graph.clone(),
-            resources: self.resources.clone(),
-            replayable: self.replayable,
-            lease_ids: self.lease_ids.clone(),
-            lease_stream: self.lease_stream,
-            retargets: Mutex::new(self.retargets.lock().expect("plan cache poisoned").clone()),
-        }
-    }
-}
-
-/// Hit/miss/bypass accounting, exact per lookup.
+/// Hit/miss accounting, exact per lookup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from a replayable cached plan.
     pub hits: u64,
     /// Lookups that ran cold (no entry, or a non-replayable one).
     pub misses: u64,
-    /// Runs that skipped the cache entirely (active `FaultPlan`).
-    pub bypasses: u64,
     /// Distinct plans currently stored.
     pub entries: usize,
 }
@@ -327,7 +281,6 @@ const CACHE_BUCKETS: usize = 8;
 #[derive(Debug, Default)]
 pub struct PlanCache {
     buckets: [Mutex<Inner>; CACHE_BUCKETS],
-    bypasses: AtomicU64,
 }
 
 impl PlanCache {
@@ -345,8 +298,7 @@ impl PlanCache {
 
     /// Current accounting, summed over the buckets.
     pub fn stats(&self) -> CacheStats {
-        let mut stats =
-            CacheStats { bypasses: self.bypasses.load(Ordering::Relaxed), ..CacheStats::default() };
+        let mut stats = CacheStats::default();
         for bucket in &self.buckets {
             let inner = bucket.lock().expect("plan cache poisoned");
             stats.hits += inner.hits;
@@ -356,14 +308,9 @@ impl PlanCache {
         stats
     }
 
-    /// Record a deliberate cache bypass (a faulted run).
-    pub fn note_bypass(&self) {
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Look `key` up, counting a hit only when a replayable plan is found
     /// (anything else is a miss and the caller runs cold).
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
+    fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         let mut inner = self.bucket(key).lock().expect("plan cache poisoned");
         let hit = inner.map.get(key).filter(|p| p.replayable).cloned();
         if hit.is_some() {
@@ -376,7 +323,7 @@ impl PlanCache {
 
     /// Store the plan a cold run produced. First write wins; a concurrent
     /// duplicate cold run inserts an identical plan anyway.
-    pub(crate) fn insert(&self, key: CacheKey, plan: CachedPlan) {
+    fn insert(&self, key: CacheKey, plan: CachedPlan) {
         self.bucket(&key)
             .lock()
             .expect("plan cache poisoned")
@@ -388,7 +335,7 @@ impl PlanCache {
 
 /// The CPU reference result for one batch — the functional output a cache
 /// hit returns (bit-identical to the simulated pipelines, see module docs).
-pub(crate) fn reference_result<T: Scannable, O: ScanOp<T>>(
+fn reference_result<T: Scannable, O: ScanOp<T>>(
     op: O,
     problem: ProblemParams,
     input: &[T],
@@ -409,11 +356,12 @@ thread_local! {
     static SCRATCH_KEY: RefCell<Option<CacheKey>> = const { RefCell::new(None) };
 }
 
-/// Build (or rebuild, in place) the cache key of a lease-path run into
+/// Build (or rebuild, in place) the cache key of a lease launch into
 /// `slot`, recycling the previous key's `classes`/`structure` vector
 /// capacity. The lease enters as its topological shape (width + pairwise
 /// link classes), not its raw GPU ids; the operator and element type are
-/// part of the key — see [`CacheKey::op`].
+/// part of the key — see [`CacheKey::op`]. The lease must have passed
+/// [`GpuLease::check_on`]: every granted GPU exists on `fabric`.
 #[allow(clippy::too_many_arguments)]
 fn lease_key_into<T: Scannable, O: ScanOp<T>>(
     slot: &mut Option<CacheKey>,
@@ -425,10 +373,8 @@ fn lease_key_into<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
     policy: &PipelinePolicy,
 ) {
-    let (mut classes, mut structure) = match slot.take().map(|k| k.device) {
-        Some(DeviceSel::Lease { classes, structure, .. }) => (classes, structure),
-        _ => (Vec::new(), Vec::new()),
-    };
+    let (mut classes, mut structure) =
+        slot.take().map_or_else(Default::default, |k| (k.classes, k.structure));
     classes.clear();
     structure.clear();
     let ids = lease.granted();
@@ -459,7 +405,6 @@ fn lease_key_into<T: Scannable, O: ScanOp<T>>(
         }));
     }
     *slot = Some(CacheKey {
-        proposal: "Lease",
         problem,
         tuple,
         kind,
@@ -468,9 +413,11 @@ fn lease_key_into<T: Scannable, O: ScanOp<T>>(
         elem: std::any::type_name::<T>(),
         batches: policy.batches,
         overlap: policy.overlap,
-        device: DeviceSel::Lease { width: ids.len(), classes, structure },
+        width: ids.len(),
+        classes,
+        structure,
         spec: DeviceKey::of(device),
-        fabric: Some(FabricKey::of(fabric)),
+        fabric: FabricKey::of(fabric),
     });
 }
 
@@ -527,7 +474,8 @@ pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
     kind: ScanKind,
     policy: &'a PipelinePolicy,
     /// Owned copy of the lookup key — populated only on a miss (the cold
-    /// run needs it for memoization); hits never clone the scratch key.
+    /// run needs it for memoization); hits never clone the scratch key,
+    /// and a lease the fabric cannot host never builds one.
     key: Option<CacheKey>,
     plan: Option<Arc<CachedPlan>>,
     remap: RemapTable,
@@ -537,7 +485,9 @@ pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
 
 impl PlanCache {
     /// Plan a lease launch: one cache lookup (counted as a hit or a miss),
-    /// with the hit's resource remap resolved against `lease`.
+    /// with the hit's resource remap resolved against `lease`. A lease the
+    /// fabric cannot host skips the lookup, and [`PlannedLaunch::run`]
+    /// returns the `InvalidConfig` that [`scan_on_lease`] raises for it.
     ///
     /// The remap argument: the cached plan and the incoming lease have
     /// equal pairwise link-class matrices (key equality guarantees it), so
@@ -559,47 +509,53 @@ impl PlanCache {
         kind: ScanKind,
         policy: &'a PipelinePolicy,
     ) -> PlannedLaunch<'a, T, O> {
-        SCRATCH_KEY.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            lease_key_into::<T, O>(&mut slot, device, fabric, lease, problem, tuple, kind, policy);
-            let key = slot.as_ref().expect("lease_key_into always fills the slot");
-            // A lease whose claimed link-class matrix contradicts the
-            // fabric must never replay a cached plan (the key's classes
-            // are fabric-derived, so it could otherwise hit): skip the
-            // lookup and let `run` surface `scan_on_lease`'s
-            // `InvalidConfig` cold.
-            let plan =
-                if lease.validate_link_classes(fabric).is_err() { None } else { self.lookup(key) };
-            let (remap, gpus_used) = match &plan {
-                None => (empty_remap(), Arc::from([])),
-                Some(plan) => {
-                    let ids = lease.granted();
-                    let stream = lease.stream();
-                    if plan.lease_ids == ids && plan.lease_stream == stream {
-                        // Identity: the lease is the one the plan was
-                        // built on.
-                        (empty_remap(), plan.gpus_used.clone())
-                    } else {
-                        plan.retarget(ids, stream, fabric)
-                    }
+        // A lease the fabric cannot host (a GPU it lacks, or a link-class
+        // matrix it contradicts) does no lookup, so it counts as neither a
+        // hit nor a miss. Nor does it build a key: classifying a missing
+        // GPU's links would panic.
+        let (key, plan) = if lease.check_on(fabric).is_err() {
+            (None, None)
+        } else {
+            SCRATCH_KEY.with(|slot| {
+                let mut slot = slot.borrow_mut();
+                lease_key_into::<T, O>(
+                    &mut slot, device, fabric, lease, problem, tuple, kind, policy,
+                );
+                let key = slot.as_ref().expect("lease_key_into always fills the slot");
+                match self.lookup(key) {
+                    Some(plan) => (None, Some(plan)),
+                    None => (Some(key.clone()), None),
                 }
-            };
-            PlannedLaunch {
-                cache: self,
-                device,
-                fabric,
-                lease,
-                problem,
-                tuple,
-                kind,
-                policy,
-                key: plan.is_none().then(|| key.clone()),
-                plan,
-                remap,
-                gpus_used,
-                _elem: PhantomData,
+            })
+        };
+        let (remap, gpus_used) = match &plan {
+            None => (empty_remap(), Arc::from([])),
+            Some(plan) => {
+                let ids = lease.granted();
+                let stream = lease.stream();
+                if plan.lease_ids == ids && plan.lease_stream == stream {
+                    // Identity: the lease is the one the plan was built on.
+                    (empty_remap(), plan.gpus_used.clone())
+                } else {
+                    plan.retarget(ids, stream, fabric)
+                }
             }
-        })
+        };
+        PlannedLaunch {
+            cache: self,
+            device,
+            fabric,
+            lease,
+            problem,
+            tuple,
+            kind,
+            policy,
+            key,
+            plan,
+            remap,
+            gpus_used,
+            _elem: PhantomData,
+        }
     }
 }
 
@@ -660,11 +616,6 @@ impl CachedPlan {
 }
 
 impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
-    /// Whether the cache had a replayable plan for this shape.
-    pub fn is_hit(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Take the hit for zero-copy admission, or get the launch back to
     /// [`PlannedLaunch::run`] cold.
     // The Err variant hands the whole launch back on a miss by design:
@@ -690,11 +641,7 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
             graph.remap_resources(|r| remap_lookup(&self.remap, *r));
         }
         Some((
-            PipelineRun {
-                graph,
-                timeline: plan.report.timeline.clone(),
-                makespan: plan.report.makespan,
-            },
+            PipelineRun { graph, timeline: plan.timeline.clone(), makespan: plan.makespan },
             self.gpus_used.to_vec(),
         ))
     }
@@ -724,8 +671,9 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
             self.kind,
             self.policy,
         )?;
-        let key = self.key.expect("cold runs own their key");
-        memoize_cold(self.cache, key, self.lease, op, self.problem, input, self.kind, &cold);
+        if let Some(key) = self.key {
+            memoize_cold(self.cache, key, self.lease, op, self.problem, input, self.kind, &cold);
+        }
         Ok(cold)
     }
 }
@@ -745,7 +693,6 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     cold: &LeaseRun<T>,
 ) {
     let replayable = cold.data == reference_result(op, problem, input, kind);
-    let report = RunReport::from_run("Scan-Lease", problem.total_elems(), cold.run.clone());
     let mut resources: Vec<Resource> = Vec::new();
     for node in cold.run.graph.nodes() {
         for &r in &node.resources {
@@ -757,7 +704,8 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     cache.insert(
         key,
         CachedPlan {
-            report,
+            timeline: cold.run.timeline.clone(),
+            makespan: cold.run.makespan,
             graph: Arc::new(cold.run.graph.clone()),
             resources,
             gpus_used: cold.gpus_used.as_slice().into(),
@@ -811,7 +759,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
 
         let cold = run_cached(&cache, problem, &input, 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, bypasses: 0, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, entries: 1 });
 
         let hot = run_cached(&cache, problem, &input, 0);
         assert_eq!(cache.stats().hits, 1);
@@ -848,7 +796,7 @@ mod tests {
         let b = ProblemParams::new(11, 2);
         run_cached(&cache, a, &pseudo(a.total_elems()), 0);
         run_cached(&cache, b, &pseudo(b.total_elems()), 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, bypasses: 0, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
     }
 
     /// A cold run of `scan_on_lease` with the given lease, for comparison.
@@ -908,7 +856,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached_on(&cache, problem, &input, &[0, 1], 0);
         let hit = run_cached_on(&cache, problem, &input, &[2, 3], 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, bypasses: 0, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[2, 3], 0));
     }
 
@@ -922,7 +870,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached_on(&cache, problem, &input, &[0, 1], 0);
         run_cached_on(&cache, problem, &input, &[0, 4], 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, bypasses: 0, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
         let hit = run_cached_on(&cache, problem, &input, &[1, 5], 0);
         assert_eq!(cache.stats().hits, 1);
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[1, 5], 0));
@@ -942,7 +890,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached(&cache, problem, &input, 0);
         let hit = run_cached(&cache, problem, &input, 3);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, bypasses: 0, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[0, 1], 3));
     }
 
@@ -1013,7 +961,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 1]);
         run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 4]);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, bypasses: 0, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
         // Same-network pair hits the same-network entry…
         let hit = run_on_fabric(Some(&cache), &fabric, problem, &input, &[2, 3]);
         assert_eq!(cache.stats().hits, 1);
@@ -1053,6 +1001,19 @@ mod tests {
         assert_ne!(FabricKey::of(&meshed), FabricKey::of(&tweaked));
     }
 
+    /// Plan `lease` through `cache` without running it.
+    fn plan_on<'a>(
+        cache: &'a PlanCache,
+        device: &'a DeviceSpec,
+        fabric: &'a Fabric,
+        lease: &'a GpuLease,
+        policy: &'a PipelinePolicy,
+    ) -> PlannedLaunch<'a, i32, Add> {
+        let tuple = SplkTuple::kepler_premises(0);
+        let problem = ProblemParams::new(12, 1);
+        cache.plan(device, fabric, lease, problem, tuple, ScanKind::Inclusive, policy)
+    }
+
     /// A lease claiming a link-class matrix the fabric contradicts must
     /// not replay a cached plan built for the true classes — it is
     /// rejected cold, even when the shape is already memoized.
@@ -1063,31 +1024,46 @@ mod tests {
         let problem = ProblemParams::new(12, 1);
         let input = pseudo(problem.total_elems());
         run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 4]);
-        assert_eq!(cache.stats().entries, 1);
+        let warm = cache.stats();
+        assert_eq!(warm.entries, 1);
 
         let lying = GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::P2P]);
-        let device = DeviceSpec::tesla_k80();
-        let policy = PipelinePolicy::default();
-        let planned = cache.plan::<i32, Add>(
-            &device,
-            &fabric,
-            &lying,
-            problem,
-            SplkTuple::kepler_premises(0),
-            ScanKind::Inclusive,
-            &policy,
-        );
-        assert!(!planned.is_hit(), "a contradicted lease must not hit");
+        let (device, policy) = (DeviceSpec::tesla_k80(), PipelinePolicy::default());
+        let planned = plan_on(&cache, &device, &fabric, &lying, &policy)
+            .into_hit()
+            .expect_err("a contradicted lease must not hit");
         let err = planned.run(Add, &input).unwrap_err();
         assert!(matches!(err, crate::error::ScanError::InvalidConfig(_)));
+        assert_eq!(cache.stats(), warm, "no lookup: neither a hit nor a miss");
     }
 
+    /// A lease naming a GPU the fabric lacks plans without panicking, and
+    /// its run returns the same `InvalidConfig` a cold `scan_on_lease`
+    /// does.
     #[test]
-    fn bypasses_are_counted_separately() {
+    fn lease_beyond_the_fabric_errors_like_a_cold_run() {
         let cache = PlanCache::new();
-        cache.note_bypass();
-        cache.note_bypass();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.bypasses, s.entries), (0, 0, 2, 0));
+        let fabric = Fabric::tsubame_kfc(1);
+        let problem = ProblemParams::new(12, 1);
+        let input = pseudo(problem.total_elems());
+        let lease = GpuLease::new(vec![0, 99], 0).unwrap();
+        let (device, policy) = (DeviceSpec::tesla_k80(), PipelinePolicy::default());
+        let planned = plan_on(&cache, &device, &fabric, &lease, &policy);
+        let err = planned.run(Add, &input).unwrap_err();
+        let cold = scan_on_lease(
+            Add,
+            SplkTuple::kepler_premises(0),
+            &device,
+            &fabric,
+            &lease,
+            problem,
+            &input,
+            ScanKind::Inclusive,
+            &policy,
+        )
+        .unwrap_err();
+        assert!(matches!(err, crate::error::ScanError::InvalidConfig(_)));
+        assert_eq!(err, cold);
+        assert_eq!(cache.stats(), CacheStats::default(), "no lookup, no entry");
     }
 }

@@ -10,7 +10,12 @@
 //! on the largest power-of-two prefix of the granted GPUs, shrinking
 //! further if the `(s, p, l, K)` plan cannot split the problem that wide.
 //!
+//! [`scan_on_lease`] and its memoized twin [`PlanCache::plan`] are the
+//! only route into lease launches; [`crate::ScanRequest`] runs the paper's
+//! proposals only.
+//!
 //! [`NodeConfig`]: crate::params::NodeConfig
+//! [`PlanCache::plan`]: crate::cache::PlanCache::plan
 
 use gpu_sim::DeviceSpec;
 use interconnect::{Fabric, LinkClass};
@@ -22,12 +27,10 @@ use crate::fault::largest_pow2;
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
 
-/// Reject a devices list containing duplicate GPU ids.
-///
-/// Shared by [`GpuLease::new`] and `ScanRequest::device_ids`: a duplicate
-/// would make one physical stream carry two logical workers, silently
+/// Reject a devices list containing duplicate GPU ids: a duplicate would
+/// make one physical stream carry two logical workers, silently
 /// serialising "parallel" stages and corrupting the portion layout.
-pub(crate) fn check_unique_gpu_ids(ids: &[usize]) -> ScanResult<()> {
+fn check_unique_gpu_ids(ids: &[usize]) -> ScanResult<()> {
     let mut seen = std::collections::HashSet::new();
     for &id in ids {
         if !seen.insert(id) {
@@ -116,6 +119,22 @@ impl GpuLease {
         Ok(())
     }
 
+    /// Check that `fabric` can host the lease: every granted GPU exists,
+    /// and the attached link-class matrix (if any) agrees with the fabric.
+    /// [`scan_on_lease`] and [`PlanCache::plan`] both run it before they
+    /// look at the fabric's links.
+    ///
+    /// [`PlanCache::plan`]: crate::cache::PlanCache::plan
+    pub(crate) fn check_on(&self, fabric: &Fabric) -> ScanResult<()> {
+        let total = fabric.topology().total_gpus();
+        if let Some(&bad) = self.gpu_ids.iter().find(|&&g| g >= total) {
+            return Err(ScanError::InvalidConfig(format!(
+                "leased GPU {bad} does not exist: fabric has {total} GPUs"
+            )));
+        }
+        self.validate_link_classes(fabric)
+    }
+
     /// Every GPU id the lease granted, in grant order.
     pub fn granted(&self) -> &[usize] {
         &self.gpu_ids
@@ -169,13 +188,7 @@ pub fn scan_on_lease<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
     policy: &PipelinePolicy,
 ) -> ScanResult<LeaseRun<T>> {
-    let total = fabric.topology().total_gpus();
-    if let Some(&bad) = lease.gpu_ids.iter().find(|&&g| g >= total) {
-        return Err(ScanError::InvalidConfig(format!(
-            "leased GPU {bad} does not exist: fabric has {total} GPUs"
-        )));
-    }
-    lease.validate_link_classes(fabric)?;
+    lease.check_on(fabric)?;
 
     let mut width = lease.planned().len();
     while width > 1 {

@@ -187,7 +187,7 @@ pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProblemParams, Proposal, ScanRequest};
+    use crate::{scan_on_lease, GpuLease, LeaseRun, PipelinePolicy, ProblemParams, ScanKind};
     use skeletons::{reference_inclusive, Add, SplkTuple};
 
     fn pseudo(n: usize) -> Vec<i32> {
@@ -200,18 +200,19 @@ mod tests {
 
     /// The pipeline over exactly `gpu_ids` (one problem-sharing group),
     /// with the Kepler premise tuple at `k`.
-    fn on_group(
-        gpu_ids: &[usize],
-        k: u32,
-        problem: ProblemParams,
-        input: &[i32],
-    ) -> crate::ScanOutput<i32> {
-        ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .device_ids(gpu_ids)
-            .tuple(SplkTuple::kepler_premises(k))
-            .run(input)
-            .unwrap()
+    fn on_group(gpu_ids: &[usize], k: u32, problem: ProblemParams, input: &[i32]) -> LeaseRun<i32> {
+        scan_on_lease(
+            Add,
+            SplkTuple::kepler_premises(k),
+            &k80(),
+            &Fabric::tsubame_kfc(1),
+            &GpuLease::new(gpu_ids.to_vec(), 0).unwrap(),
+            problem,
+            input,
+            ScanKind::Inclusive,
+            &PipelinePolicy::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -277,7 +278,7 @@ mod tests {
             let expected = reference_inclusive(Add, &input[s..s + (1 << 13)]);
             assert_eq!(&run.data[s..s + (1 << 13)], &expected[..], "problem {g}");
         }
-        let report = &run.report;
+        let report = &run.run;
         assert_eq!(report.timeline.phases().len(), 5, "three stages and two comm phases");
         assert!(report.makespan > 0.0);
         assert_eq!(
@@ -298,7 +299,7 @@ mod tests {
             assert_eq!(&run.data[s..s + (1 << 12)], &expected[..]);
         }
         // Single-GPU comm phases are free.
-        assert_eq!(run.report.timeline.seconds_with_prefix("comm:"), 0.0);
+        assert_eq!(run.run.timeline.seconds_with_prefix("comm:"), 0.0);
     }
 
     #[test]
@@ -320,8 +321,8 @@ mod tests {
         // Same-network four GPUs vs four GPUs split across two networks.
         let run_p2p = on_group(&[0, 1, 2, 3], 0, problem, &input);
         let run_host = on_group(&[0, 1, 4, 5], 0, problem, &input);
-        let comm_p2p = run_p2p.report.timeline.seconds_with_prefix("comm:");
-        let comm_host = run_host.report.timeline.seconds_with_prefix("comm:");
+        let comm_p2p = run_p2p.run.timeline.seconds_with_prefix("comm:");
+        let comm_host = run_host.run.timeline.seconds_with_prefix("comm:");
         assert!(
             comm_host > 2.0 * comm_p2p,
             "cross-network aux exchange must be much slower ({comm_host} vs {comm_p2p})"

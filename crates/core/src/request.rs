@@ -25,19 +25,21 @@
 //! proposal alone: each proposal has one body, which runs the same code
 //! with or without a fault plan. `tests/golden/request_equivalence.txt`
 //! pins every route's data and schedule bits.
-
-use std::sync::Arc;
+//!
+//! A request runs one of the paper's proposals: Sp on one GPU, the others
+//! over a `(W, V, Y, M)` selection. Leased GPU subsets, the serving
+//! layer's launches, run through
+//! [`scan_on_lease`](crate::lease::scan_on_lease) or, memoized, through
+//! [`PlanCache::plan`](crate::cache::PlanCache::plan).
 
 use gpu_sim::DeviceSpec;
 use interconnect::{Fabric, FaultPlan};
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
-use crate::cache::{CacheKey, CachedPlan, DeviceKey, DeviceSel, FabricKey, PlanCache};
 use crate::error::{ScanError, ScanResult};
 use crate::exec::{Launch, PipelinePolicy};
-use crate::lease::{check_unique_gpu_ids, scan_on_lease, GpuLease};
 use crate::params::{NodeConfig, ProblemParams, ScanKind};
-use crate::report::{RunReport, ScanOutput, TraceHandle};
+use crate::report::{ScanOutput, TraceHandle};
 use crate::{case1, mppc, mps, multinode, single};
 
 /// Which of the paper's distribution proposals a [`ScanRequest`] runs.
@@ -104,11 +106,9 @@ pub struct ScanRequest<O> {
     device: Option<DeviceSpec>,
     fabric: Option<Fabric>,
     cfg: Option<NodeConfig>,
-    gpu_ids: Option<Vec<usize>>,
     policy: Option<PipelinePolicy>,
     faults: Option<FaultPlan>,
     trace: TraceOptions,
-    plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl<O: Copy> ScanRequest<O> {
@@ -123,11 +123,9 @@ impl<O: Copy> ScanRequest<O> {
             device: None,
             fabric: None,
             cfg: None,
-            gpu_ids: None,
             policy: None,
             faults: None,
             trace: TraceOptions::none(),
-            plan_cache: None,
         }
     }
 
@@ -178,17 +176,6 @@ impl<O: Copy> ScanRequest<O> {
         self
     }
 
-    /// Run on an explicit list of GPU ids instead of a `(W, V, Y, M)`
-    /// selection — the leased-subset path the serving layer uses (see
-    /// [`crate::lease`]). Only [`Proposal::Sp`] and [`Proposal::Mps`]
-    /// semantics are available; the plan runs on the largest power-of-two
-    /// prefix that fits the problem. Duplicate ids are rejected with
-    /// [`ScanError::InvalidConfig`].
-    pub fn device_ids(mut self, ids: &[usize]) -> Self {
-        self.gpu_ids = Some(ids.to_vec());
-        self
-    }
-
     /// Pipelining policy — only [`Proposal::Mps`] and [`Proposal::Mppc`]
     /// accept one; other proposals reject an explicit policy rather than
     /// silently ignoring it.
@@ -209,16 +196,6 @@ impl<O: Copy> ScanRequest<O> {
     /// Observability options (default [`TraceOptions::none`]).
     pub fn trace(mut self, options: TraceOptions) -> Self {
         self.trace = options;
-        self
-    }
-
-    /// Consult (and populate) a shared [`PlanCache`]: when this request's
-    /// shape has run before, the memoized execution graph is replayed
-    /// instead of rebuilt and the output is bit-identical to a cold run.
-    /// Requests with an active fault plan bypass the cache entirely (and
-    /// are counted in [`CacheStats`](crate::cache::CacheStats)).
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
         self
     }
 
@@ -251,9 +228,8 @@ impl<O: Copy> ScanRequest<O> {
         Ok(())
     }
 
-    /// Every validation a request needs, run once before the cache lookup
-    /// so a hit can never skip an error a cold run would raise. Returns the
-    /// node config for the proposals that need one (`None` for Sp).
+    /// Every validation a request needs, run once before dispatch. Returns
+    /// the node config for the proposals that need one (`None` for Sp).
     fn precheck(&self) -> ScanResult<Option<NodeConfig>> {
         if self.faults.is_some() {
             self.reject_exclusive("fault injection runs inclusive scans only")?;
@@ -281,14 +257,6 @@ impl<O: Copy> ScanRequest<O> {
         }
     }
 
-    /// Attach the captured trace when tracing was requested.
-    fn traced<T>(&self, mut out: ScanOutput<T>) -> ScanOutput<T> {
-        if self.trace.is_enabled() {
-            out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
-        }
-        out
-    }
-
     /// Execute the request over `input` (problem-major `[g][N]` layout).
     ///
     /// Invalid combinations (exclusive + faults, a policy for a proposal
@@ -298,151 +266,34 @@ impl<O: Copy> ScanRequest<O> {
     where
         O: ScanOp<T>,
     {
-        let device = self.device.clone().unwrap_or_else(DeviceSpec::tesla_k80);
-        let tuple = self.tuple.unwrap_or_else(|| SplkTuple::kepler_premises(0));
-        let policy = self.policy.unwrap_or_default();
-        if let Some(ids) = &self.gpu_ids {
-            return self.run_on_ids(ids, tuple, &device, &policy, input);
-        }
-
         let cfg = self.precheck()?;
+        let device = self.device.clone().unwrap_or_else(DeviceSpec::tesla_k80);
         let fabric = match cfg {
             None => single::single_gpu_fabric(),
             Some(c) => self.fabric.clone().unwrap_or_else(|| Fabric::tsubame_kfc(c.m())),
         };
-
-        // Consult the plan cache before dispatching; faulted runs bypass it
-        // entirely.
-        let cached = match (&self.plan_cache, &self.faults) {
-            (Some(cache), None) => {
-                let key = CacheKey {
-                    proposal: match self.proposal {
-                        Proposal::Sp => "Sp",
-                        Proposal::Mps => "Mps",
-                        Proposal::Mppc => "Mppc",
-                        Proposal::MpsMultinode => "MpsMultinode",
-                        Proposal::Case1 => "Case1",
-                    },
-                    problem: self.problem,
-                    tuple,
-                    kind: self.kind,
-                    elem_bytes: std::mem::size_of::<T>(),
-                    op: std::any::type_name::<O>(),
-                    elem: std::any::type_name::<T>(),
-                    batches: policy.batches,
-                    overlap: policy.overlap,
-                    device: match cfg {
-                        None => DeviceSel::Single,
-                        Some(c) => DeviceSel::Node { w: c.w(), v: c.v(), y: c.y(), m: c.m() },
-                    },
-                    spec: DeviceKey::of(&device),
-                    fabric: cfg.map(|_| FabricKey::of(&fabric)),
-                };
-                if let Some(plan) = cache.lookup(&key) {
-                    let data =
-                        crate::cache::reference_result(self.op, self.problem, input, self.kind);
-                    return Ok(self.traced(ScanOutput::new(data, plan.report.clone())));
-                }
-                Some((cache, key))
-            }
-            (Some(cache), Some(_)) => {
-                cache.note_bypass();
-                None
-            }
-            _ => None,
-        };
-
         let launch = Launch {
             op: self.op,
             problem: self.problem,
-            tuple,
+            tuple: self.tuple.unwrap_or_else(|| SplkTuple::kepler_premises(0)),
             kind: self.kind,
-            policy,
+            policy: self.policy.unwrap_or_default(),
             device: &device,
             fabric: &fabric,
             faults: self.faults.as_ref(),
         };
         let cfg = cfg.unwrap_or_else(NodeConfig::single_gpu);
-        let out = match self.proposal {
+        let mut out = match self.proposal {
             Proposal::Sp => single::scan_sp(&launch, input),
             Proposal::Mps => mps::scan_mps(&launch, cfg, input),
             Proposal::Mppc => mppc::scan_mppc(&launch, cfg, input),
             Proposal::MpsMultinode => multinode::scan_mps_multinode(&launch, cfg, input),
             Proposal::Case1 => case1::scan_case1(&launch, cfg, input),
         }?;
-
-        if let Some((cache, key)) = cached {
-            let replayable =
-                out.data == crate::cache::reference_result(self.op, self.problem, input, self.kind);
-            cache.insert(
-                key,
-                CachedPlan {
-                    report: out.report.clone(),
-                    // Proposal-keyed plans replay through the report, never
-                    // through the fleet-admission arena; park an empty graph.
-                    graph: Arc::new(interconnect::ExecGraph::new()),
-                    resources: Vec::new(),
-                    gpus_used: Arc::from([]),
-                    replayable,
-                    lease_ids: Vec::new(),
-                    lease_stream: 0,
-                    retargets: std::sync::Mutex::new(Vec::new()),
-                },
-            );
+        if self.trace.is_enabled() {
+            out.trace = out.report.graph.as_ref().map(TraceHandle::from_graph);
         }
-        Ok(self.traced(out))
-    }
-
-    /// The explicit-device-list path: plan on a lease over `ids` (through
-    /// the plan cache when one is attached), the way the serving layer
-    /// runs a request.
-    fn run_on_ids<T: Scannable>(
-        &self,
-        ids: &[usize],
-        tuple: SplkTuple,
-        device: &DeviceSpec,
-        policy: &PipelinePolicy,
-        input: &[T],
-    ) -> ScanResult<ScanOutput<T>>
-    where
-        O: ScanOp<T>,
-    {
-        check_unique_gpu_ids(ids)?;
-        if self.cfg.is_some() {
-            return Err(ScanError::InvalidConfig(
-                "give either .devices(NodeConfig) or .device_ids(..), not both".into(),
-            ));
-        }
-        if self.faults.is_some() {
-            return Err(ScanError::InvalidConfig(
-                "explicit device_ids leases take no fault plan".into(),
-            ));
-        }
-        if !matches!(self.proposal, Proposal::Sp | Proposal::Mps) {
-            return Err(ScanError::InvalidConfig(format!(
-                "proposal {:?} does not run on an explicit device list; use Sp or Mps",
-                self.proposal
-            )));
-        }
-        // Size the default fabric to cover the highest requested id.
-        let fabric = self.fabric.clone().unwrap_or_else(|| {
-            let needed = ids.iter().max().map_or(1, |&g| g + 1);
-            let per_node = Fabric::tsubame_kfc(1).topology().total_gpus();
-            Fabric::tsubame_kfc(needed.div_ceil(per_node))
-        });
-        let lease = GpuLease::new(ids.to_vec(), 0)?;
-        let (op, problem, kind) = (self.op, self.problem, self.kind);
-        let leased = match &self.plan_cache {
-            Some(cache) => cache
-                .plan::<T, O>(device, &fabric, &lease, problem, tuple, kind, policy)
-                .run(op, input)?,
-            None => {
-                scan_on_lease(op, tuple, device, &fabric, &lease, problem, input, kind, policy)?
-            }
-        };
-        let label = format!("Scan-Lease {} GPUs", leased.gpus_used.len());
-        let report = RunReport::from_run(label, problem.total_elems(), leased.run);
-        Ok(self.traced(ScanOutput::new(leased.data, report)))
+        Ok(out)
     }
 }
 
@@ -515,64 +366,6 @@ mod tests {
             .run(&input)
             .unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn device_ids_reproduce_the_mps_path() {
-        let problem = ProblemParams::new(12, 2);
-        let input = pseudo(problem.total_elems());
-        let by_ids = ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .device_ids(&[0, 1])
-            .run(&input)
-            .unwrap();
-        let by_cfg = ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .devices(NodeConfig::new(2, 2, 1, 1).unwrap())
-            .run(&input)
-            .unwrap();
-        assert_eq!(by_ids.data, by_cfg.data);
-        assert_eq!(by_ids.report.makespan.to_bits(), by_cfg.report.makespan.to_bits());
-    }
-
-    #[test]
-    fn duplicate_device_ids_are_invalid_config() {
-        let problem = ProblemParams::new(12, 2);
-        let input = pseudo(problem.total_elems());
-        let err = ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .device_ids(&[0, 1, 0])
-            .run(&input)
-            .unwrap_err();
-        match err {
-            ScanError::InvalidConfig(msg) => assert!(msg.contains("duplicate GPU id 0")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn device_ids_invalid_combinations() {
-        let problem = ProblemParams::new(12, 2);
-        let input = pseudo(problem.total_elems());
-        let both = ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .devices(NodeConfig::new(2, 2, 1, 1).unwrap())
-            .device_ids(&[0, 1])
-            .run(&input)
-            .unwrap_err();
-        assert!(matches!(both, ScanError::InvalidConfig(_)));
-        let case1 = ScanRequest::new(Add, problem)
-            .proposal(Proposal::Case1)
-            .device_ids(&[0, 1])
-            .run(&input)
-            .unwrap_err();
-        assert!(matches!(case1, ScanError::InvalidConfig(_)));
-        let faulted = ScanRequest::new(Add, problem)
-            .device_ids(&[0])
-            .faults(FaultPlan::new(1))
-            .run(&input)
-            .unwrap_err();
-        assert!(matches!(faulted, ScanError::InvalidConfig(_)));
     }
 
     #[test]

@@ -22,31 +22,16 @@
 
 use crate::request::ServeRequest;
 
-/// A dispatch group: the queue head plus any riders merged into its launch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoalescePlan {
-    /// Queue positions (into the policy-ordered queue) of the members, in
-    /// order. The head is always `members[0] == 0`.
-    pub members: Vec<usize>,
-    /// log2 of the combined batch.
-    pub g_combined: u32,
-}
-
 /// Decide how many queued requests the head's launch absorbs.
 ///
-/// `queue` is in policy order; the head is `queue[0]`. Returns a
-/// single-member plan when the head is not coalescible (multi-GPU request)
-/// or no compatible neighbour follows it.
-pub fn plan(queue: &[&ServeRequest], enabled: bool) -> CoalescePlan {
-    let (len, g_combined) = plan_len(queue.iter().copied(), enabled);
-    CoalescePlan { members: (0..len).collect(), g_combined }
-}
-
-/// Allocation-free form of [`plan`]: the members are always the queue
-/// prefix positions `0..len`, so the length and combined batch exponent
-/// carry the whole decision. Takes the policy-ordered queue as an
-/// iterator — the scan prefix-stops at the first incompatible request, so
-/// the serving hot path never materializes the queue's request refs.
+/// `queue` is in policy order; the head is its first item. The members
+/// are always the queue prefix positions `0..len`, so the length and the
+/// combined batch exponent (log2 of the combined problem count) carry
+/// the whole decision. A head that is not coalescible (a multi-GPU
+/// request) or has no compatible neighbour stays solo: `(1, head.g)`.
+/// Takes the queue as an iterator — the scan prefix-stops at the first
+/// incompatible request, so the serving hot path never materializes the
+/// queue's request refs.
 pub fn plan_len<'a>(
     mut queue: impl Iterator<Item = &'a ServeRequest>,
     enabled: bool,
@@ -94,18 +79,11 @@ mod tests {
         }
     }
 
-    fn plan_of(reqs: &[ServeRequest]) -> CoalescePlan {
-        let refs: Vec<&ServeRequest> = reqs.iter().collect();
-        plan(&refs, true)
-    }
-
     #[test]
     fn merges_equal_shapes_to_a_power_of_two() {
         // 2 + 1 + 1 = 4 problems: all three merge.
         let reqs = [req(0, 10, 1, 1), req(1, 10, 0, 1), req(2, 10, 0, 1)];
-        let p = plan_of(&reqs);
-        assert_eq!(p.members, vec![0, 1, 2]);
-        assert_eq!(p.g_combined, 2);
+        assert_eq!(plan_len(reqs.iter(), true), (3, 2));
     }
 
     #[test]
@@ -113,28 +91,24 @@ mod tests {
         // Request 1 has a different N: nothing merges past it even though
         // request 2 would fit.
         let reqs = [req(0, 10, 0, 1), req(1, 11, 0, 1), req(2, 10, 0, 1)];
-        assert_eq!(plan_of(&reqs).members, vec![0]);
+        assert_eq!(plan_len(reqs.iter(), true).0, 1);
         // A multi-GPU rider blocks the same way.
         let reqs = [req(0, 10, 0, 1), req(1, 10, 0, 2), req(2, 10, 0, 1)];
-        assert_eq!(plan_of(&reqs).members, vec![0]);
+        assert_eq!(plan_len(reqs.iter(), true).0, 1);
     }
 
     #[test]
     fn takes_longest_power_of_two_sum() {
         // 1 + 1 + 2 + 1 problems: prefixes sum 1,2,4,5 -> best is 3 members.
         let reqs = [req(0, 12, 0, 1), req(1, 12, 0, 1), req(2, 12, 1, 1), req(3, 12, 0, 1)];
-        let p = plan_of(&reqs);
-        assert_eq!(p.members, vec![0, 1, 2]);
-        assert_eq!(p.g_combined, 2);
+        assert_eq!(plan_len(reqs.iter(), true), (3, 2));
     }
 
     #[test]
     fn non_power_prefix_falls_back_to_solo() {
         // 2 + 1: sums 2, 3 — only the solo head is a power of two.
         let reqs = [req(0, 10, 1, 1), req(1, 10, 0, 1)];
-        let p = plan_of(&reqs);
-        assert_eq!(p.members, vec![0]);
-        assert_eq!(p.g_combined, 1);
+        assert_eq!(plan_len(reqs.iter(), true), (1, 1));
     }
 
     #[test]
@@ -143,22 +117,20 @@ mod tests {
         // the prefix stops there even though request 2 matches the head.
         let mut reqs = [req(0, 10, 0, 1), req(1, 10, 0, 1), req(2, 10, 0, 1)];
         reqs[1].op = OpKind::GatedF64;
-        assert_eq!(plan_of(&reqs).members, vec![0]);
+        assert_eq!(plan_len(reqs.iter(), true).0, 1);
         // A uniform non-default kind coalesces normally.
         let mut reqs = [req(0, 10, 1, 1), req(1, 10, 0, 1), req(2, 10, 0, 1)];
         for r in &mut reqs {
             r.op = OpKind::MaxF64;
         }
-        assert_eq!(plan_of(&reqs).members, vec![0, 1, 2]);
+        assert_eq!(plan_len(reqs.iter(), true).0, 3);
     }
 
     #[test]
     fn disabled_and_multi_gpu_heads_stay_solo() {
         let reqs = [req(0, 10, 0, 1), req(1, 10, 0, 1)];
-        let refs: Vec<&ServeRequest> = reqs.iter().collect();
-        assert_eq!(plan(&refs, false).members, vec![0]);
+        assert_eq!(plan_len(reqs.iter(), false).0, 1);
         let multi = [req(0, 10, 0, 4), req(1, 10, 0, 1)];
-        let refs: Vec<&ServeRequest> = multi.iter().collect();
-        assert_eq!(plan(&refs, true).members, vec![0]);
+        assert_eq!(plan_len(multi.iter(), true).0, 1);
     }
 }

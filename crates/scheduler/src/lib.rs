@@ -62,7 +62,6 @@ pub mod serve;
 mod shard;
 pub mod workload;
 
-pub use coalesce::CoalescePlan;
 pub use json::Json;
 pub use kind::{
     request_input_f64_into, request_input_gated_into, request_input_into, request_input_seg_into,

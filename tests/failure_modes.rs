@@ -185,29 +185,6 @@ fn case1_requires_enough_problems() {
 }
 
 #[test]
-fn duplicate_device_ids_are_invalid_config() {
-    // A devices list naming the same GPU twice must be rejected up front
-    // (InvalidConfig, never a panic deep in the lease planner).
-    let problem = ProblemParams::new(12, 1);
-    let input = vec![1i32; problem.total_elems()];
-    let err = ScanRequest::new(Add, problem)
-        .proposal(Proposal::Mps)
-        .device_ids(&[0, 1, 1, 2])
-        .run(&input)
-        .unwrap_err();
-    match err {
-        ScanError::InvalidConfig(msg) => assert!(msg.contains("duplicate GPU id 1"), "{msg}"),
-        other => panic!("unexpected {other:?}"),
-    }
-    // The valid twin of the same request runs.
-    assert!(ScanRequest::new(Add, problem)
-        .proposal(Proposal::Mps)
-        .device_ids(&[0, 1, 2, 3])
-        .run(&input)
-        .is_ok());
-}
-
-#[test]
 fn lease_with_contradicted_link_classes_is_invalid_config() {
     // A lease whose pairwise LinkClass matrix disagrees with the pool's
     // fabric must be rejected as InvalidConfig before any planning —
@@ -260,47 +237,4 @@ fn lease_with_contradicted_link_classes_is_invalid_config() {
         &policy,
     )
     .is_ok());
-}
-
-#[test]
-fn active_fault_plan_bypasses_the_plan_cache() {
-    // A faulted run must never replay a healthy cached graph: faults
-    // rewrite schedules relative to the shape key, so the cache is
-    // bypassed entirely (and the bypass is counted).
-    use multigpu_scan::PlanCache;
-    use std::sync::Arc;
-
-    let problem = ProblemParams::new(12, 1);
-    let input: Vec<i32> = (0..problem.total_elems()).map(|i| (i % 13) as i32 - 6).collect();
-    let cache = Arc::new(PlanCache::new());
-
-    // Warm the healthy shape so a stale hit would be possible.
-    let healthy = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    assert_eq!(cache.stats().entries, 1);
-
-    let plan = || FaultPlan::new(7).throttle_gpu(0, 2.0);
-    let uncached = ScanRequest::new(Add, problem).faults(plan()).run(&input).unwrap();
-    let bypassed = ScanRequest::new(Add, problem)
-        .faults(plan())
-        .plan_cache(cache.clone())
-        .run(&input)
-        .unwrap();
-
-    // Bit-identical to the uncached faulted run, not to the healthy plan.
-    assert_eq!(bypassed.data, uncached.data);
-    assert_eq!(bypassed.report.makespan.to_bits(), uncached.report.makespan.to_bits());
-    assert_ne!(
-        bypassed.report.makespan.to_bits(),
-        healthy.report.makespan.to_bits(),
-        "the throttled schedule must differ from the cached healthy one"
-    );
-    assert_eq!(
-        bypassed.faults.as_ref().map(|f| f.events.len()),
-        uncached.faults.as_ref().map(|f| f.events.len())
-    );
-
-    let stats = cache.stats();
-    assert_eq!(stats.bypasses, 1, "the faulted run is counted as a bypass");
-    assert_eq!(stats.hits, 0, "the faulted run must not hit");
-    assert_eq!(stats.entries, 1, "the faulted run must not pollute the cache");
 }

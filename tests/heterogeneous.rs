@@ -10,10 +10,9 @@
 //! * a shared [`PlanCache`] never lets two device generations share an
 //!   entry, even for identical request shapes.
 
-use std::sync::Arc;
-
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::verify::verify_batch;
+use multigpu_scan::scan::{GpuLease, ScanKind};
 use multigpu_scan::PlanCache;
 
 fn pseudo(n: usize) -> Vec<i32> {
@@ -104,23 +103,22 @@ fn v100_on_pcie_reproduces_the_k80_schedule_shape() {
     );
 }
 
-/// Two generations, one shared cache, identical request shapes: each
-/// generation misses once and owns its own entry (the `DeviceKey` keeps
-/// them apart), and each re-run hits only its own generation's plan.
+/// Two generations, one shared cache, identical launch shapes: each
+/// generation misses once and owns its own entry (the device fingerprint
+/// in the key keeps them apart), and each re-run hits only its own
+/// generation's plan.
 #[test]
 fn plan_cache_never_shares_entries_across_generations() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(13, 2);
     let input = pseudo(problem.total_elems());
+    let (fabric, policy) = (Fabric::tsubame_kfc(1), PipelinePolicy::default());
+    let (tuple, kind) = (SplkTuple::kepler_premises(0), ScanKind::Inclusive);
+    let lease = GpuLease::new(vec![0, 1, 2, 3], 0).unwrap();
     let run = |device: DeviceSpec| {
-        ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .device(device)
-            .devices(NodeConfig::new(4, 4, 1, 1).unwrap())
-            .tuple(SplkTuple::kepler_premises(0))
-            .plan_cache(cache.clone())
-            .run(&input)
-            .unwrap()
+        let planned =
+            cache.plan::<i32, Add>(&device, &fabric, &lease, problem, tuple, kind, &policy);
+        planned.run(Add, &input).unwrap()
     };
 
     let v100_cold = run(DevicePreset::V100.lower());
@@ -132,7 +130,7 @@ fn plan_cache_never_shares_entries_across_generations() {
         "same-shape requests on different generations must not share an entry"
     );
     assert!(
-        a100_cold.report.makespan < v100_cold.report.makespan,
+        a100_cold.run.makespan < v100_cold.run.makespan,
         "the entries really are different plans: an A100 outpaces a V100"
     );
 
@@ -141,7 +139,7 @@ fn plan_cache_never_shares_entries_across_generations() {
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2), "each re-run hits its own");
     assert_eq!(v100_hot.data, v100_cold.data);
-    assert_eq!(v100_hot.report.makespan.to_bits(), v100_cold.report.makespan.to_bits());
+    assert_eq!(v100_hot.run.makespan.to_bits(), v100_cold.run.makespan.to_bits());
     assert_eq!(a100_hot.data, a100_cold.data);
-    assert_eq!(a100_hot.report.makespan.to_bits(), a100_cold.report.makespan.to_bits());
+    assert_eq!(a100_hot.run.makespan.to_bits(), a100_cold.run.makespan.to_bits());
 }

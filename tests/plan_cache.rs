@@ -1,135 +1,165 @@
-//! Plan-cache integration tests: a `ScanRequest` routed through a shared
-//! [`PlanCache`] must behave exactly like an uncached one — same data bits,
-//! same schedule bits, same errors — for every proposal, with exact
-//! hit/miss accounting. See `docs/perf.md` for the keying rules.
+//! Plan-cache integration tests: a lease launch planned through a shared
+//! [`PlanCache`] must behave exactly like a cold [`scan_on_lease`] — same
+//! data bits, same schedule bits, same errors — for every lease shape and
+//! served element type, with exact hit/miss accounting. See
+//! `docs/perf.md` for the keying rules.
 
-use std::sync::Arc;
-
+use multigpu_scan::kernels::Scannable;
 use multigpu_scan::prelude::*;
-use multigpu_scan::scan::ScanError;
+use multigpu_scan::scan::{scan_on_lease, GpuLease, LeaseRun, ScanKind};
+use multigpu_scan::serve::ServedKind;
 use multigpu_scan::PlanCache;
+use proptest::prelude::*;
 
 fn pseudo(n: usize) -> Vec<i32> {
     (0..n).map(|i| ((i as i64 * 16807 + 11) % 211) as i32 - 105).collect()
 }
 
-fn assert_identical<T: PartialEq + std::fmt::Debug>(
-    cold: &multigpu_scan::scan::ScanOutput<T>,
-    cached: &multigpu_scan::scan::ScanOutput<T>,
-) {
-    assert_eq!(cached.data, cold.data, "data must match bit-for-bit");
-    assert_eq!(
-        cached.report.makespan.to_bits(),
-        cold.report.makespan.to_bits(),
-        "schedules must match bit-for-bit"
-    );
-    assert_eq!(cached.report.label, cold.report.label);
-    assert_eq!(cached.report.elements, cold.report.elements);
-    assert_eq!(
-        cached.report.graph.as_ref().map(|g| g.nodes().len()),
-        cold.report.graph.as_ref().map(|g| g.nodes().len()),
-        "cached graphs keep the cold run's shape"
-    );
+/// A lease over `ids` on stream 0.
+fn lease(ids: &[usize]) -> GpuLease {
+    GpuLease::new(ids.to_vec(), 0).unwrap()
 }
 
-/// Every proposal: the first cached run misses (and matches an uncached
-/// run), the second hits (and still matches).
+/// Scan `input` with `op` on `lease` of a K80 TSUBAME-KFC node, default
+/// tuple and policy: cold through [`scan_on_lease`] when `cache` is
+/// `None`, else planned through it (a replay on a hit, a cold run that
+/// memoizes on a miss).
+fn run_on<T: Scannable, O: ScanOp<T>>(
+    cache: Option<&PlanCache>,
+    op: O,
+    lease: &GpuLease,
+    problem: ProblemParams,
+    kind: ScanKind,
+    input: &[T],
+) -> LeaseRun<T> {
+    let (device, fabric) = (DeviceSpec::tesla_k80(), Fabric::tsubame_kfc(1));
+    let (tuple, policy) = (SplkTuple::kepler_premises(0), PipelinePolicy::default());
+    let run = match cache {
+        None => scan_on_lease(op, tuple, &device, &fabric, lease, problem, input, kind, &policy),
+        Some(cache) => cache
+            .plan::<T, O>(&device, &fabric, lease, problem, tuple, kind, &policy)
+            .run(op, input),
+    };
+    run.unwrap()
+}
+
+/// A scanned value's bit pattern, so float results compare bit for bit.
+trait Bits: Copy {
+    fn bits(self) -> [u64; 2];
+}
+
+impl Bits for i32 {
+    fn bits(self) -> [u64; 2] {
+        [self as u32 as u64, 0]
+    }
+}
+
+impl Bits for f32 {
+    fn bits(self) -> [u64; 2] {
+        [self.to_bits() as u64, 0]
+    }
+}
+
+impl Bits for f64 {
+    fn bits(self) -> [u64; 2] {
+        [self.to_bits(), 0]
+    }
+}
+
+impl<T: Bits> Bits for SegPair<T> {
+    fn bits(self) -> [u64; 2] {
+        [self.v.bits()[0], self.reset as u64]
+    }
+}
+
+impl<T: Bits> Bits for AffinePair<T> {
+    fn bits(self) -> [u64; 2] {
+        [self.a.bits()[0], self.b.bits()[0]]
+    }
+}
+
+/// A planned run must be indistinguishable from a cold one: data,
+/// makespan, GPUs used and every node's resources and seconds, bit for
+/// bit.
+fn assert_identical<T: Bits>(cold: &LeaseRun<T>, planned: &LeaseRun<T>) {
+    assert_eq!(planned.gpus_used, cold.gpus_used);
+    assert_same_timing(cold, planned);
+    let (p, c) = (planned.run.graph.nodes(), cold.run.graph.nodes());
+    for (i, (pn, cn)) in p.iter().zip(c).enumerate() {
+        assert_eq!(pn.resources, cn.resources, "node {i} resources");
+    }
+}
+
+/// Data, makespan and every node's seconds, bit for bit: what a run on an
+/// equivalent lease shares with the cold run.
+fn assert_same_timing<T: Bits>(cold: &LeaseRun<T>, planned: &LeaseRun<T>) {
+    let bits = |v: &[T]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
+    assert!(bits(&planned.data) == bits(&cold.data), "data must match bit for bit");
+    assert_eq!(planned.run.makespan.to_bits(), cold.run.makespan.to_bits(), "makespan");
+    let (p, c) = (planned.run.graph.nodes(), cold.run.graph.nodes());
+    assert_eq!(p.len(), c.len(), "planned graphs keep the cold run's shape");
+    for (i, (pn, cn)) in p.iter().zip(c).enumerate() {
+        assert_eq!(pn.seconds.to_bits(), cn.seconds.to_bits(), "node {i} seconds");
+    }
+}
+
+/// Every lease shape: the first planned run misses (and matches a cold
+/// run), the second hits (and still matches). Widths 1, 2 and 4 on one
+/// PCIe network, and the pair `[0, 4]` across the node's two networks.
 #[test]
-fn cached_runs_are_bit_identical_across_all_proposals() {
-    let cases: Vec<(Proposal, Option<NodeConfig>, ProblemParams)> = vec![
-        (Proposal::Sp, None, ProblemParams::new(13, 2)),
-        (Proposal::Mps, Some(NodeConfig::new(4, 4, 1, 1).unwrap()), ProblemParams::new(13, 2)),
-        (Proposal::Mppc, Some(NodeConfig::new(4, 2, 2, 1).unwrap()), ProblemParams::new(13, 2)),
-        (
-            Proposal::MpsMultinode,
-            Some(NodeConfig::new(4, 4, 1, 2).unwrap()),
-            ProblemParams::new(14, 1),
-        ),
-        (Proposal::Case1, Some(NodeConfig::new(4, 4, 1, 1).unwrap()), ProblemParams::new(13, 3)),
-    ];
-    let cache = Arc::new(PlanCache::new());
-    for (i, (proposal, cfg, problem)) in cases.iter().enumerate() {
-        let input = pseudo(problem.total_elems());
-        let build = || {
-            let mut req = ScanRequest::new(Add, *problem).proposal(*proposal);
-            if let Some(cfg) = cfg {
-                req = req.devices(*cfg);
-            }
-            req
-        };
-        let cold = build().run(&input).unwrap();
-        let miss = build().plan_cache(cache.clone()).run(&input).unwrap();
-        let hit = build().plan_cache(cache.clone()).run(&input).unwrap();
+fn cached_runs_are_bit_identical_across_lease_shapes() {
+    let problem = ProblemParams::new(13, 2);
+    let input = pseudo(problem.total_elems());
+    let cache = PlanCache::new();
+    for (i, ids) in [&[0][..], &[0, 1], &[0, 1, 2, 3], &[0, 4]].into_iter().enumerate() {
+        let lease = lease(ids);
+        let cold = run_on(None, Add, &lease, problem, ScanKind::Inclusive, &input);
+        assert_eq!(cold.gpus_used, ids, "the lease runs at full width");
+        let miss = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+        let hit = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
         assert_identical(&cold, &miss);
         assert_identical(&cold, &hit);
         let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.entries),
             (i as u64 + 1, i as u64 + 1, i + 1),
-            "one miss then one hit per proposal ({proposal:?})"
+            "one miss then one hit per lease ({ids:?})"
         );
     }
-    assert_eq!(cache.stats().bypasses, 0);
-}
-
-/// The explicit-ids lease path shares the cache machinery.
-#[test]
-fn device_ids_lease_path_hits_the_cache() {
-    let cache = Arc::new(PlanCache::new());
-    let problem = ProblemParams::new(12, 2);
-    let input = pseudo(problem.total_elems());
-    let build = || {
-        ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .device_ids(&[0, 1])
-            .plan_cache(cache.clone())
-    };
-    let cold = ScanRequest::new(Add, problem)
-        .proposal(Proposal::Mps)
-        .device_ids(&[0, 1])
-        .run(&input)
-        .unwrap();
-    let miss = build().run(&input).unwrap();
-    let hit = build().run(&input).unwrap();
-    assert_identical(&cold, &miss);
-    assert_identical(&cold, &hit);
-    let stats = cache.stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 }
 
 /// Same shape, different data: the hit must track the new input, not replay
 /// the old output.
 #[test]
 fn hits_recompute_for_fresh_inputs() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 3);
     let a = pseudo(problem.total_elems());
     let b: Vec<i32> = a.iter().map(|v| v.wrapping_mul(7) - 3).collect();
-    let req = ScanRequest::new(Add, problem).plan_cache(cache.clone());
-    req.run(&a).unwrap();
-    let hit = req.run(&b).unwrap();
-    let cold = ScanRequest::new(Add, problem).run(&b).unwrap();
-    assert_identical(&cold, &hit);
+    let lease = lease(&[0]);
+    run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &a);
+    let hit = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &b);
+    assert_identical(&run_on(None, Add, &lease, problem, ScanKind::Inclusive, &b), &hit);
     assert_eq!(cache.stats().hits, 1);
 }
 
 /// Exclusive semantics key separately from inclusive.
 #[test]
 fn scan_kind_is_part_of_the_key() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let input = pseudo(problem.total_elems());
-    let incl = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    let excl =
-        ScanRequest::new(Add, problem).exclusive().plan_cache(cache.clone()).run(&input).unwrap();
+    let lease = lease(&[0, 1]);
+    let incl = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+    let excl = run_on(Some(&cache), Add, &lease, problem, ScanKind::Exclusive, &input);
     assert_ne!(incl.data, excl.data);
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
     // And each replays its own entry.
-    let cold = ScanRequest::new(Add, problem).exclusive().run(&input).unwrap();
-    let hit =
-        ScanRequest::new(Add, problem).exclusive().plan_cache(cache.clone()).run(&input).unwrap();
+    let cold = run_on(None, Add, &lease, problem, ScanKind::Exclusive, &input);
+    let hit = run_on(Some(&cache), Add, &lease, problem, ScanKind::Exclusive, &input);
     assert_identical(&cold, &hit);
+    assert_eq!(cache.stats().hits, 1);
 }
 
 /// Floating-point runs stay correct through the cache: the self-validation
@@ -137,44 +167,16 @@ fn scan_kind_is_part_of_the_key() {
 /// a later run is bit-identical to a cold one.
 #[test]
 fn float_runs_stay_bit_identical_to_cold_runs() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let input: Vec<f32> =
         (0..problem.total_elems()).map(|i| (i % 17) as f32 * 0.25 - 2.0).collect();
-    let cold = ScanRequest::new(Add, problem).run(&input).unwrap();
-    let first = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    let second = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&first.data), bits(&cold.data));
-    assert_eq!(bits(&second.data), bits(&cold.data));
-    assert_eq!(second.report.makespan.to_bits(), cold.report.makespan.to_bits());
-}
-
-/// A cache hit must not paper over a request that would error cold: the
-/// validation runs before the lookup.
-#[test]
-fn invalid_requests_still_error_after_a_warm_cache() {
-    let cache = Arc::new(PlanCache::new());
-    let problem = ProblemParams::new(12, 1);
-    let input = pseudo(problem.total_elems());
-    // Warm the Sp default-policy shape.
-    ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    // An explicit policy on Sp is invalid even though its key fields match
-    // the cached entry's.
-    let err = ScanRequest::new(Add, problem)
-        .pipeline(PipelinePolicy::default())
-        .plan_cache(cache.clone())
-        .run(&input)
-        .unwrap_err();
-    assert!(matches!(err, ScanError::InvalidConfig(_)));
-    // A multi-GPU proposal without devices errors, not hits.
-    let err = ScanRequest::new(Add, problem)
-        .proposal(Proposal::Mps)
-        .plan_cache(cache.clone())
-        .run(&input)
-        .unwrap_err();
-    assert!(matches!(err, ScanError::InvalidConfig(_)));
-    assert_eq!(cache.stats().hits, 0);
+    let lease = lease(&[0]);
+    let cold = run_on(None, Add, &lease, problem, ScanKind::Inclusive, &input);
+    let first = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+    let second = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+    assert_identical(&cold, &first);
+    assert_identical(&cold, &second);
 }
 
 /// Operators never share cache entries: the same shape scanned under
@@ -184,11 +186,12 @@ fn invalid_requests_still_error_after_a_warm_cache() {
 /// `Add` entry would serve a `Max` request.
 #[test]
 fn operators_never_share_cache_entries() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let input = pseudo(problem.total_elems());
-    let sum = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
-    let max = ScanRequest::new(Max, problem).plan_cache(cache.clone()).run(&input).unwrap();
+    let lease = lease(&[0]);
+    let sum = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+    let max = run_on(Some(&cache), Max, &lease, problem, ScanKind::Inclusive, &input);
     assert_ne!(sum.data, max.data, "the two operators disagree on this input");
     let stats = cache.stats();
     assert_eq!(
@@ -197,11 +200,11 @@ fn operators_never_share_cache_entries() {
         "same shape, different operator: two distinct entries"
     );
     // Each operator hits its own entry and stays bit-identical to cold.
-    let cold_max = ScanRequest::new(Max, problem).run(&input).unwrap();
-    let hit_max = ScanRequest::new(Max, problem).plan_cache(cache.clone()).run(&input).unwrap();
+    let cold_max = run_on(None, Max, &lease, problem, ScanKind::Inclusive, &input);
+    let hit_max = run_on(Some(&cache), Max, &lease, problem, ScanKind::Inclusive, &input);
     assert_identical(&cold_max, &hit_max);
-    let cold_sum = ScanRequest::new(Add, problem).run(&input).unwrap();
-    let hit_sum = ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&input).unwrap();
+    let cold_sum = run_on(None, Add, &lease, problem, ScanKind::Inclusive, &input);
+    let hit_sum = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
     assert_identical(&cold_sum, &hit_sum);
     assert_eq!(cache.stats().hits, 2);
 }
@@ -211,12 +214,13 @@ fn operators_never_share_cache_entries() {
 /// would alias them).
 #[test]
 fn element_types_with_equal_widths_key_separately() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let ints = pseudo(problem.total_elems());
     let floats: Vec<f32> = ints.iter().map(|&v| v as f32 * 0.5).collect();
-    ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&ints).unwrap();
-    ScanRequest::new(Add, problem).plan_cache(cache.clone()).run(&floats).unwrap();
+    let lease = lease(&[0]);
+    run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &ints);
+    run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &floats);
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.entries),
@@ -284,45 +288,39 @@ fn operator_kinds_get_distinct_plans_and_checksums_on_one_lease() {
 /// critical-path attribution with the cold run's makespan.
 #[test]
 fn trace_capture_works_on_cache_hits() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let input = pseudo(problem.total_elems());
-    let cfg = NodeConfig::new(2, 2, 1, 1).unwrap();
-    let build = || {
-        ScanRequest::new(Add, problem)
-            .proposal(Proposal::Mps)
-            .devices(cfg)
-            .trace(TraceOptions::full())
-            .plan_cache(cache.clone())
-    };
-    let cold = build().run(&input).unwrap();
-    let hit = build().run(&input).unwrap();
+    let lease = lease(&[0, 1]);
+    let cold = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
+    let hit = run_on(Some(&cache), Add, &lease, problem, ScanKind::Inclusive, &input);
     assert_eq!(cache.stats().hits, 1);
-    let cold_trace = cold.trace.expect("tracing requested");
-    let hit_trace = hit.trace.expect("tracing survives a hit");
+    let cold_trace = TraceHandle::from_graph(&cold.run.graph);
+    let hit_trace = TraceHandle::from_graph(&hit.run.graph);
     assert_eq!(
         hit_trace.critical_path().total_seconds().to_bits(),
         cold_trace.critical_path().total_seconds().to_bits()
     );
+    assert_eq!(hit_trace.critical_path().total_seconds().to_bits(), cold.run.makespan.to_bits());
 }
 
 /// Arena-retarget exactness: a plan memoized on one lease serves a hit on
 /// a *different* but topologically equivalent lease by retargeting the
 /// shared arena graph through the resource remap — and the retargeted
 /// run must be bit-identical to cold-building the plan on that second
-/// lease directly. Any drift here means the remap table, not the arena,
-/// decided the schedule.
+/// lease directly, down to every node's resources. Any drift here means
+/// the remap table, not the arena, decided the schedule.
 #[test]
 fn arena_retarget_is_bit_identical_across_equivalent_leases() {
-    let cache = Arc::new(PlanCache::new());
+    let cache = PlanCache::new();
     let problem = ProblemParams::new(12, 2);
     let input = pseudo(problem.total_elems());
-    let on = |ids: &[usize]| ScanRequest::new(Add, problem).proposal(Proposal::Mps).device_ids(ids);
 
     // Warm the arena on GPUs [0, 1]; [2, 3] shares the PCIe network and
     // hence the topological shape, so the second run must be a hit.
-    let warm = on(&[0, 1]).plan_cache(cache.clone()).run(&input).unwrap();
-    let retargeted = on(&[2, 3]).plan_cache(cache.clone()).run(&input).unwrap();
+    let warm = run_on(Some(&cache), Add, &lease(&[0, 1]), problem, ScanKind::Inclusive, &input);
+    let retargeted =
+        run_on(Some(&cache), Add, &lease(&[2, 3]), problem, ScanKind::Inclusive, &input);
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.entries),
@@ -330,24 +328,92 @@ fn arena_retarget_is_bit_identical_across_equivalent_leases() {
         "equivalent leases must share one arena entry"
     );
 
-    // The oracle: the same request cold-built on [2, 3], no cache.
-    let cold = on(&[2, 3]).run(&input).unwrap();
+    // The oracle: the same launch cold-built on [2, 3], no cache. Node
+    // storage is shared with the [0, 1] plan; resource identity is not.
+    let cold = run_on(None, Add, &lease(&[2, 3]), problem, ScanKind::Inclusive, &input);
     assert_identical(&cold, &retargeted);
     assert_eq!(
-        retargeted.report.makespan.to_bits(),
-        warm.report.makespan.to_bits(),
+        retargeted.run.makespan.to_bits(),
+        warm.run.makespan.to_bits(),
         "equal shapes schedule identically"
     );
+}
 
-    // The retargeted graph must claim the *actual* lease's resources —
-    // node storage is shared, resource identity is not.
-    let graph = retargeted.report.graph.as_ref().expect("lease runs carry a graph");
-    let cold_graph = cold.report.graph.as_ref().expect("cold run carries a graph");
-    let claims = |g: &multigpu_scan::fabric::ExecGraph| {
-        let mut rs: Vec<_> = g.nodes().iter().flat_map(|n| n.resources.iter().copied()).collect();
-        rs.sort();
-        rs.dedup();
-        rs
+/// GPU `g`'s twin on the other PCIe network of a TSUBAME-KFC node. The
+/// swap keeps every pairwise link class, so a lease and its twin share a
+/// plan.
+fn twin(g: usize) -> usize {
+    g ^ 4
+}
+
+/// Two planned runs of one served kind through `cache` against one cold
+/// run on `lease`. The first runs on the lease's twin, on another stream,
+/// and builds the entry; the second replays that entry retargeted onto
+/// `lease` whenever the plan is replayable. Both match
+/// the cold run bit for bit when it succeeds, and return its error when
+/// it fails.
+fn planned_runs_match_cold<T: ServedKind + Bits>(
+    cache: &PlanCache,
+    lease: &GpuLease,
+    problem: ProblemParams,
+    seed: u64,
+) {
+    let mut input = Vec::new();
+    T::input_into(seed, 0, problem.total_elems(), &mut input);
+    let (device, fabric) = (DeviceSpec::tesla_k80(), Fabric::tsubame_kfc(1));
+    let (tuple, policy) = (SplkTuple::kepler_premises(0), PipelinePolicy::default());
+    let kind = ScanKind::Inclusive;
+    let twin_ids = lease.granted().iter().map(|&g| twin(g)).collect();
+    let twin_lease = GpuLease::new(twin_ids, 3 - lease.stream()).unwrap();
+    let planned = |on: &GpuLease| {
+        cache
+            .plan::<T, T::Op>(&device, &fabric, on, problem, tuple, kind, &policy)
+            .run(T::OP, &input)
     };
-    assert_eq!(claims(graph), claims(cold_graph), "remap must land on the actual lease");
+    let (warm, replay) = (planned(&twin_lease), planned(lease));
+    match scan_on_lease(T::OP, tuple, &device, &fabric, lease, problem, &input, kind, &policy) {
+        Ok(cold) => {
+            assert_identical(&cold, &replay.unwrap());
+            let warm = warm.unwrap();
+            assert_same_timing(&cold, &warm);
+            let twin_gpus: Vec<usize> = cold.gpus_used.iter().map(|&g| twin(g)).collect();
+            assert_eq!(warm.gpus_used, twin_gpus);
+        }
+        Err(cold) => {
+            assert_eq!(warm.unwrap_err(), cold);
+            assert_eq!(replay.unwrap_err(), cold);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random grants of one 8-GPU node, in any order and on any stream,
+    /// for every served element type: each planned run, hit or miss,
+    /// equals a cold `scan_on_lease`, and every planned run is exactly one
+    /// hit or one miss. The three exact kinds replay their twin's plan.
+    #[test]
+    fn planned_runs_match_cold_runs_on_random_leases(
+        order in prop::collection::vec(any::<u32>(), 8),
+        width in 1usize..=8,
+        stream in 0usize..4,
+        n in 10u32..=13,
+        g in 0u32..=3,
+        seed in any::<u64>(),
+    ) {
+        let mut ids: Vec<usize> = (0..8).collect();
+        ids.sort_by_key(|&i| order[i]);
+        ids.truncate(width);
+        let lease = GpuLease::new(ids, stream).unwrap();
+        let problem = ProblemParams::new(n, g);
+        let cache = PlanCache::new();
+        planned_runs_match_cold::<i32>(&cache, &lease, problem, seed);
+        planned_runs_match_cold::<f64>(&cache, &lease, problem, seed);
+        planned_runs_match_cold::<SegPair<i32>>(&cache, &lease, problem, seed);
+        planned_runs_match_cold::<AffinePair<f64>>(&cache, &lease, problem, seed);
+        let stats = cache.stats();
+        prop_assert_eq!(stats.hits + stats.misses, 8);
+        prop_assert!(stats.hits >= 3, "the exact kinds replay retargeted");
+    }
 }
