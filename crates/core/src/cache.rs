@@ -11,14 +11,22 @@
 //!
 //! [`PlanCache`] memoizes one kind of entry: the schedule of a
 //! [`scan_on_lease`] launch (graph, timeline, makespan and the GPUs it
-//! used), looked up through [`PlanCache::plan`]. On a hit the cached
-//! graph is replayed and the functional result is produced by the CPU
-//! reference scan — which the simulated pipelines match exactly (pinned by
-//! `verify_batch` and the serving bit-identity tests). Each entry
-//! self-validates on its cold miss: the simulated output is compared
-//! against the reference, and an entry whose operator does not reproduce
-//! the reference bit-for-bit is marked non-replayable and never serves a
-//! hit, so cached and cold outputs are always bit-identical.
+//! used), looked up through [`PlanCache::plan`]. Each entry validates
+//! itself once, on the cold build that stores it: the simulated output is
+//! compared against the CPU reference scan, and the entry earns one of
+//! three verdicts.
+//!
+//! * **Exact** — the output equals the reference bit for bit. The entry
+//!   replays schedule and data: [`PlannedLaunch::run`] replays the graph
+//!   and returns the reference result, so cached and cold outputs are
+//!   bit-identical.
+//! * **Schedule only** — every element agrees with the reference within
+//!   the operator's rounding tolerance ([`ScanOp::agrees`]) but not bit
+//!   for bit: a float kind whose combine tree rounds differently from the
+//!   sequential order, like the gated recurrence over `f64`. The schedule
+//!   does not depend on the data, so [`PlannedLaunch::into_hit`] serves
+//!   it; `run` returns data, so it simulates such a launch cold again.
+//! * **Neither** — a wrong pipeline. The entry is never served.
 //!
 //! Keying rules:
 //! * everything the cost model can see is in the key — problem `(n, g)`,
@@ -173,11 +181,11 @@ struct CacheKey {
     elem_bytes: usize,
     /// Operator fingerprint (`type_name` of the `ScanOp` impl). Two
     /// operators on the same lease shape must not share a retargeted plan:
-    /// the memoized `replayable` verdict and the serving layer's response
-    /// memo are both operator-dependent.
+    /// the memoized verdict and the serving layer's response memo are both
+    /// operator-dependent.
     op: &'static str,
     /// Element-type fingerprint (`type_name` of `T`). `elem_bytes` alone
-    /// would alias e.g. `i32` and `f32`, whose replayability differs.
+    /// would alias e.g. `i32` and `f32`, whose verdicts differ.
     elem: &'static str,
     /// Pipeline sub-batch count.
     batches: usize,
@@ -214,6 +222,32 @@ struct RetargetEntry {
     gpus_used: Arc<[usize]>,
 }
 
+/// What a plan's cold build showed about replaying it (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Output bit-equal to the reference: replays schedule and data.
+    Exact,
+    /// Output within the operator's rounding tolerance of the reference:
+    /// replays the schedule only.
+    Schedule,
+    /// Neither: never served.
+    Never,
+}
+
+impl Verdict {
+    /// Judge a cold build's output `got` against the reference `want`.
+    fn of<T: Scannable, O: ScanOp<T>>(op: O, got: &[T], want: &[T]) -> Self {
+        if got == want {
+            Verdict::Exact
+        } else if got.len() == want.len() && got.iter().zip(want).all(|(&g, &w)| op.agrees(g, w)) {
+            Verdict::Schedule
+        } else {
+            Verdict::Never
+        }
+    }
+}
+
 /// One memoized lease schedule and which GPUs the plan settled on.
 #[derive(Debug)]
 struct CachedPlan {
@@ -232,9 +266,9 @@ struct CachedPlan {
     /// The distinct resources `graph` claims, in first-appearance order —
     /// the domain of a hit's remap table.
     resources: Vec<Resource>,
-    /// Whether the cold run's simulated output matched the CPU reference
-    /// bit-for-bit; entries that did not never serve hits.
-    replayable: bool,
+    /// How the cold run's simulated output compared with the CPU
+    /// reference: what this entry may replay.
+    verdict: Verdict,
     /// The GPU ids the cold run was granted, in grant order. A hit on a
     /// topologically equivalent lease derives its resource remap from
     /// `lease_ids[i] -> actual_ids[i]`.
@@ -248,12 +282,20 @@ struct CachedPlan {
     retargets: Mutex<Vec<RetargetEntry>>,
 }
 
-/// Hit/miss accounting, exact per lookup.
+/// Hit/miss accounting, exact per lookup: every [`PlanCache::plan`] call
+/// that looks its key up lands in exactly one of `hits`,
+/// `schedule_hits` or `misses`. (A lease the fabric cannot host does no
+/// lookup and lands in none.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from a replayable cached plan.
+    /// Lookups that found a bit-exact plan: it replays schedule and data.
     pub hits: u64,
-    /// Lookups that ran cold (no entry, or a non-replayable one).
+    /// Lookups that found a schedule-only plan: it replays through
+    /// [`PlannedLaunch::into_hit`], while [`PlannedLaunch::run`] runs it
+    /// cold.
+    pub schedule_hits: u64,
+    /// Lookups that found no servable plan (no entry, or one whose output
+    /// disagreed with the reference) and run cold.
     pub misses: u64,
     /// Distinct plans currently stored.
     pub entries: usize,
@@ -263,6 +305,7 @@ pub struct CacheStats {
 struct Inner {
     map: HashMap<CacheKey, Arc<CachedPlan>, FxBuildHasher>,
     hits: u64,
+    schedule_hits: u64,
     misses: u64,
 }
 
@@ -302,23 +345,24 @@ impl PlanCache {
         for bucket in &self.buckets {
             let inner = bucket.lock().expect("plan cache poisoned");
             stats.hits += inner.hits;
+            stats.schedule_hits += inner.schedule_hits;
             stats.misses += inner.misses;
             stats.entries += inner.map.len();
         }
         stats
     }
 
-    /// Look `key` up, counting a hit only when a replayable plan is found
-    /// (anything else is a miss and the caller runs cold).
+    /// Look `key` up and count the lookup by the verdict of the plan it
+    /// finds. A plan that serves nothing is a miss: the caller runs cold.
     fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         let mut inner = self.bucket(key).lock().expect("plan cache poisoned");
-        let hit = inner.map.get(key).filter(|p| p.replayable).cloned();
-        if hit.is_some() {
-            inner.hits += 1;
-        } else {
-            inner.misses += 1;
+        let plan = inner.map.get(key).filter(|p| p.verdict != Verdict::Never).cloned();
+        match plan.as_ref().map(|p| p.verdict) {
+            Some(Verdict::Exact) => inner.hits += 1,
+            Some(_) => inner.schedule_hits += 1,
+            None => inner.misses += 1,
         }
-        hit
+        plan
     }
 
     /// Store the plan a cold run produced. First write wins; a concurrent
@@ -333,7 +377,7 @@ impl PlanCache {
     }
 }
 
-/// The CPU reference result for one batch — the functional output a cache
+/// The CPU reference result for one batch — the functional output an exact
 /// hit returns (bit-identical to the simulated pipelines, see module docs).
 fn reference_result<T: Scannable, O: ScanOp<T>>(
     op: O,
@@ -433,7 +477,8 @@ fn remap_lookup(remap: &[(Resource, Resource)], r: Resource) -> Resource {
 
 /// A plan-cache hit, ready for zero-copy fleet admission: the plan's
 /// shared (arena) graph plus the resource remap retargeting it onto the
-/// lease the launch actually runs on.
+/// lease the launch actually runs on. Exact and schedule-only plans both
+/// yield one.
 ///
 /// Hand `graph` and `remap` straight to
 /// [`interconnect::FleetTimeline::admit_shared`] — the admitted schedule
@@ -454,13 +499,14 @@ pub struct PlanHit {
 }
 
 /// A planned launch: one cache consultation, resolved into either a
-/// replayable [`PlanHit`] or the obligation to run cold.
+/// [`PlanHit`] or the obligation to run cold.
 ///
 /// Returned by [`PlanCache::plan`]. Callers that only need the execution
 /// *shape* (the serving engine, which admits the graph into a fleet
 /// timeline and may skip the data path entirely) take the hit via
-/// [`PlannedLaunch::into_hit`]; callers that want the functional result
-/// call [`PlannedLaunch::run`], which replays a hit or runs cold and
+/// [`PlannedLaunch::into_hit`], which serves exact and schedule-only
+/// plans alike; callers that want the functional result call
+/// [`PlannedLaunch::run`], which replays an exact plan or runs cold and
 /// memoizes the plan as it finishes — one call, no
 /// lookup-then-memoize dance.
 #[derive(Debug)]
@@ -484,10 +530,11 @@ pub struct PlannedLaunch<'a, T: Scannable, O: ScanOp<T>> {
 }
 
 impl PlanCache {
-    /// Plan a lease launch: one cache lookup (counted as a hit or a miss),
-    /// with the hit's resource remap resolved against `lease`. A lease the
-    /// fabric cannot host skips the lookup, and [`PlannedLaunch::run`]
-    /// returns the `InvalidConfig` that [`scan_on_lease`] raises for it.
+    /// Plan a lease launch: one cache lookup (counted as a hit, a schedule
+    /// hit or a miss), with the hit's resource remap resolved against
+    /// `lease`. A lease naming a GPU the fabric lacks skips the lookup, and
+    /// [`PlannedLaunch::run`] returns the `InvalidConfig` that
+    /// [`scan_on_lease`] raises for it.
     ///
     /// The remap argument: the cached plan and the incoming lease have
     /// equal pairwise link-class matrices (key equality guarantees it), so
@@ -509,10 +556,9 @@ impl PlanCache {
         kind: ScanKind,
         policy: &'a PipelinePolicy,
     ) -> PlannedLaunch<'a, T, O> {
-        // A lease the fabric cannot host (a GPU it lacks, or a link-class
-        // matrix it contradicts) does no lookup, so it counts as neither a
-        // hit nor a miss. Nor does it build a key: classifying a missing
-        // GPU's links would panic.
+        // A lease naming a GPU the fabric lacks does no lookup, so it
+        // counts as neither a hit nor a miss. Nor does it build a key:
+        // classifying a missing GPU's links would panic.
         let (key, plan) = if lease.check_on(fabric).is_err() {
             (None, None)
         } else {
@@ -616,8 +662,8 @@ impl CachedPlan {
 }
 
 impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
-    /// Take the hit for zero-copy admission, or get the launch back to
-    /// [`PlannedLaunch::run`] cold.
+    /// Take the hit for zero-copy admission — an exact or a schedule-only
+    /// plan — or get the launch back to [`PlannedLaunch::run`] cold.
     // The Err variant hands the whole launch back on a miss by design:
     // it moves once, straight into `run`, never across a hot boundary.
     #[allow(clippy::result_large_err)]
@@ -632,10 +678,11 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
         }
     }
 
-    /// Materialize a hit as a standalone [`PipelineRun`]: clone the arena
-    /// graph and rewrite its resources through the remap table.
+    /// Materialize an exact hit as a standalone [`PipelineRun`]: clone the
+    /// arena graph and rewrite its resources through the remap table.
+    /// `None` for a schedule-only plan, whose data must be simulated.
     fn replay(&self) -> Option<(PipelineRun, Vec<usize>)> {
-        let plan = self.plan.as_ref()?;
+        let plan = self.plan.as_ref().filter(|p| p.verdict == Verdict::Exact)?;
         let mut graph = (*plan.graph).clone();
         if !self.remap.is_empty() {
             graph.remap_resources(|r| remap_lookup(&self.remap, *r));
@@ -646,9 +693,11 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
         ))
     }
 
-    /// Execute the launch: replay the hit (functional result from the CPU
-    /// reference, bit-identical to the simulated pipelines) or run cold
-    /// through [`scan_on_lease`] and memoize the plan on finish.
+    /// Execute the launch: replay an exact hit (functional result from the
+    /// CPU reference, bit-identical to the simulated pipelines) or run cold
+    /// through [`scan_on_lease`]. A miss memoizes the plan on finish; a
+    /// schedule-only hit runs cold and stores nothing, since its entry
+    /// already exists.
     ///
     /// Hit or miss, the returned [`LeaseRun`] is bit-identical to what
     /// [`scan_on_lease`] would produce for the same arguments.
@@ -678,9 +727,9 @@ impl<T: Scannable, O: ScanOp<T>> PlannedLaunch<'_, T, O> {
     }
 }
 
-/// Self-validate a cold run against the CPU reference and store its plan
-/// (first write wins). The arena entry is the cold run's graph, promoted
-/// into shared storage together with its distinct-resource list.
+/// Judge a cold run against the CPU reference ([`Verdict::of`]) and store
+/// its plan (first write wins). The arena entry is the cold run's graph,
+/// promoted into shared storage together with its distinct-resource list.
 #[allow(clippy::too_many_arguments)]
 fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     cache: &PlanCache,
@@ -692,7 +741,7 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
     cold: &LeaseRun<T>,
 ) {
-    let replayable = cold.data == reference_result(op, problem, input, kind);
+    let verdict = Verdict::of(op, &cold.data, &reference_result(op, problem, input, kind));
     let mut resources: Vec<Resource> = Vec::new();
     for node in cold.run.graph.nodes() {
         for &r in &node.resources {
@@ -709,7 +758,7 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
             graph: Arc::new(cold.run.graph.clone()),
             resources,
             gpus_used: cold.gpus_used.as_slice().into(),
-            replayable,
+            verdict,
             lease_ids: lease.granted().to_vec(),
             lease_stream: lease.stream(),
             retargets: Mutex::new(Vec::new()),
@@ -720,7 +769,7 @@ fn memoize_cold<T: Scannable, O: ScanOp<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skeletons::Add;
+    use skeletons::{Add, AffinePair, GatedOp};
 
     fn pseudo(n: usize) -> Vec<i32> {
         (0..n).map(|i| ((i as i64 * 48271 + 3) % 199) as i32 - 99).collect()
@@ -759,7 +808,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
 
         let cold = run_cached(&cache, problem, &input, 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 1, entries: 1 });
 
         let hot = run_cached(&cache, problem, &input, 0);
         assert_eq!(cache.stats().hits, 1);
@@ -796,7 +845,7 @@ mod tests {
         let b = ProblemParams::new(11, 2);
         run_cached(&cache, a, &pseudo(a.total_elems()), 0);
         run_cached(&cache, b, &pseudo(b.total_elems()), 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 2, entries: 2 });
     }
 
     /// A cold run of `scan_on_lease` with the given lease, for comparison.
@@ -856,7 +905,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached_on(&cache, problem, &input, &[0, 1], 0);
         let hit = run_cached_on(&cache, problem, &input, &[2, 3], 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, schedule_hits: 0, misses: 1, entries: 1 });
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[2, 3], 0));
     }
 
@@ -870,7 +919,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached_on(&cache, problem, &input, &[0, 1], 0);
         run_cached_on(&cache, problem, &input, &[0, 4], 0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 2, entries: 2 });
         let hit = run_cached_on(&cache, problem, &input, &[1, 5], 0);
         assert_eq!(cache.stats().hits, 1);
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[1, 5], 0));
@@ -890,7 +939,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_cached(&cache, problem, &input, 0);
         let hit = run_cached(&cache, problem, &input, 3);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, schedule_hits: 0, misses: 1, entries: 1 });
         assert_replay_matches_cold(&hit, &run_cold(problem, &input, &[0, 1], 3));
     }
 
@@ -961,7 +1010,7 @@ mod tests {
         let input = pseudo(problem.total_elems());
         run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 1]);
         run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 4]);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2, entries: 2 });
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 2, entries: 2 });
         // Same-network pair hits the same-network entry…
         let hit = run_on_fabric(Some(&cache), &fabric, problem, &input, &[2, 3]);
         assert_eq!(cache.stats().hits, 1);
@@ -1014,29 +1063,6 @@ mod tests {
         cache.plan(device, fabric, lease, problem, tuple, ScanKind::Inclusive, policy)
     }
 
-    /// A lease claiming a link-class matrix the fabric contradicts must
-    /// not replay a cached plan built for the true classes — it is
-    /// rejected cold, even when the shape is already memoized.
-    #[test]
-    fn inconsistent_lease_never_replays_a_cached_plan() {
-        let cache = PlanCache::new();
-        let fabric = Fabric::tsubame_kfc(1);
-        let problem = ProblemParams::new(12, 1);
-        let input = pseudo(problem.total_elems());
-        run_on_fabric(Some(&cache), &fabric, problem, &input, &[0, 4]);
-        let warm = cache.stats();
-        assert_eq!(warm.entries, 1);
-
-        let lying = GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::P2P]);
-        let (device, policy) = (DeviceSpec::tesla_k80(), PipelinePolicy::default());
-        let planned = plan_on(&cache, &device, &fabric, &lying, &policy)
-            .into_hit()
-            .expect_err("a contradicted lease must not hit");
-        let err = planned.run(Add, &input).unwrap_err();
-        assert!(matches!(err, crate::error::ScanError::InvalidConfig(_)));
-        assert_eq!(cache.stats(), warm, "no lookup: neither a hit nor a miss");
-    }
-
     /// A lease naming a GPU the fabric lacks plans without panicking, and
     /// its run returns the same `InvalidConfig` a cold `scan_on_lease`
     /// does.
@@ -1065,5 +1091,86 @@ mod tests {
         assert!(matches!(err, crate::error::ScanError::InvalidConfig(_)));
         assert_eq!(err, cold);
         assert_eq!(cache.stats(), CacheStats::default(), "no lookup, no entry");
+    }
+
+    /// A test-only operator that is not associative at all, `a − b`, but
+    /// accepts float rounding like `Add` does: tree and sequential orders
+    /// disagree far beyond any rounding.
+    #[derive(Debug, Clone, Copy)]
+    struct Sub;
+
+    impl ScanOp<f64> for Sub {
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn combine(&self, a: f64, b: f64) -> f64 {
+            a - b
+        }
+        fn agrees(&self, got: f64, want: f64) -> bool {
+            skeletons::Numeric::agrees_with(got, want)
+        }
+    }
+
+    /// Plan one inclusive launch of `op` over `input` on GPUs `[0, 1]` of
+    /// a K80 node through `cache`, run it, and run it cold beside it.
+    /// Returns whether the plan served a hit, and both runs' data.
+    fn plan_hit_and_runs<T: Scannable, O: ScanOp<T>>(
+        cache: &PlanCache,
+        op: O,
+        problem: ProblemParams,
+        input: &[T],
+    ) -> (bool, Vec<T>, Vec<T>) {
+        let (device, fabric) = (DeviceSpec::tesla_k80(), Fabric::tsubame_kfc(1));
+        let (tuple, policy, kind) =
+            (SplkTuple::kepler_premises(0), PipelinePolicy::default(), ScanKind::Inclusive);
+        let lease = GpuLease::new(vec![0, 1], 0).unwrap();
+        let plan = || cache.plan::<T, O>(&device, &fabric, &lease, problem, tuple, kind, &policy);
+        let hit = plan().into_hit().is_ok();
+        let planned = plan().run(op, input).unwrap();
+        let cold =
+            scan_on_lease(op, tuple, &device, &fabric, &lease, problem, input, kind, &policy)
+                .unwrap();
+        (hit, planned.data, cold.data)
+    }
+
+    /// A gated recurrence over `f64` rounds differently in tree order, but
+    /// within tolerance: its plan serves schedule hits, while `run` keeps
+    /// simulating its data cold and stores nothing.
+    #[test]
+    fn float_plans_within_tolerance_replay_their_schedule_only() {
+        let cache = PlanCache::new();
+        let problem = ProblemParams::new(12, 1);
+        let input: Vec<AffinePair<f64>> = (0..problem.total_elems())
+            .map(|i| AffinePair::new(0.999 + (i % 1000) as f64 * 1e-6, (i % 257) as f64 / 128.0))
+            .collect();
+        let reference = reference_result(GatedOp, problem, &input, ScanKind::Inclusive);
+        let (hit, planned, cold) = plan_hit_and_runs(&cache, GatedOp, problem, &input);
+        assert!(!hit, "a cold cache serves nothing");
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 2, entries: 1 });
+        assert!(cold != reference, "tree order rounds differently from the reference");
+        assert!(planned == cold);
+
+        let (hit, planned, cold) = plan_hit_and_runs(&cache, GatedOp, problem, &input);
+        assert!(hit, "a schedule-only plan serves into_hit");
+        assert!(planned == cold, "run re-simulates a schedule-only plan bit for bit");
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 2, misses: 2, entries: 1 });
+    }
+
+    /// An operator whose pipelines disagree with the reference beyond the
+    /// rounding tolerance earns neither kind of hit: every lookup misses
+    /// and `into_hit` hands the launch back.
+    #[test]
+    fn non_associative_plans_never_serve() {
+        let cache = PlanCache::new();
+        let problem = ProblemParams::new(12, 1);
+        let input: Vec<f64> = (0..problem.total_elems()).map(|i| (i % 13) as f64 - 6.0).collect();
+        let reference = reference_result(Sub, problem, &input, ScanKind::Inclusive);
+        for round in 0..2 {
+            let (hit, planned, cold) = plan_hit_and_runs(&cache, Sub, problem, &input);
+            assert!(!hit, "round {round}: into_hit must return Err");
+            assert!(planned == cold, "round {round}: run stays cold");
+            assert!(cold.iter().zip(&reference).any(|(&g, &w)| !Sub.agrees(g, w)));
+        }
+        assert_eq!(cache.stats(), CacheStats { hits: 0, schedule_hits: 0, misses: 4, entries: 1 });
     }
 }

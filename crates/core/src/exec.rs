@@ -56,11 +56,6 @@ impl Default for PipelinePolicy {
 }
 
 impl PipelinePolicy {
-    /// The paper's phase-synchronous model: one pass, full barriers.
-    pub fn barrier_synchronous() -> Self {
-        Self::default()
-    }
-
     /// Split into `batches` sub-batches with overlap enabled.
     pub fn pipelined(batches: usize) -> Self {
         PipelinePolicy { batches, overlap: true }

@@ -18,7 +18,7 @@
 //! [`PlanCache::plan`]: crate::cache::PlanCache::plan
 
 use gpu_sim::DeviceSpec;
-use interconnect::{Fabric, LinkClass};
+use interconnect::Fabric;
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
@@ -48,7 +48,6 @@ fn check_unique_gpu_ids(ids: &[usize]) -> ScanResult<()> {
 pub struct GpuLease {
     gpu_ids: Vec<usize>,
     stream: usize,
-    expected_classes: Option<Vec<LinkClass>>,
 }
 
 impl GpuLease {
@@ -61,66 +60,11 @@ impl GpuLease {
             return Err(ScanError::InvalidConfig("a lease needs at least one GPU".into()));
         }
         check_unique_gpu_ids(&gpu_ids)?;
-        Ok(GpuLease { gpu_ids, stream, expected_classes: None })
+        Ok(GpuLease { gpu_ids, stream })
     }
 
-    /// Attach the pairwise [`LinkClass`] matrix the grantor believes the
-    /// lease spans: one entry per unordered pair of granted GPUs, in grant
-    /// order (`(0,1), (0,2), …, (0,n-1), (1,2), …`). Planning then verifies
-    /// the matrix against the pool's fabric and rejects the lease with
-    /// [`ScanError::InvalidConfig`] on any mismatch, instead of silently
-    /// planning a schedule whose transfer costs assume links the fabric
-    /// does not have.
-    pub fn with_link_classes(mut self, classes: Vec<LinkClass>) -> Self {
-        self.expected_classes = Some(classes);
-        self
-    }
-
-    /// The expected link-class matrix, if one was attached.
-    pub fn expected_link_classes(&self) -> Option<&[LinkClass]> {
-        self.expected_classes.as_deref()
-    }
-
-    /// Check the attached link-class matrix (if any) against `fabric`.
-    ///
-    /// A lease without an attached matrix always validates: the fabric is
-    /// then the sole authority. With a matrix, every pair must agree with
-    /// [`Fabric::link_class`] and the length must cover exactly the
-    /// unordered pairs of the grant.
-    pub fn validate_link_classes(&self, fabric: &Fabric) -> ScanResult<()> {
-        let Some(expected) = &self.expected_classes else {
-            return Ok(());
-        };
-        let n = self.gpu_ids.len();
-        let want = n * (n - 1) / 2;
-        if expected.len() != want {
-            return Err(ScanError::InvalidConfig(format!(
-                "lease link-class matrix has {} entries but a {n}-GPU grant has {want} \
-                 unordered pairs",
-                expected.len()
-            )));
-        }
-        let mut idx = 0;
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a, b) = (self.gpu_ids[i], self.gpu_ids[j]);
-                let actual = fabric.link_class(a, b);
-                if expected[idx] != actual {
-                    return Err(ScanError::InvalidConfig(format!(
-                        "lease link-class matrix is inconsistent with the pool's fabric: \
-                         pair (GPU {a}, GPU {b}) is {actual:?} on the fabric but the lease \
-                         claims {:?}",
-                        expected[idx]
-                    )));
-                }
-                idx += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Check that `fabric` can host the lease: every granted GPU exists,
-    /// and the attached link-class matrix (if any) agrees with the fabric.
+    /// Check that `fabric` can host the lease: every granted GPU exists.
+    /// The fabric is the only authority on the links between them.
     /// [`scan_on_lease`] and [`PlanCache::plan`] both run it before they
     /// look at the fabric's links.
     ///
@@ -132,7 +76,7 @@ impl GpuLease {
                 "leased GPU {bad} does not exist: fabric has {total} GPUs"
             )));
         }
-        self.validate_link_classes(fabric)
+        Ok(())
     }
 
     /// Every GPU id the lease granted, in grant order.
@@ -324,69 +268,6 @@ mod tests {
         verify_batch(Add, problem, &input, &out.data).unwrap();
         assert!(out.gpus_used.len().is_power_of_two());
         assert!(out.gpus_used.len() <= 8);
-    }
-
-    #[test]
-    fn consistent_link_class_matrix_is_accepted() {
-        // GPUs 0 and 4 sit on different PCIe networks of the same node:
-        // the fabric classifies the pair HostStaged, and a lease claiming
-        // exactly that plans normally.
-        let fabric = Fabric::tsubame_kfc(1);
-        let lease =
-            GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::HostStaged]);
-        assert!(lease.validate_link_classes(&fabric).is_ok());
-        let problem = ProblemParams::new(12, 2);
-        let input = pseudo(problem.total_elems());
-        let out = scan_on_lease(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            &lease,
-            problem,
-            &input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap();
-        verify_batch(Add, problem, &input, &out.data).unwrap();
-    }
-
-    #[test]
-    fn inconsistent_link_class_matrix_is_rejected() {
-        // The same pair claimed as P2P contradicts the PCIe tree: the
-        // lease is rejected up front rather than planned with wrong costs.
-        let fabric = Fabric::tsubame_kfc(1);
-        let lease = GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::P2P]);
-        let problem = ProblemParams::new(12, 2);
-        let input = pseudo(problem.total_elems());
-        let err = scan_on_lease(
-            Add,
-            SplkTuple::kepler_premises(0),
-            &DeviceSpec::tesla_k80(),
-            &fabric,
-            &lease,
-            problem,
-            &input,
-            ScanKind::Inclusive,
-            &PipelinePolicy::default(),
-        )
-        .unwrap_err();
-        match err {
-            ScanError::InvalidConfig(msg) => {
-                assert!(msg.contains("inconsistent with the pool's fabric"), "{msg}");
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_length_link_class_matrix_is_rejected() {
-        let fabric = Fabric::tsubame_kfc(1);
-        let lease =
-            GpuLease::new(vec![0, 1, 2], 0).unwrap().with_link_classes(vec![LinkClass::P2P]);
-        let err = lease.validate_link_classes(&fabric).unwrap_err();
-        assert!(matches!(err, ScanError::InvalidConfig(_)));
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl TraceHandle {
         TraceHandle { trace: Trace::from_graph(graph) }
     }
 
-    /// The underlying [`Trace`] (graph + schedule).
-    pub fn as_trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Render the run as Chrome-trace JSON (load in `chrome://tracing` or
     /// Perfetto).
     pub fn chrome_trace_json(&self) -> String {

@@ -219,39 +219,29 @@ impl<O: Copy> ScanRequest<O> {
         Ok(())
     }
 
-    fn reject_exclusive(&self, context: &str) -> ScanResult<()> {
-        if self.kind == ScanKind::Exclusive {
-            return Err(ScanError::InvalidConfig(format!(
-                "exclusive semantics are only implemented for Sp and Mps ({context})"
-            )));
-        }
-        Ok(())
-    }
-
     /// Every validation a request needs, run once before dispatch. Returns
     /// the node config for the proposals that need one (`None` for Sp).
     fn precheck(&self) -> ScanResult<Option<NodeConfig>> {
-        if self.faults.is_some() {
-            self.reject_exclusive("fault injection runs inclusive scans only")?;
-        }
         match self.proposal {
             Proposal::Sp => {
                 self.reject_policy()?;
                 Ok(None)
             }
-            Proposal::Mps => Ok(Some(self.require_cfg()?)),
-            Proposal::Mppc => {
-                self.reject_exclusive("Mppc")?;
-                Ok(Some(self.require_cfg()?))
-            }
+            Proposal::Mps | Proposal::Mppc => Ok(Some(self.require_cfg()?)),
             Proposal::MpsMultinode => {
                 self.reject_policy()?;
-                self.reject_exclusive("MpsMultinode")?;
+                // Its Stage 3 is the inclusive `run_stage3`: every other
+                // proposal reaches Stage 3 through the group pipeline,
+                // which takes both scan kinds.
+                if self.kind == ScanKind::Exclusive {
+                    return Err(ScanError::InvalidConfig(
+                        "exclusive semantics are not implemented for MpsMultinode".into(),
+                    ));
+                }
                 Ok(Some(self.require_cfg()?))
             }
             Proposal::Case1 => {
                 self.reject_policy()?;
-                self.reject_exclusive("Case1")?;
                 Ok(Some(self.require_cfg()?))
             }
         }
@@ -259,7 +249,7 @@ impl<O: Copy> ScanRequest<O> {
 
     /// Execute the request over `input` (problem-major `[g][N]` layout).
     ///
-    /// Invalid combinations (exclusive + faults, a policy for a proposal
+    /// Invalid combinations (exclusive multi-node, a policy for a proposal
     /// that cannot pipeline, a missing device selection) surface as
     /// [`ScanError::InvalidConfig`] instead of being silently ignored.
     pub fn run<T: Scannable>(&self, input: &[T]) -> ScanResult<ScanOutput<T>>
@@ -351,10 +341,20 @@ mod tests {
         // A multi-GPU proposal without a device selection.
         let err = ScanRequest::new(Add, problem).proposal(Proposal::Mps).run(&input).unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));
-        // Exclusive semantics under a fault plan.
+        // Exclusive semantics under a fault plan run, and match the
+        // reference.
+        let out = ScanRequest::new(Add, problem)
+            .exclusive()
+            .faults(FaultPlan::new(1).throttle_gpu(0, 2.0))
+            .run(&input)
+            .unwrap();
+        crate::verify::verify_batch_kind(Add, problem, &input, &out.data, ScanKind::Exclusive)
+            .unwrap();
+        // Multi-node has no exclusive Stage 3.
         let err = ScanRequest::new(Add, problem)
             .exclusive()
-            .faults(FaultPlan::new(1))
+            .proposal(Proposal::MpsMultinode)
+            .devices(NodeConfig::new(2, 2, 1, 2).unwrap())
             .run(&input)
             .unwrap_err();
         assert!(matches!(err, ScanError::InvalidConfig(_)));

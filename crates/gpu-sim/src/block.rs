@@ -137,12 +137,6 @@ impl<'a, T: crate::memory::DeviceCopy> BlockCtx<'a, T> {
         out
     }
 
-    /// Direct, uncounted view of shared memory, for in-block staging where
-    /// cost has already been charged (or for test inspection).
-    pub fn shared_raw(&mut self) -> &mut [T] {
-        self.shared
-    }
-
     // ---- global memory ---------------------------------------------------
 
     /// Warp-coalesced global-memory read: copies `out.len()` consecutive

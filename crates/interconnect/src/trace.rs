@@ -186,19 +186,6 @@ impl CriticalPathReport {
         totals
     }
 
-    /// Critical-path seconds attributed to each resource track, in
-    /// first-appearance order along the path.
-    pub fn resource_seconds(&self) -> Vec<(String, f64)> {
-        let mut totals: Vec<(String, f64)> = Vec::new();
-        for n in &self.nodes {
-            match totals.iter_mut().find(|(t, _)| t == &n.track) {
-                Some((_, s)) => *s += n.seconds,
-                None => totals.push((n.track.clone(), n.seconds)),
-            }
-        }
-        totals
-    }
-
     /// The `k` longest nodes on the path, longest first (ties broken by
     /// path position, earlier first).
     pub fn top_k(&self, k: usize) -> Vec<&CriticalPathNode> {

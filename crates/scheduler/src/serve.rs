@@ -9,7 +9,9 @@
 //!    are coalesced into its launch ([`crate::coalesce`]), the batch is
 //!    *functionally executed* through `scan_core::scan_on_lease` (via the
 //!    shared [`PlanCache`] by default, which replays the memoized graph
-//!    bit-identically for repeated shapes — see `docs/perf.md`), and the
+//!    bit-identically for repeated shapes — an exact plan or a float
+//!    kind's schedule-only one, since a hit reads no data; see
+//!    `docs/perf.md`), and the
 //!    resulting graph is admitted into one shared [`FleetTimeline`] — so
 //!    cross-request contention serialises exactly like intra-request
 //!    contention. Each member's response is looked up in the response
@@ -601,9 +603,10 @@ impl Server {
 
         // One plan consultation per launch. The key carries `T` and `O`,
         // so a hit can only come from this operator's own entries. A hit
-        // needs no data at all: its shared graph is admitted directly
-        // (zero-copy — the fleet maps resources through the hit's remap
-        // table).
+        // needs no data at all, so a schedule-only plan (a float kind whose
+        // tree order rounds differently from the reference) serves like an
+        // exact one: its shared graph is admitted directly (zero-copy —
+        // the fleet maps resources through the hit's remap table).
         let mut cold_plan = None;
         if self.config.plan_cache {
             let planned = self.cache.plan::<T, T::Op>(
@@ -625,11 +628,12 @@ impl Server {
         }
         // A miss (or a server without a plan cache) simulates the batch on
         // its members' concatenated inputs; a miss memoizes the plan as it
-        // finishes, so the next launch of this shape hits. The simulated
-        // output is not the response: responses come from the
-        // reference-order pass, which the cache layer's self-validation
-        // pins equal for the integer kinds and which is the canonical
-        // answer for the float kinds.
+        // finishes, so the next launch of this shape hits, float kinds
+        // included. The simulated output is not the response: responses
+        // come from the reference-order pass. The cold build's verdict
+        // pins that answer equal to the simulated output, bit for bit for
+        // the exact kinds and within rounding for the float kinds, whose
+        // canonical answer it is.
         let leased = with_pooled_input(|input| {
             for &m in members {
                 let m = &requests[m];

@@ -33,7 +33,22 @@ pub trait ScanOp<T>: Copy + Send + Sync + 'static {
     fn uncombine(&self, _a: T, _b: T) -> Option<T> {
         None
     }
+    /// Whether `got`, a result this operator combined in some tree order
+    /// (the pipelines reassociate), agrees with `want`, the sequential
+    /// reference. Exact (`==`) by default. An operator that is associative
+    /// only up to rounding over some element types overrides it to accept
+    /// that rounding through [`Numeric::agrees_with`].
+    fn agrees(&self, got: T, want: T) -> bool
+    where
+        T: PartialEq,
+    {
+        got == want
+    }
 }
+
+/// Relative bound of float agreement ([`Numeric::agrees_with`]): the bound
+/// `tests/float_semantics.rs` holds the gated recurrence to.
+const FLOAT_AGREEMENT: f64 = 1e-9;
 
 /// Numeric primitives the built-in operators cover.
 ///
@@ -59,6 +74,12 @@ pub trait Numeric: DeviceCopy + PartialOrd {
     fn wsub(self, rhs: Self) -> Self;
     /// Wrapping multiplication.
     fn wmul(self, rhs: Self) -> Self;
+    /// Whether `self` agrees with `want` within the rounding a reordered
+    /// accumulation can add. Exact (`==`) by default, which the integers
+    /// keep; the floats accept `|self − want| ≤ 1e-9 · max(|want|, 1)`.
+    fn agrees_with(self, want: Self) -> bool {
+        self == want
+    }
 }
 
 macro_rules! impl_numeric_int {
@@ -88,12 +109,17 @@ macro_rules! impl_numeric_float {
             fn wadd(self, rhs: Self) -> Self { self + rhs }
             fn wsub(self, rhs: Self) -> Self { self - rhs }
             fn wmul(self, rhs: Self) -> Self { self * rhs }
+            fn agrees_with(self, want: Self) -> bool {
+                let bound = FLOAT_AGREEMENT * f64::from(want.abs()).max(1.0);
+                self == want || f64::from((self - want).abs()) <= bound
+            }
         }
     )*};
 }
 impl_numeric_float!(f32, f64);
 
-/// Addition — the paper's default operator.
+/// Addition — the paper's default operator. Over floats it is associative
+/// only up to rounding, which [`ScanOp::agrees`] accepts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Add;
 
@@ -106,6 +132,9 @@ impl<T: Numeric> ScanOp<T> for Add {
     }
     fn uncombine(&self, a: T, b: T) -> Option<T> {
         T::exact_inverse().then(|| a.wsub(b))
+    }
+    fn agrees(&self, got: T, want: T) -> bool {
+        got.agrees_with(want)
     }
 }
 
@@ -248,7 +277,8 @@ impl<T> AffinePair<T> {
 /// Over the integers (wrapping arithmetic is a ring mod 2^n) composition
 /// is *exactly* associative, so integer affine scans are bit-reproducible
 /// under any combine tree. Over floats it is associative only up to
-/// rounding — see `docs/operators.md`.
+/// rounding, which [`ScanOp::agrees`] accepts per component — see
+/// `docs/operators.md`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatedOp;
 
@@ -258,6 +288,9 @@ impl<T: Numeric> ScanOp<AffinePair<T>> for GatedOp {
     }
     fn combine(&self, l: AffinePair<T>, r: AffinePair<T>) -> AffinePair<T> {
         AffinePair::new(r.a.wmul(l.a), r.a.wmul(l.b).wadd(r.b))
+    }
+    fn agrees(&self, got: AffinePair<T>, want: AffinePair<T>) -> bool {
+        got.a.agrees_with(want.a) && got.b.agrees_with(want.b)
     }
 }
 
@@ -431,6 +464,22 @@ mod tests {
         assert_eq!(ScanOp::<f32>::uncombine(&Add, 1.0, 0.1), None);
         // Integers keep the fast path.
         assert_eq!(ScanOp::<i64>::uncombine(&Add, 10, 4), Some(6));
+    }
+
+    #[test]
+    fn only_float_add_and_gated_agree_within_rounding() {
+        let near = 1.0 + 1e-12;
+        assert!(ScanOp::<f64>::agrees(&Add, near, 1.0));
+        assert!(ScanOp::<f64>::agrees(&Add, 2e3 + 1e-7, 2e3), "relative to |want|");
+        assert!(!ScanOp::<f64>::agrees(&Add, 1.0 + 1e-8, 1.0));
+        assert!(!ScanOp::<f64>::agrees(&Add, f64::NAN, f64::NAN));
+        assert!(ScanOp::<f64>::agrees(&Add, f64::INFINITY, f64::INFINITY));
+        assert!(!ScanOp::<i64>::agrees(&Add, 1_000_000_001, 1_000_000_000));
+        assert!(!ScanOp::<f64>::agrees(&Max, near, 1.0), "max is exact-only");
+        let gated = |a, b| AffinePair::new(a, b);
+        assert!(GatedOp.agrees(gated(near, 5.0), gated(1.0, 5.0 + 1e-12)));
+        assert!(!GatedOp.agrees(gated(1.0, 5.0), gated(1.0, 5.1)), "each component counts");
+        assert!(!GatedOp.agrees(AffinePair::new(1i32, 5), AffinePair::new(1, 6)));
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl<T: DeviceCopy> RegTile<T> {
         &self.data
     }
 
-    /// Mutable flat view.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Inclusive scan of each lane's `P` elements in registers
     /// (the red first phase of Figure 4). Returns each lane's total.
     /// Charges `P - 1` warp ALU ops.

@@ -121,6 +121,90 @@ fn exclusive_mps_works_with_non_invertible_max() {
     }
 }
 
+/// MP-PC and Case 1 reach Stage 3 through the same group pipeline as Mps,
+/// so they take exclusive semantics too — for invertible and
+/// non-invertible operators alike.
+#[test]
+fn exclusive_mppc_and_case1_match_reference() {
+    let problem = ProblemParams::new(13, 3);
+    let input = pseudo(problem.total_elems(), 13);
+    let runs = [
+        (Proposal::Mppc, NodeConfig::new(8, 4, 2, 1).unwrap()),
+        (Proposal::Mppc, NodeConfig::new(4, 2, 2, 1).unwrap()),
+        (Proposal::Case1, NodeConfig::new(4, 4, 1, 1).unwrap()),
+    ];
+    for (proposal, cfg) in runs {
+        let sum = ScanRequest::new(Add, problem).proposal(proposal).devices(cfg).exclusive();
+        check_exclusive(problem, &input, &sum.run(&input).unwrap().data)
+            .unwrap_or_else(|m| panic!("{proposal:?} {cfg:?} add: {m}"));
+        let max = ScanRequest::new(Max, problem).proposal(proposal).devices(cfg).exclusive();
+        verify_batch_kind(
+            Max,
+            problem,
+            &input,
+            &max.run(&input).unwrap().data,
+            ScanKind::Exclusive,
+        )
+        .unwrap_or_else(|m| panic!("{proposal:?} {cfg:?} max: {m}"));
+    }
+}
+
+/// A fault plan is one more input to each proposal's body, so faulted
+/// runs scan exclusively too: Mps at W=4 and W=2 and MP-PC at W=8 V=4 and
+/// W=4 V=2 under every single-node plan of the fault differential matrix,
+/// an MP-PC max-scan that loses a GPU, and a throttled Sp.
+#[test]
+fn exclusive_faulted_runs_match_reference() {
+    let problem = ProblemParams::new(13, 2);
+    let input = pseudo(problem.total_elems(), 29);
+    let net0 = multigpu_scan::fabric::Resource::PcieNetwork { node: 0, network: 0 };
+    for seed in [1u64, 7, 42] {
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::new(seed).degrade_link(net0, 4.0),
+            FaultPlan::new(seed).transient_link(net0, 0.3).with_retry_budget(10),
+            FaultPlan::new(seed).throttle_gpu(1, 3.0),
+            FaultPlan::new(seed).evict_gpu(1, 0),
+            FaultPlan::new(seed).evict_gpu(1, 0).throttle_gpu(0, 2.0),
+        ];
+        let runs = [
+            (Proposal::Mps, NodeConfig::new(4, 4, 1, 1).unwrap()),
+            (Proposal::Mps, NodeConfig::new(2, 2, 1, 1).unwrap()),
+            (Proposal::Mppc, NodeConfig::new(8, 4, 2, 1).unwrap()),
+            (Proposal::Mppc, NodeConfig::new(4, 2, 2, 1).unwrap()),
+        ];
+        for (i, plan) in plans.into_iter().enumerate() {
+            for (proposal, cfg) in runs {
+                let out = ScanRequest::new(Add, problem)
+                    .proposal(proposal)
+                    .devices(cfg)
+                    .exclusive()
+                    .faults(plan.clone())
+                    .run(&input)
+                    .unwrap();
+                check_exclusive(problem, &input, &out.data)
+                    .unwrap_or_else(|m| panic!("seed {seed} plan {i} {proposal:?} {cfg:?}: {m}"));
+            }
+        }
+        let evicted = ScanRequest::new(Max, problem)
+            .proposal(Proposal::Mppc)
+            .devices(NodeConfig::new(4, 2, 2, 1).unwrap())
+            .exclusive()
+            .faults(FaultPlan::new(seed).evict_gpu(4, 0))
+            .run(&input)
+            .unwrap();
+        verify_batch_kind(Max, problem, &input, &evicted.data, ScanKind::Exclusive)
+            .unwrap_or_else(|m| panic!("seed {seed} evicted MP-PC max: {m}"));
+        let throttled = ScanRequest::new(Add, problem)
+            .exclusive()
+            .faults(FaultPlan::new(seed).throttle_gpu(0, 3.0))
+            .run(&input)
+            .unwrap();
+        check_exclusive(problem, &input, &throttled.data)
+            .unwrap_or_else(|m| panic!("seed {seed} throttled Sp: {m}"));
+    }
+}
+
 /// Float addition is invertible only approximately: `(a + b) - b` can
 /// differ from `a` in the low bits, so the §3.1 subtract-the-element
 /// trick would corrupt an exclusive f64 scan. The pipeline must instead

@@ -183,58 +183,3 @@ fn case1_requires_enough_problems() {
         Err(ScanError::InvalidConfig(_))
     ));
 }
-
-#[test]
-fn lease_with_contradicted_link_classes_is_invalid_config() {
-    // A lease whose pairwise LinkClass matrix disagrees with the pool's
-    // fabric must be rejected as InvalidConfig before any planning —
-    // silently planning it would cost transfers on links the fabric does
-    // not have.
-    use multigpu_scan::fabric::LinkClass;
-    use multigpu_scan::scan::{scan_on_lease, GpuLease, ScanKind};
-
-    let fabric = Fabric::tsubame_kfc(1);
-    let problem = ProblemParams::new(12, 1);
-    let input = vec![1i32; problem.total_elems()];
-    let tuple = SplkTuple::kepler_premises(0);
-    let policy = PipelinePolicy::default();
-
-    // GPUs 0 and 4 sit on different PCIe networks of a TSUBAME-KFC node:
-    // the true class is HostStaged, but the lease claims P2P.
-    let lying = GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::P2P]);
-    let err = scan_on_lease(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        &lying,
-        problem,
-        &input,
-        ScanKind::Inclusive,
-        &policy,
-    )
-    .unwrap_err();
-    match err {
-        ScanError::InvalidConfig(msg) => {
-            assert!(msg.contains("inconsistent with the pool's fabric"), "{msg}");
-            assert!(msg.contains("GPU 0") && msg.contains("GPU 4"), "{msg}");
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-
-    // The honest twin of the same lease runs.
-    let honest =
-        GpuLease::new(vec![0, 4], 0).unwrap().with_link_classes(vec![LinkClass::HostStaged]);
-    assert!(scan_on_lease(
-        Add,
-        tuple,
-        &device(),
-        &fabric,
-        &honest,
-        problem,
-        &input,
-        ScanKind::Inclusive,
-        &policy,
-    )
-    .is_ok());
-}

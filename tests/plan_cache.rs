@@ -4,10 +4,11 @@
 //! served element type, with exact hit/miss accounting. See
 //! `docs/perf.md` for the keying rules.
 
+use multigpu_scan::fabric::FleetTimeline;
 use multigpu_scan::kernels::Scannable;
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::{scan_on_lease, GpuLease, LeaseRun, ScanKind};
-use multigpu_scan::serve::ServedKind;
+use multigpu_scan::serve::{Completion, ServeReport, ServedKind};
 use multigpu_scan::PlanCache;
 use proptest::prelude::*;
 
@@ -284,6 +285,49 @@ fn operator_kinds_get_distinct_plans_and_checksums_on_one_lease() {
     );
 }
 
+/// Each completion's id, checksum and finish bits, in completion order.
+fn served_bits(completions: &[&Completion]) -> Vec<(usize, u64, u64)> {
+    completions.iter().map(|c| (c.request.id, c.checksum, c.finished.to_bits())).collect()
+}
+
+/// A warm engine re-serving a mixed-operator window under fresh ids finds
+/// every launch's plan, the gated recurrence's schedule-only plans
+/// included, so it records no new miss; and it serves the window exactly
+/// as an engine without a plan cache does. The router places by operator
+/// kind, so fresh ids leave each shard's launches unchanged.
+#[test]
+fn warm_mixed_windows_replay_every_plan_like_uncached_engines() {
+    let window = WorkloadSpec::mixed_ops_for(7, 160).generate();
+    assert!(window.iter().any(|r| r.op == OpKind::GatedF64));
+    let fresh: Vec<ServeRequest> =
+        window.iter().map(|r| ServeRequest { id: r.id + 10_000, ..r.clone() }).collect();
+
+    let server = Server::new(ServeConfig::new(Policy::Edf, 3));
+    server.run(&window).unwrap();
+    let warm = server.cache_stats();
+    let hot = server.run(&fresh).unwrap();
+    assert_eq!(hot.cache_stats.misses, warm.misses, "the warm server misses no plan");
+    assert!(hot.cache_stats.schedule_hits > warm.schedule_hits, "gated launches replay");
+    let mut uncached = ServeConfig::new(Policy::Edf, 3);
+    uncached.plan_cache = false;
+    let cold = Server::new(uncached).run(&fresh).unwrap();
+    let all = |r: &ServeReport| served_bits(&r.completions.iter().collect::<Vec<_>>());
+    assert_eq!(all(&hot), all(&cold));
+    assert_eq!(hot.makespan.to_bits(), cold.makespan.to_bits());
+
+    let mut config = RouterConfig::new(4, Policy::Edf, 3);
+    config.placement = Placement::LocalityByOp;
+    let router = Router::new(config.clone()).unwrap();
+    let misses = |r: &ShardedReport| r.shards.iter().map(|s| s.report.cache_stats.misses).sum();
+    let warm: u64 = misses(&router.run(&window).unwrap());
+    let hot = router.run(&fresh).unwrap();
+    assert_eq!(misses(&hot), warm, "the warm router misses no plan");
+    config.plan_cache = false;
+    let cold = Router::new(config).unwrap().run(&fresh).unwrap();
+    assert_eq!(served_bits(&hot.completions()), served_bits(&cold.completions()));
+    assert_eq!(hot.makespan.to_bits(), cold.makespan.to_bits());
+}
+
 /// Tracing works identically on hits: the replayed graph supports
 /// critical-path attribution with the cold run's makespan.
 #[test]
@@ -346,12 +390,20 @@ fn twin(g: usize) -> usize {
     g ^ 4
 }
 
+/// Each node's start and finish bits in `fleet`'s schedule.
+fn schedule_bits(fleet: &FleetTimeline) -> Vec<[u64; 2]> {
+    let s = fleet.schedule();
+    s.start.iter().zip(&s.finish).map(|(a, b)| [a.to_bits(), b.to_bits()]).collect()
+}
+
 /// Two planned runs of one served kind through `cache` against one cold
 /// run on `lease`. The first runs on the lease's twin, on another stream,
 /// and builds the entry; the second replays that entry retargeted onto
-/// `lease` whenever the plan is replayable. Both match
-/// the cold run bit for bit when it succeeds, and return its error when
-/// it fails.
+/// `lease` when it is bit-exact, and runs cold otherwise. Both match the
+/// cold run bit for bit when it succeeds, and return its error when it
+/// fails. When the cold run succeeds, the warm entry also serves a hit on
+/// `lease` whatever its verdict, and admitting that hit into a fresh fleet
+/// schedules every node exactly as admitting the cold run's graph does.
 fn planned_runs_match_cold<T: ServedKind + Bits>(
     cache: &PlanCache,
     lease: &GpuLease,
@@ -378,6 +430,16 @@ fn planned_runs_match_cold<T: ServedKind + Bits>(
             assert_same_timing(&cold, &warm);
             let twin_gpus: Vec<usize> = cold.gpus_used.iter().map(|&g| twin(g)).collect();
             assert_eq!(warm.gpus_used, twin_gpus);
+
+            let hit =
+                cache.plan::<T, T::Op>(&device, &fabric, lease, problem, tuple, kind, &policy);
+            let Ok(hit) = hit.into_hit() else { panic!("{}: a warm plan serves a hit", T::NAME) };
+            assert_eq!(hit.gpus_used[..], cold.gpus_used[..]);
+            let mut from_hit = FleetTimeline::new();
+            from_hit.admit_shared(hit.graph, hit.remap, 0.0, String::new());
+            let mut from_cold = FleetTimeline::new();
+            from_cold.admit(&cold.run.graph, 0.0, "");
+            assert_eq!(schedule_bits(&from_hit), schedule_bits(&from_cold), "{}", T::NAME);
         }
         Err(cold) => {
             assert_eq!(warm.unwrap_err(), cold);
@@ -391,8 +453,10 @@ proptest! {
 
     /// Random grants of one 8-GPU node, in any order and on any stream,
     /// for every served element type: each planned run, hit or miss,
-    /// equals a cold `scan_on_lease`, and every planned run is exactly one
-    /// hit or one miss. The three exact kinds replay their twin's plan.
+    /// equals a cold `scan_on_lease`, each hit admits the cold schedule,
+    /// and every lookup is exactly one hit, schedule hit or miss. Only
+    /// the twin's runs miss; the three exact kinds replay both lookups on
+    /// the lease.
     #[test]
     fn planned_runs_match_cold_runs_on_random_leases(
         order in prop::collection::vec(any::<u32>(), 8),
@@ -413,7 +477,8 @@ proptest! {
         planned_runs_match_cold::<SegPair<i32>>(&cache, &lease, problem, seed);
         planned_runs_match_cold::<AffinePair<f64>>(&cache, &lease, problem, seed);
         let stats = cache.stats();
-        prop_assert_eq!(stats.hits + stats.misses, 8);
-        prop_assert!(stats.hits >= 3, "the exact kinds replay retargeted");
+        prop_assert_eq!(stats.hits + stats.schedule_hits + stats.misses, 12);
+        prop_assert_eq!(stats.misses, 4, "only the twin's runs miss");
+        prop_assert!(stats.hits >= 6, "the exact kinds replay retargeted");
     }
 }
