@@ -65,7 +65,7 @@ pub trait ScanLibrary<T: Scannable> {
             gpu.charge("host:setup", EventKind::Host, self.invocation_overhead());
             self.scan_once(&mut gpu, &dinput, &mut output, g * n, n)?;
         }
-        Ok(ScanOutput::new(output.copy_to_host(), report_from_gpu(self.name(), problem, &gpu)))
+        Ok(ScanOutput::new(output.into_host(), report_from_gpu(self.name(), problem, &gpu)))
     }
 }
 

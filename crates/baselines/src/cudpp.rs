@@ -159,7 +159,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cudpp<O> {
             problem.problem_size(),
             problem.batch(),
         )?;
-        Ok(ScanOutput::new(output.copy_to_host(), report_from_gpu("CUDPP", problem, &gpu)))
+        Ok(ScanOutput::new(output.into_host(), report_from_gpu("CUDPP", problem, &gpu)))
     }
 }
 

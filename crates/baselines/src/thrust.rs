@@ -152,7 +152,7 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             self.kernels(&mut gpu, &dinput, &mut output, g * n, n, true)?;
         }
         Ok(ScanOutput::new(
-            output.copy_to_host(),
+            output.into_host(),
             report_from_gpu("Thrust (segmented)", problem, &gpu),
         ))
     }

@@ -19,8 +19,9 @@
 //! serving engine with its plan cache against the same engine with the
 //! cache off, asserts both produce bit-identical results and that the
 //! uncached window's fleet schedule equals the replay of its admission log
-//! through the O(n²) reference scheduler, and writes `BENCH_wall.json` to
-//! `--out`. See `docs/perf.md`.
+//! through the O(n²) reference scheduler, counts the exact host work
+//! (allocations and bytes) of one run per proposal and library, and
+//! writes `BENCH_wall.json` to `--out`. See `docs/perf.md`.
 //!
 //! `trace` exports Chrome-trace JSON (`*.trace.json`, loadable in
 //! `chrome://tracing` or Perfetto) for the Fig. 9 Scan-MPS configurations
@@ -61,23 +62,37 @@ use skeletons::{lf, shared_scan, warp_scan_exclusive, warp_scan_inclusive, Add, 
 
 /// A counting wrapper around the system allocator — **bench binary
 /// only**, the library crates never pay for it. `self` uses the
-/// per-thread counter to report `allocs_per_request` on the steady
-/// (memo-hit) serve path and to hold it to O(1): allocator pressure is
-/// the regression the wall-clock gate can miss on a fast machine.
+/// per-thread counters to report `allocs_per_request` on the steady
+/// (memo-hit) serve path and to hold it to O(1), and to pin the exact
+/// host work of one run per proposal and library (the `"work"` section):
+/// allocator pressure is the regression the wall-clock gate can miss on
+/// a fast machine, and a count repeats exactly where a wall time cannot.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-// SAFETY: defers to `System` for every operation; the counter is
+/// Charge one allocation of `bytes` to this thread.
+fn count(bytes: usize) {
+    // try_with: the counters themselves may be mid-teardown during thread
+    // exit, and the allocator must keep working then.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: defers to `System` for every operation; the counters are
 // thread-local bookkeeping on the side.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        // try_with: the counter itself may be mid-teardown during thread
-        // exit, and the allocator must keep working then.
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count(layout.size());
+        std::alloc::System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
@@ -85,7 +100,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         std::alloc::System.realloc(ptr, layout, new_size)
     }
 }
@@ -96,6 +111,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations charged to this thread so far.
 fn allocs_now() -> u64 {
     ALLOCS.try_with(std::cell::Cell::get).unwrap_or(0)
+}
+
+/// Bytes those allocations asked for (a `realloc` counts its new size).
+fn bytes_now() -> u64 {
+    BYTES.try_with(std::cell::Cell::get).unwrap_or(0)
 }
 
 /// Everything the commands read from the command line.
@@ -652,7 +672,8 @@ fn bench_scan(out: &str, fabric_sweep: bool) {
 ///
 /// Wall-clock seconds vary across machines and runs — only the *outputs*
 /// are deterministic, so the JSON is a baseline for ratio gates, not a
-/// byte-stable golden.
+/// byte-stable golden. The `"work"` section ([`work_counts`]) is the
+/// exception: its counts repeat exactly, and perf-smoke holds them to 1%.
 fn bench_self(opts: &ServeOpts) {
     use interconnect::reference_schedule;
     use scan_serve::{ServeConfig, Server, WorkloadSpec};
@@ -874,6 +895,23 @@ fn bench_self(opts: &ServeOpts) {
         "steady path must stay O(1) allocations per memo-hit request, got {allocs_per_request:.2}"
     );
 
+    // Exact host work of one run per proposal and library: counts repeat
+    // run to run, so CI gates them at 1% where wall times need 2x.
+    let work = work_counts();
+    for (name, allocs, bytes) in &work {
+        println!(
+            "  work {name:<16}: {allocs:>9} allocs  {bytes:>12} B  \
+             (n={WORK_N}, g={WORK_G}, one thread)"
+        );
+    }
+    let work_runs = work
+        .iter()
+        .map(|(name, allocs, bytes)| {
+            format!("      \"{name}\": {{ \"allocs\": {allocs}, \"bytes\": {bytes} }}")
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+
     std::fs::create_dir_all(&opts.out).expect("create --out dir");
     let path = format!("{}/BENCH_wall.json", opts.out);
     let json = format!(
@@ -891,7 +929,8 @@ fn bench_self(opts: &ServeOpts) {
          \"parallel_rps\": {:.3},\n    \"speedup\": {:.3}\n  }},\n  \
          \"cache\": {{\n    \
          \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.4},\n    \
-         \"responses_served\": {},\n    \"allocs_per_request\": {:.3}\n  }}\n}}\n",
+         \"responses_served\": {},\n    \"allocs_per_request\": {:.3}\n  }},\n  \
+         \"work\": {{\n    \"n\": {},\n    \"g\": {},\n    \"runs\": {{\n{}\n    }}\n  }}\n}}\n",
         opts.seed,
         requests.len(),
         fast_s,
@@ -928,9 +967,75 @@ fn bench_self(opts: &ServeOpts) {
         hit_rate,
         responses.served,
         allocs_per_request,
+        WORK_N,
+        WORK_G,
+        work_runs,
     );
     std::fs::write(&path, json).expect("write BENCH_wall.json");
     println!("wrote {path}\n");
+}
+
+/// The shape `work_counts` runs: the paper's 2^22-element sweep point at
+/// n = 16, G = 2^6.
+const WORK_N: u32 = 16;
+const WORK_G: u32 = 6;
+
+/// Exact host work of one run of each proposal and library at
+/// [`WORK_N`], [`WORK_G`]: `(name, allocations, bytes)`. Each run is
+/// counted inside [`gpu_sim::host::as_worker`], so no site fans out and
+/// every allocation lands on this thread's counters; each output is
+/// verified after its count is taken.
+fn work_counts() -> Vec<(&'static str, u64, u64)> {
+    use baselines::{Cub, LightScan, ScanLibrary};
+    use scan_core::verify::verify_batch;
+    use scan_core::{
+        premises, NodeConfig, ProblemParams, Proposal, ScanOutput, ScanRequest, ScanResult,
+    };
+
+    let device = DeviceSpec::tesla_k80();
+    let problem = ProblemParams::new(WORK_N, WORK_G);
+    let input = bench::workload::uniform_input(problem.total_elems(), 7);
+    let count = |name: &'static str, run: &dyn Fn(&[i32]) -> ScanResult<ScanOutput<i32>>| {
+        let (allocs, bytes, out) = gpu_sim::host::as_worker(|| {
+            let (allocs, bytes) = (allocs_now(), bytes_now());
+            let out = run(&input);
+            (allocs_now() - allocs, bytes_now() - bytes, out)
+        });
+        let out = out.unwrap_or_else(|e| panic!("work run {name}: {e}"));
+        verify_batch(Add, problem, &input, &out.data)
+            .unwrap_or_else(|e| panic!("work run {name}: {e}"));
+        (name, allocs, bytes)
+    };
+    // Each proposal with its (W, V, Y, M) selection and the GPUs sharing
+    // one problem, which sets the premise tuple's default K.
+    let proposals = [
+        ("sp", Proposal::Sp, None, 1),
+        ("mps_w4", Proposal::Mps, Some((4, 4, 1, 1)), 4),
+        ("mppc_w8_v4", Proposal::Mppc, Some((8, 4, 2, 1)), 4),
+        ("multinode_m2_w4", Proposal::MpsMultinode, Some((4, 4, 1, 2)), 8),
+        ("case1_w4", Proposal::Case1, Some((4, 4, 1, 1)), 1),
+    ];
+    let base = premises::derive_tuple(&device, 4, 0);
+    let mut counts: Vec<_> = proposals
+        .into_iter()
+        .map(|(name, proposal, cfg, parts)| {
+            let k = premises::default_k(&device, &problem, &base, parts).expect("feasible K");
+            let mut request =
+                ScanRequest::new(Add, problem).proposal(proposal).tuple(base.with_k(k));
+            if let Some((w, v, y, m)) = cfg {
+                request = request
+                    .devices(NodeConfig::new(w, v, y, m).expect("valid selection"))
+                    .fabric(interconnect::Fabric::tsubame_kfc(m));
+            }
+            count(name, &|input| request.run(input))
+        })
+        .collect();
+    let libraries: [(&str, Box<dyn ScanLibrary<i32>>); 2] =
+        [("cub", Box::new(Cub::new(Add))), ("lightscan", Box::new(LightScan::new(Add)))];
+    for (name, lib) in libraries {
+        counts.push(count(name, &|input| lib.batch_scan(&device, problem, input)));
+    }
+    counts
 }
 
 /// Assert two schedules agree bit for bit: every node's start, finish and

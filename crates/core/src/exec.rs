@@ -25,7 +25,7 @@ use skeletons::{ScanOp, Scannable, SplkTuple};
 use crate::error::{ScanError, ScanResult};
 use crate::fault::abort_and_replan;
 use crate::multi_gpu::{
-    assemble_output, build_workers, gather_aux, parallel_phase, scatter_offsets, Worker,
+    assemble_into, build_workers, gather_aux, parallel_phase, scatter_offsets, Worker,
 };
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
@@ -422,7 +422,7 @@ impl<O> Launch<'_, O> {
             })
             .collect();
 
-        out.copy_from_slice(&assemble_output(&plan, &workers));
+        assemble_into(&plan, &workers, out);
         Ok(s3)
     }
 }

@@ -52,9 +52,10 @@ pub fn build_workers<T: Scannable>(
     }
     let n = plan.problem.problem_size();
     let g_total = plan.problem.batch();
-    // Workers share no state (each builds its own Gpu and copies its own
+    // Workers share no state (each builds its own Gpu and gathers its own
     // portions), so they are built under one fan and come back in
-    // `gpu_ids` order.
+    // `gpu_ids` order. The gathered portions become the device input as
+    // they are: the host-to-device copy is simulated, not made.
     host::fan_out(gpu_ids.iter().enumerate(), |(w, &gid)| {
         let gpu = Gpu::new(gid, device.clone());
         let mut local = Vec::with_capacity(plan.elems_per_gpu());
@@ -62,8 +63,9 @@ pub fn build_workers<T: Scannable>(
             let s = g * n + w * plan.portion;
             local.extend_from_slice(&input[s..s + plan.portion]);
         }
-        let input = gpu.alloc_from(&local)?;
-        let output = gpu.alloc(local.len())?;
+        let len = local.len();
+        let input = gpu.adopt(local)?;
+        let output = gpu.alloc(len)?;
         let aux = gpu.alloc(plan.aux_local_len())?;
         let offsets = gpu.alloc(plan.aux_local_len())?;
         Ok(Worker { gpu, part: w, global_id: gid, input, output, aux, offsets })
@@ -102,18 +104,29 @@ pub fn gather_aux<T: Scannable>(
     root_aux: &mut gpu_sim::DeviceBuffer<T>,
     plan: &ExecutionPlan,
 ) -> CollectiveCost {
+    gather_aux_functional(workers, root_aux, plan);
+    strided_exchange_cost(fabric, workers[0].global_id, &strided_parts(workers, plan))
+}
+
+/// The functional half of the aux gather, without cost accounting — the
+/// multi-node path charges an `MPI_Gather` instead, whose per-rank blocks
+/// land in the same problem-interleaved layout Stage 2 reads.
+pub(crate) fn gather_aux_functional<T: Scannable>(
+    workers: &[Worker<T>],
+    root_aux: &mut gpu_sim::DeviceBuffer<T>,
+    plan: &ExecutionPlan,
+) {
     let rows = plan.chunks_per_problem();
     let bx1 = plan.bx1;
     let g_total = plan.problem.batch();
+    let dst = root_aux.host_view_mut();
     for w in workers {
-        let src = w.input_aux_view();
-        let dst = root_aux.host_view_mut();
+        let src = w.aux.host_view();
         for g in 0..g_total {
             dst[g * rows + w.part * bx1..g * rows + (w.part + 1) * bx1]
                 .copy_from_slice(&src[g * bx1..(g + 1) * bx1]);
         }
     }
-    strided_exchange_cost(fabric, workers[0].global_id, &strided_parts(workers, plan))
 }
 
 /// Scatter each worker's slice of the scanned auxiliary array back
@@ -162,26 +175,29 @@ fn strided_parts<T: Scannable>(workers: &[Worker<T>], plan: &ExecutionPlan) -> V
         .collect()
 }
 
-impl<T: Scannable> Worker<T> {
-    fn input_aux_view(&self) -> &[T] {
-        self.aux.host_view()
-    }
+/// Interleave the workers' output portions back into batch layout in a
+/// fresh vector. See [`assemble_into`].
+pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]) -> Vec<T> {
+    let mut out = vec![T::default(); plan.problem.total_elems()];
+    assemble_into(plan, workers, &mut out);
+    out
 }
 
-/// Interleave the workers' output portions back into batch layout
+/// Interleave the workers' output portions into `out`, in batch layout
 /// (`out[g · N + w · portion + i] = worker_w.output[g · portion + i]`).
-pub fn assemble_output<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>]) -> Vec<T> {
+///
+/// # Panics
+/// Panics if `out` does not hold the plan's `G·N` elements.
+pub fn assemble_into<T: Scannable>(plan: &ExecutionPlan, workers: &[Worker<T>], out: &mut [T]) {
+    assert_eq!(out.len(), plan.problem.total_elems(), "assembled batch size mismatch");
     let n = plan.problem.problem_size();
-    let g_total = plan.problem.batch();
-    let mut out = vec![T::default(); plan.problem.total_elems()];
     for w in workers {
         let src = w.output.host_view();
-        for g in 0..g_total {
+        for g in 0..plan.problem.batch() {
             out[g * n + w.part * plan.portion..g * n + (w.part + 1) * plan.portion]
                 .copy_from_slice(&src[g * plan.portion..(g + 1) * plan.portion]);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -232,6 +248,26 @@ mod tests {
             workers[1].input.host_view()[plan.portion..],
             input[4096 + plan.portion..4096 + 2 * plan.portion]
         );
+    }
+
+    #[test]
+    fn assemble_into_fills_the_batch_like_assemble_output() {
+        let problem = ProblemParams::new(12, 2); // 4 problems, W = 4: portions of 1024
+        let plan = ExecutionPlan::new(problem, SplkTuple::kepler_premises(0), 4).unwrap();
+        let input = pseudo(problem.total_elems());
+        let mut workers = build_workers(&k80(), &plan, &[0, 1, 2, 3], &input).unwrap();
+        for w in &mut workers {
+            let vals: Vec<i32> =
+                (0..plan.elems_per_gpu()).map(|i| (w.part * 100_000 + i) as i32).collect();
+            w.output.copy_from_host(&vals);
+        }
+        let fresh = assemble_output(&plan, &workers);
+        let mut out = vec![-1; problem.total_elems()];
+        assemble_into(&plan, &workers, &mut out);
+        assert_eq!(out, fresh);
+        // Problem 3's third quarter is worker 2's fourth portion.
+        let (n, p) = (problem.problem_size(), plan.portion);
+        assert_eq!(out[3 * n + 2 * p..3 * n + 3 * p], workers[2].output.host_view()[3 * p..]);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
 use crate::exec::{collective_links, Launch};
-use crate::multi_gpu::{assemble_output, parallel_phase, scatter_offsets_functional, Worker};
+use crate::multi_gpu::{
+    assemble_output, gather_aux_functional, parallel_phase, scatter_offsets_functional, Worker,
+};
 use crate::params::NodeConfig;
 use crate::plan::ExecutionPlan;
 use crate::report::ScanOutput;
@@ -89,7 +91,7 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
 
     // MPI_Gather: every rank's local aux (G · Bx¹ elements) to the master.
     let mut root_aux = workers[0].gpu.alloc::<T>(plan.aux_global_len())?;
-    gather_functional(&workers, &mut root_aux, &plan);
+    gather_aux_functional(&workers, &mut root_aux, &plan);
     let gather = comm.gather(fabric, plan.aux_local_len() * elem_bytes);
     workers[0].gpu.charge("MPI_Gather", EventKind::Collective, gather.seconds);
     let p = graph.phase("MPI_Gather");
@@ -162,26 +164,6 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
 
     let label = format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w());
     launch.finish(label, &gpu_ids, assemble_output(&plan, &workers), graph, Vec::new())
-}
-
-/// Functional part of the MPI gather: place each rank's aux rows in the
-/// master's global array (MPI delivers per-rank contiguous blocks; the
-/// master's receive layout interleaves by problem, matching Stage 2).
-fn gather_functional<T: Scannable>(
-    workers: &[crate::multi_gpu::Worker<T>],
-    root_aux: &mut gpu_sim::DeviceBuffer<T>,
-    plan: &ExecutionPlan,
-) {
-    let rows = plan.chunks_per_problem();
-    let bx1 = plan.bx1;
-    for w in workers {
-        let src = w.aux.host_view();
-        let dst = root_aux.host_view_mut();
-        for g in 0..plan.problem.batch() {
-            dst[g * rows + w.part * bx1..g * rows + (w.part + 1) * bx1]
-                .copy_from_slice(&src[g * bx1..(g + 1) * bx1]);
-        }
-    }
 }
 
 #[cfg(test)]

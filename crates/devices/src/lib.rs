@@ -2,14 +2,14 @@
 //!
 //! Single source of truth for what hardware the simulated cluster is made
 //! of: device models (Kepler through Ampere GPUs, plus an Ascend-style AI
-//! accelerator with a vector/cube cost split and an explicit on-chip
-//! unified buffer) and named interconnect fabrics (PCIe trees, NVLink
-//! meshes, NVSwitch planes, DGX-1/DGX-2 boxes).
+//! accelerator with an explicit on-chip unified buffer) and named
+//! interconnect fabrics (PCIe trees, NVLink meshes, NVSwitch planes,
+//! DGX-1/DGX-2 boxes).
 //!
 //! * [`model`] — the [`DeviceModel`] trait (what the simulator needs from
 //!   a part: parallel-unit count, clock, on-chip capacity, per-element
-//!   cost), the [`DevicePreset`] registry, and the [`AscendModel`] /
-//!   [`AscendCostModel`] accelerator;
+//!   cost), the [`DevicePreset`] registry, and the [`AscendModel`]
+//!   accelerator;
 //! * [`fabric`] — the [`FabricPreset`] registry, lowering named
 //!   topologies onto `interconnect` link resources via per-pair
 //!   [`interconnect::LinkClass`] override matrices.
@@ -26,4 +26,4 @@ pub mod fabric;
 pub mod model;
 
 pub use fabric::FabricPreset;
-pub use model::{AscendCostModel, AscendModel, DeviceError, DeviceModel, DevicePreset};
+pub use model::{AscendModel, DeviceError, DeviceModel, DevicePreset};

@@ -9,14 +9,14 @@
 //! through this registry is bit-identical to one built on the raw specs.
 //!
 //! The [`DevicePreset::Ascend910`] entry models a non-GPU accelerator: a
-//! Da Vinci-style part whose AI cores pair a SIMD *vector* unit with a
-//! matmul *cube* unit and stage tiles through an explicit on-chip unified
-//! buffer rather than cached shared memory. Its cost model
-//! ([`AscendCostModel`]) keeps the vector/cube split visible and its
-//! [`DeviceModel::validate_tile_bytes`] enforces the buffer capacity that
-//! CUDA-style occupancy limits would otherwise hide.
+//! Da Vinci-style part whose AI cores stage tiles through an explicit
+//! on-chip unified buffer rather than cached shared memory. Scans are pure
+//! vector-unit work, so it lowers its vector and buffer rates onto a
+//! [`DeviceSpec`] and runs on `gpu_sim`'s one timing model like every
+//! other preset; its [`DeviceModel::validate_tile_bytes`] enforces the
+//! buffer capacity that CUDA-style occupancy limits would otherwise hide.
 
-use gpu_sim::{CostCounters, DeviceSpec, KernelCostModel, KernelTime, LaunchConfig, Occupancy};
+use gpu_sim::DeviceSpec;
 
 /// Error raised by device-model capacity checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,8 +115,8 @@ pub enum DevicePreset {
     V100,
     /// Ampere-generation A100 (GA100, CC 8.0).
     A100,
-    /// Ascend 910-style AI accelerator (Da Vinci cores with vector/cube
-    /// units and an explicit unified buffer).
+    /// Ascend 910-style AI accelerator (Da Vinci cores with an explicit
+    /// unified buffer).
     Ascend910,
 }
 
@@ -141,16 +141,6 @@ impl DevicePreset {
     /// call sites that hold the enum directly).
     pub fn spec(&self) -> DeviceSpec {
         self.lower()
-    }
-
-    /// The Ascend model behind [`DevicePreset::Ascend910`] with its
-    /// vector/cube cost split, for callers that need more than the
-    /// lowered spec.
-    pub fn ascend_model(&self) -> Option<AscendModel> {
-        match self {
-            DevicePreset::Ascend910 => Some(AscendModel::ascend910()),
-            _ => None,
-        }
     }
 }
 
@@ -245,9 +235,10 @@ impl DeviceModel for DevicePreset {
     }
 }
 
-/// An Ascend 910-style accelerator: Da Vinci AI cores, each pairing a SIMD
-/// vector unit with a 16×16×16 matmul cube unit, staging tiles through an
-/// explicit per-core unified buffer (no hardware-managed shared memory).
+/// An Ascend 910-style accelerator: Da Vinci AI cores staging tiles
+/// through an explicit per-core unified buffer (no hardware-managed shared
+/// memory). Each core also carries a matmul cube unit, which no scan here
+/// uses, so only its SIMD vector unit is modelled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AscendModel {
     /// Number of Da Vinci AI cores.
@@ -259,8 +250,6 @@ pub struct AscendModel {
     pub unified_buffer_bytes: usize,
     /// SIMD lanes of one vector unit (fp32-equivalent).
     pub vector_lanes: usize,
-    /// Multiply-accumulates one cube unit retires per cycle.
-    pub cube_macs_per_cycle: usize,
     /// HBM capacity in bytes.
     pub hbm_bytes: usize,
     /// Achievable HBM streaming bandwidth, bytes per second.
@@ -278,7 +267,6 @@ impl AscendModel {
             clock_hz: 1.0e9,
             unified_buffer_bytes: 256 * 1024,
             vector_lanes: 128,
-            cube_macs_per_cycle: 4096,
             hbm_bytes: 32usize * 1024 * 1024 * 1024,
             hbm_bandwidth: 1000.0e9,
             launch_overhead: 2.0e-6,
@@ -290,11 +278,6 @@ impl AscendModel {
     /// warp-level counters).
     pub fn vector_throughput(&self) -> f64 {
         self.ai_cores as f64 * self.vector_lanes as f64 * self.clock_hz / 32.0
-    }
-
-    /// Aggregate cube-unit throughput in MACs per second.
-    pub fn cube_throughput(&self) -> f64 {
-        self.ai_cores as f64 * self.cube_macs_per_cycle as f64 * self.clock_hz
     }
 
     /// Aggregate unified-buffer access throughput, warp-equivalent
@@ -354,66 +337,6 @@ impl DeviceModel for AscendModel {
     }
 }
 
-/// The Ascend kernel cost model: same decomposition as the GPU
-/// [`gpu_sim::TimingModel`], with compute split across the vector and cube
-/// units. Scan kernels are pure vector work (element-wise combine, lane
-/// shuffles, buffer traffic); the cube term exists so matmul-shaped
-/// operators charge the right unit, and is zero for every scan counter set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AscendCostModel {
-    /// The hardware the costs derive from.
-    pub model: AscendModel,
-    /// Serial-chain hop latency (decoupled look-back), in seconds.
-    pub chain_hop_latency: f64,
-}
-
-impl AscendCostModel {
-    /// Cost model over the given hardware with the default 100 ns
-    /// look-back hop.
-    pub fn new(model: AscendModel) -> Self {
-        AscendCostModel { model, chain_hop_latency: 100.0e-9 }
-    }
-
-    /// Time the *vector* unit spends on the launch: ALU combines, lane
-    /// shuffles and unified-buffer traffic.
-    pub fn vector_time(&self, counters: &CostCounters, efficiency: f64) -> f64 {
-        let m = &self.model;
-        (counters.alu_ops as f64 + counters.shuffles as f64) / (m.vector_throughput() * efficiency)
-            + counters.shared_ops() as f64 / (m.buffer_throughput() * efficiency)
-    }
-
-    /// Time the *cube* unit spends on the launch. The warp-level counter
-    /// set carries no matmul term, so scans charge the cube nothing; the
-    /// split stays explicit so the breakdown harness can show it.
-    pub fn cube_time(&self, _counters: &CostCounters, _efficiency: f64) -> f64 {
-        0.0
-    }
-}
-
-impl KernelCostModel for AscendCostModel {
-    fn cost(
-        &self,
-        device: &DeviceSpec,
-        cfg: &LaunchConfig,
-        occ: &Occupancy,
-        counters: &CostCounters,
-    ) -> KernelTime {
-        let efficiency = self.launch_efficiency(device, cfg, occ);
-        let memory = counters.global_bytes() as f64
-            / (self.model.hbm_bandwidth * efficiency * cfg.bw_derate);
-        let compute = self.vector_time(counters, efficiency) + self.cube_time(counters, efficiency);
-        let chain =
-            if cfg.serial_chain { cfg.grid_blocks() as f64 * self.chain_hop_latency } else { 0.0 };
-        KernelTime { launch: self.model.launch_overhead, memory, compute, chain, efficiency }
-    }
-
-    /// Efficiency is how many AI cores the grid fills: each block maps to
-    /// one core's task queue, and HBM saturates once every core streams.
-    fn launch_efficiency(&self, _device: &DeviceSpec, cfg: &LaunchConfig, _occ: &Occupancy) -> f64 {
-        (cfg.grid_blocks() as f64 / self.model.ai_cores as f64).clamp(0.01, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,40 +392,6 @@ mod tests {
             assert!(preset.validate_tile_bytes(preset.on_chip_bytes()).is_ok());
             assert!(preset.validate_tile_bytes(preset.on_chip_bytes() + 1).is_err());
         }
-    }
-
-    #[test]
-    fn ascend_cost_model_splits_vector_and_cube() {
-        let cost = AscendCostModel::new(AscendModel::ascend910());
-        let spec = cost.model.lower();
-        let cfg = LaunchConfig::new("scan", (64, 1), (128, 1)).regs(32);
-        let occ = gpu_sim::occupancy(&spec, &cfg.block_resources(4));
-        let counters = CostCounters {
-            gld_transactions: 1 << 16,
-            alu_ops: 1 << 12,
-            shuffles: 1 << 10,
-            shared_loads: 1 << 8,
-            ..Default::default()
-        };
-        let t = cost.cost(&spec, &cfg, &occ, &counters);
-        let eff = t.efficiency;
-        assert!((0.01..=1.0).contains(&eff));
-        // Scans are pure vector work: the cube term is exactly zero and
-        // compute equals the vector time.
-        assert_eq!(cost.cube_time(&counters, eff), 0.0);
-        assert_eq!(t.compute.to_bits(), cost.vector_time(&counters, eff).to_bits());
-        assert!(t.memory > 0.0 && t.total() > t.memory);
-    }
-
-    #[test]
-    fn ascend_efficiency_tracks_core_fill() {
-        let cost = AscendCostModel::new(AscendModel::ascend910());
-        let spec = cost.model.lower();
-        let occ = |cfg: &LaunchConfig| gpu_sim::occupancy(&spec, &cfg.block_resources(4));
-        let full = LaunchConfig::new("k", (32, 1), (128, 1)).regs(32);
-        let half = LaunchConfig::new("k", (16, 1), (128, 1)).regs(32);
-        assert_eq!(cost.launch_efficiency(&spec, &full, &occ(&full)), 1.0);
-        assert_eq!(cost.launch_efficiency(&spec, &half, &occ(&half)), 0.5);
     }
 
     #[test]

@@ -168,6 +168,14 @@ impl Gpu {
         DeviceBuffer::new(self.id, self.tracker.clone(), data.to_vec())
     }
 
+    /// Adopt an owned host vector as a device buffer, without copying it.
+    /// The reservation — and the [`SimError::OutOfMemory`] past capacity —
+    /// is exactly [`Gpu::alloc_from`]'s for the same data; only the host
+    /// copy is gone.
+    pub fn adopt<T: DeviceCopy>(&self, data: Vec<T>) -> SimResult<DeviceBuffer<T>> {
+        DeviceBuffer::new(self.id, self.tracker.clone(), data)
+    }
+
     /// Launch a kernel on the default stream. See [`Gpu::launch_on`].
     pub fn launch<T, F>(&mut self, cfg: &LaunchConfig, kernel: F) -> SimResult<KernelStats>
     where
@@ -474,6 +482,52 @@ mod tests {
         let buf = g.alloc_from(&[1i32, 2, 3]).unwrap();
         assert_eq!(buf.host_view(), &[1, 2, 3]);
         assert_eq!(buf.gpu_id(), 0);
+    }
+
+    #[test]
+    fn adopting_reserves_what_a_copy_would_without_copying() {
+        let data: Vec<i64> = (0..1000).collect();
+        let (copied, adopted) = (gpu(), gpu());
+        let copy = copied.alloc_from(&data).unwrap();
+        let ptr = data.as_ptr();
+        let buf = adopted.adopt(data).unwrap();
+        assert_eq!(adopted.memory().used(), copied.memory().used());
+        assert_eq!(adopted.memory().used(), 8000);
+        assert_eq!(buf.host_view(), copy.host_view());
+        assert_eq!(buf.host_view().as_ptr(), ptr, "the vector itself became device memory");
+        drop(buf);
+        assert_eq!(adopted.memory().used(), 0);
+    }
+
+    #[test]
+    fn adopting_past_capacity_is_out_of_memory() {
+        let mut spec = DeviceSpec::tesla_k80();
+        spec.global_mem_bytes = 1000;
+        let g = Gpu::new(0, spec);
+        let _held = g.adopt(vec![0u8; 600]).unwrap();
+        match g.adopt(vec![0u8; 600]).unwrap_err() {
+            SimError::OutOfMemory { requested, in_use, capacity } => {
+                assert_eq!((requested, in_use, capacity), (600, 600, 1000));
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert_eq!(g.memory().used(), 600, "a refused adoption reserves nothing");
+    }
+
+    #[test]
+    fn into_host_hands_the_data_back_and_releases_it_once() {
+        let g = gpu();
+        let other = g.alloc::<i32>(100).unwrap();
+        let prior = g.memory().used();
+        let buf = g.adopt(vec![5i32, 6, 7, 8]).unwrap();
+        assert_eq!(g.memory().used(), prior + 16);
+        let ptr = buf.host_view().as_ptr();
+        let host = buf.into_host();
+        assert_eq!(host, vec![5, 6, 7, 8]);
+        assert_eq!(host.as_ptr(), ptr, "moved out, not copied");
+        assert_eq!(g.memory().used(), prior, "released exactly once");
+        drop(other);
+        assert_eq!(g.memory().used(), 0, "the consumed buffer's drop released nothing more");
     }
 
     /// A trivial "copy" kernel: each block copies its 128-element chunk.

@@ -68,6 +68,6 @@ pub use memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
 pub use occupancy::{occupancy, BlockResources, Limiter, Occupancy, Table3Row};
 pub use profile::{ProfileReport, ProfileRow};
 pub use stream::{StreamGrant, StreamNamespace};
-pub use timing::{KernelCostModel, KernelTime, TimingModel};
+pub use timing::{KernelTime, TimingModel};
 pub use vecload::AccessWidth;
 pub use warp::{LaneArray, WARP_SIZE};

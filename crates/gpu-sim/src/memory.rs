@@ -80,11 +80,13 @@ impl MemoryTracker {
 
 /// A typed allocation in simulated device global memory.
 ///
-/// Created through [`crate::gpu::Gpu::alloc`] (zero-initialised) or
-/// [`crate::gpu::Gpu::alloc_from`] (host-to-device copy). Kernel code reads
-/// and writes it through the [`crate::block::BlockCtx`] accessors, which
-/// charge memory-transaction counters; host code uses [`DeviceBuffer::host_view`]
-/// and [`DeviceBuffer::copy_to_host`]-style accessors freely.
+/// Created through [`crate::gpu::Gpu::alloc`] (zero-initialised),
+/// [`crate::gpu::Gpu::alloc_from`] (host-to-device copy) or
+/// [`crate::gpu::Gpu::adopt`] (an owned host vector, moved in). Kernel code
+/// reads and writes it through the [`crate::block::BlockCtx`] accessors,
+/// which charge memory-transaction counters; host code uses
+/// [`DeviceBuffer::host_view`], [`DeviceBuffer::copy_to_host`] and
+/// [`DeviceBuffer::into_host`] freely.
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceCopy> {
     data: Vec<T>,
@@ -133,6 +135,15 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// Copy the buffer's contents to a fresh host vector.
     pub fn copy_to_host(&self) -> Vec<T> {
         self.data.clone()
+    }
+
+    /// Free the allocation and hand its contents to the host without a
+    /// copy: the device-to-host transfer of a buffer nothing reads again.
+    /// The bytes go back to the tracker here, once; the buffer then drops
+    /// empty, so [`Drop`] releases nothing more.
+    pub fn into_host(mut self) -> Vec<T> {
+        self.tracker.release(self.size_bytes());
+        std::mem::take(&mut self.data)
     }
 
     /// Overwrite the buffer from a host slice.

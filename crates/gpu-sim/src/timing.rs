@@ -70,44 +70,6 @@ impl KernelTime {
     }
 }
 
-/// The kernel cost model behind a trait: everything the simulator needs to
-/// turn a launch's cost counters into simulated seconds.
-///
-/// [`TimingModel`] is the canonical GPU implementation (and the one the
-/// execution pipeline instantiates — its inherent methods are untouched, so
-/// existing schedules are bit-identical). Alternative accelerator models —
-/// e.g. an Ascend-style vector/cube split — implement this trait to expose
-/// the same decomposition without the simulator knowing their internals.
-pub trait KernelCostModel {
-    /// Simulated time of one kernel launch on `device`.
-    fn cost(
-        &self,
-        device: &DeviceSpec,
-        cfg: &LaunchConfig,
-        occ: &Occupancy,
-        counters: &CostCounters,
-    ) -> KernelTime;
-
-    /// Bandwidth-extraction efficiency of the launch, in `(0, 1]`.
-    fn launch_efficiency(&self, device: &DeviceSpec, cfg: &LaunchConfig, occ: &Occupancy) -> f64;
-}
-
-impl KernelCostModel for TimingModel {
-    fn cost(
-        &self,
-        device: &DeviceSpec,
-        cfg: &LaunchConfig,
-        occ: &Occupancy,
-        counters: &CostCounters,
-    ) -> KernelTime {
-        self.kernel_time(device, cfg, occ, counters)
-    }
-
-    fn launch_efficiency(&self, device: &DeviceSpec, cfg: &LaunchConfig, occ: &Occupancy) -> f64 {
-        self.efficiency(device, cfg, occ)
-    }
-}
-
 impl TimingModel {
     /// Compute the simulated time of one kernel launch.
     pub fn kernel_time(
@@ -229,26 +191,6 @@ mod tests {
         let derated_cfg = LaunchConfig::new("k", (4096, 1), (128, 1)).regs(64).bw_derate(0.5);
         let derated = model.kernel_time(&d, &derated_cfg, &occ, &counters);
         assert!((derated.memory / full.memory - 2.0).abs() < 1e-9);
-    }
-
-    /// The trait view is the inherent model, bit for bit.
-    #[test]
-    fn trait_delegates_to_inherent_model() {
-        let d = k80();
-        let cfg = LaunchConfig::new("k", (512, 1), (128, 1)).shared_elems(32).regs(64);
-        let occ = occ_for(&d, &cfg);
-        let counters =
-            CostCounters { gld_transactions: 1 << 16, alu_ops: 77, ..Default::default() };
-        let model = TimingModel::default();
-        let dynamic: &dyn KernelCostModel = &model;
-        let a = model.kernel_time(&d, &cfg, &occ, &counters);
-        let b = dynamic.cost(&d, &cfg, &occ, &counters);
-        assert_eq!(a.total().to_bits(), b.total().to_bits());
-        assert_eq!(a.memory.to_bits(), b.memory.to_bits());
-        assert_eq!(
-            model.efficiency(&d, &cfg, &occ).to_bits(),
-            dynamic.launch_efficiency(&d, &cfg, &occ).to_bits()
-        );
     }
 
     #[test]
