@@ -42,10 +42,12 @@ pub fn serve_windows(
 /// Run `requests` through a `shards`-way [`Router`] under every
 /// [`Policy`] (hash placement, stealing on — the benchmark defaults).
 ///
-/// `threads` selects the stepping engine ([`RouterConfig`] semantics:
-/// 0 = auto, 1 = serial). The report — and so the JSON — is
-/// byte-identical either way; the knob only changes how the window is
-/// computed, which is exactly what CI's differential byte-compare pins.
+/// `threads` is [`RouterConfig::threads`]: 1 runs each window wholly on
+/// the calling thread, any other value fans the shards' window-end
+/// reports (their response passes) out across the cores (ticks always
+/// run on the caller). The report — and so the JSON — is byte-identical either way;
+/// the knob only changes how the window is computed, which is exactly
+/// what CI's differential byte-compare pins.
 pub fn sharded_windows(
     requests: &[ServeRequest],
     seed: u64,

@@ -1,14 +1,19 @@
 //! Host parallelism: the one place that decides how many host threads a
 //! call path uses.
 //!
-//! The simulator's independent units nest: router shards, independent GPU
-//! groups (MP-PC and Case 1), a group's GPUs, and a launch's blocks. A
-//! call path fans out once, at its outermost level with two or more units,
-//! and runs every level inside that fan serially on the thread that
-//! reached it. This follows the coarsest-granularity rule for parallel
-//! replications (Passerat-Palmbach et al.): a spawn pays off only when
-//! there is enough work behind it, and threads started inside a fan would
-//! only compete with the fan's own threads for the same cores.
+//! The simulator's independent units nest: independent GPU groups (MP-PC
+//! and Case 1), a group's GPUs, and a launch's blocks; a serving window's
+//! response pass is a unit of its own, and a router window's end nests its
+//! shards' response passes. A call path fans out once, at its outermost
+//! level with two or more units, and runs every level inside that fan
+//! serially on the thread that reached it. A sharded router steps its
+//! ticks on the caller as a fan worker ([`as_worker`]), since a tick's
+//! dispatch is too little work to hand to another thread, and fans out
+//! only once its loop is done, over the shards' reports. This follows
+//! the coarsest-granularity rule for parallel replications
+//! (Passerat-Palmbach et al.): a spawn pays off only when there is enough
+//! work behind it, and threads started inside a fan would only compete
+//! with the fan's own threads for the same cores.
 //!
 //! A thread that runs one run of a fan is a *fan worker*. [`width`] is 1
 //! on a fan worker, so any [`fan_out`] it reaches runs on it alone. Every

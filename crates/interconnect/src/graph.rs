@@ -1040,11 +1040,13 @@ pub fn merge_fleet_parts(parts: Vec<(ExecGraph, Schedule, String)>) -> (ExecGrap
             "part schedule does not cover its graph"
         );
         let offset = graph.nodes.len();
-        for label in &mut part.phase_labels {
-            *label = format!("{prefix}{label}");
-        }
-        for node in &mut part.nodes {
-            node.label = format!("{prefix}{}", node.label);
+        if !prefix.is_empty() {
+            for label in &mut part.phase_labels {
+                *label = format!("{prefix}{label}");
+            }
+            for node in &mut part.nodes {
+                node.label = format!("{prefix}{}", node.label);
+            }
         }
         graph.append(part);
         start.extend_from_slice(&schedule.start);

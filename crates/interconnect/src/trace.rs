@@ -34,9 +34,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::graph::{ExecGraph, FleetTimeline, NodeId, Resource, Schedule};
+use crate::graph::{merge_fleet_parts, ExecGraph, FleetTimeline, NodeId, Resource, Schedule};
 
 /// Display name of a resource's trace track (`None` is the track for
 /// nodes that claim no exclusive resource, e.g. MPI barriers).
@@ -540,22 +540,32 @@ impl FleetTimeline {
     /// same [`BTreeMap`] keys, and a node's dependencies all live in its
     /// own admission, so the local finish times are the global ones.
     pub fn utilization(&self) -> UtilizationReport {
-        let makespan = self.makespan();
+        let mut by_resource = BTreeMap::new();
+        self.add_utilization(&mut by_resource, |r| r);
+        finish_utilization(self.makespan(), by_resource)
+    }
+
+    /// Accumulate this record's busy and stall rows into `by_resource`,
+    /// every resource first mapped through its admission's remap table
+    /// and then through `outer`.
+    fn add_utilization(
+        &self,
+        by_resource: &mut BTreeMap<Option<Resource>, ResourceUtilization>,
+        outer: impl Fn(Resource) -> Resource,
+    ) {
         let start = self.start_times();
         let finish = self.finish_times();
-        let mut by_resource: BTreeMap<Option<Resource>, ResourceUtilization> = BTreeMap::new();
         self.visit_nodes(|offset, i, node, remap| {
             let gi = offset + i;
-            for &r in &node.resources {
-                let r = FleetTimeline::map_resource(remap, r);
-                util_entry(&mut by_resource, Some(r)).busy_seconds += node.seconds;
+            let map = |&r: &Resource| outer(FleetTimeline::map_resource(remap, r));
+            for r in &node.resources {
+                util_entry(by_resource, Some(map(r))).busy_seconds += node.seconds;
             }
-            let primary =
-                node.resources.iter().map(|&r| FleetTimeline::map_resource(remap, r)).max();
+            let primary = node.resources.iter().map(map).max();
             let dep_ready =
                 node.deps.iter().map(|d| finish[offset + d.index()]).fold(0.0, f64::max);
             let wait = start[gi] - dep_ready;
-            let row = util_entry(&mut by_resource, primary);
+            let row = util_entry(by_resource, primary);
             row.nodes += 1;
             if node.resources.is_empty() {
                 row.busy_seconds += node.seconds;
@@ -565,7 +575,6 @@ impl FleetTimeline {
                 row.stalled_nodes += 1;
             }
         });
-        finish_utilization(makespan, by_resource)
     }
 
     /// Total busy seconds accumulated on stream resources — the single
@@ -592,39 +601,97 @@ impl FleetTimeline {
     }
 }
 
+/// The resource rewrite of one part of a merged [`FleetTrace`].
+type PartRemap = Box<dyn Fn(&Resource) -> Resource + Send + Sync>;
+
+/// One fleet record of a [`FleetTrace`], with the resource remap (`None`
+/// = identity) and label prefix it is merged under.
+struct FleetPart {
+    fleet: Arc<FleetTimeline>,
+    remap: Option<PartRemap>,
+    prefix: String,
+}
+
+impl FleetPart {
+    fn map(&self, r: Resource) -> Resource {
+        self.remap.as_ref().map_or(r, |remap| remap(&r))
+    }
+}
+
+impl fmt::Debug for FleetPart {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FleetPart")
+            .field("fleet", &self.fleet)
+            .field("remapped", &self.remap.is_some())
+            .field("prefix", &self.prefix)
+            .finish()
+    }
+}
+
 /// A fleet serving window's trace, materialized lazily.
 ///
 /// The serving hot loop accumulates its schedule in a [`FleetTimeline`]
 /// whose admissions share plan-cached graph storage; building the
 /// fleet-wide labelled [`ExecGraph`] (prefixing every label, remapping
 /// every resource) is pure reporting work. `FleetTrace` defers that work
-/// until a consumer actually asks for the graph or an export — summary
-/// metrics ([`FleetTrace::utilization`], [`FleetTrace::makespan`]) come
-/// straight from the admission record without materializing anything.
+/// until a consumer actually asks for the graph, the schedule, the
+/// critical path or an export — summary metrics
+/// ([`FleetTrace::utilization`], [`FleetTrace::makespan`]) come straight
+/// from the admission records without materializing anything.
+///
+/// A trace reads one fleet record ([`FleetTrace::from_fleet`]) or several
+/// ([`FleetTrace::merged`], a sharded window's trace: one record per
+/// shard, each with its resource remap and label prefix). Records are
+/// shared through an [`Arc`], so a shard's own trace and the merged trace
+/// read the same one.
 #[derive(Debug)]
 pub struct FleetTrace {
-    fleet: Option<FleetTimeline>,
+    parts: Vec<FleetPart>,
     cell: OnceLock<Trace>,
 }
 
 impl FleetTrace {
     /// Wrap a finished fleet timeline; nothing is materialized yet.
-    pub fn from_fleet(fleet: FleetTimeline) -> Self {
-        FleetTrace { fleet: Some(fleet), cell: OnceLock::new() }
+    pub fn from_fleet(fleet: Arc<FleetTimeline>) -> Self {
+        let part = FleetPart { fleet, remap: None, prefix: String::new() };
+        FleetTrace { parts: vec![part], cell: OnceLock::new() }
     }
 
-    /// Wrap an already-materialized trace (e.g. the merged multi-shard
-    /// trace, whose parts were remapped and concatenated by the caller).
-    pub fn from_trace(trace: Trace) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(trace);
-        FleetTrace { fleet: None, cell }
+    /// Several independently scheduled fleet records as one trace: each
+    /// record's resources go through its `remap` and its labels get its
+    /// `prefix`. The remaps must put the records in disjoint resource
+    /// domains; the trace then materializes as [`merge_fleet_parts`] over
+    /// the remapped records. Nothing is materialized yet.
+    pub fn merged<F>(parts: impl IntoIterator<Item = (Arc<FleetTimeline>, F, String)>) -> Self
+    where
+        F: Fn(&Resource) -> Resource + Send + Sync + 'static,
+    {
+        let parts = parts
+            .into_iter()
+            .map(|(fleet, remap, prefix)| FleetPart {
+                fleet,
+                remap: Some(Box::new(remap) as PartRemap),
+                prefix,
+            })
+            .collect();
+        FleetTrace { parts, cell: OnceLock::new() }
     }
 
     fn force(&self) -> &Trace {
         self.cell.get_or_init(|| {
-            let fleet = self.fleet.as_ref().expect("fleet trace has a timeline or a trace");
-            Trace::from_parts(fleet.graph(), fleet.schedule())
+            let parts = self
+                .parts
+                .iter()
+                .map(|part| {
+                    let mut graph = part.fleet.graph();
+                    if part.remap.is_some() {
+                        graph.remap_resources(|&r| part.map(r));
+                    }
+                    (graph, part.fleet.schedule(), part.prefix.clone())
+                })
+                .collect();
+            let (graph, schedule) = merge_fleet_parts(parts);
+            Trace::from_parts(graph, schedule)
         })
     }
 
@@ -638,21 +705,21 @@ impl FleetTrace {
         self.force().schedule()
     }
 
-    /// End of the schedule, in seconds. Never materializes.
+    /// End of the schedule, in seconds: the latest record's. Never
+    /// materializes.
     pub fn makespan(&self) -> f64 {
-        match self.cell.get() {
-            Some(trace) => trace.makespan(),
-            None => self.fleet.as_ref().expect("fleet trace has a timeline").makespan(),
-        }
+        self.parts.iter().map(|part| part.fleet.makespan()).fold(0.0, f64::max)
     }
 
-    /// Per-resource utilization. Computed from the admission record when
-    /// the trace has not been materialized (bit-identical either way).
+    /// Per-resource utilization, computed from the admission records
+    /// (bit-identical to the materialized trace's, which visits the same
+    /// nodes in the same order). Never materializes.
     pub fn utilization(&self) -> UtilizationReport {
-        if let Some(trace) = self.cell.get() {
-            return trace.utilization();
+        let mut by_resource = BTreeMap::new();
+        for part in &self.parts {
+            part.fleet.add_utilization(&mut by_resource, |r| part.map(r));
         }
-        self.fleet.as_ref().expect("fleet trace has a timeline").utilization()
+        finish_utilization(self.makespan(), by_resource)
     }
 
     /// The fleet schedule replayed from the admission log through the
@@ -661,11 +728,14 @@ impl FleetTrace {
     /// Test/benchmark surface only.
     ///
     /// # Panics
-    /// Panics on a trace wrapped with [`FleetTrace::from_trace`], which
-    /// has no admission log.
+    /// Panics on a trace of several records ([`FleetTrace::merged`]):
+    /// replay each shard's own trace instead.
     #[doc(hidden)]
     pub fn reference_schedule(&self) -> Schedule {
-        self.fleet.as_ref().expect("fleet trace has a timeline").reference_schedule()
+        match &self.parts[..] {
+            [part] => part.fleet.reference_schedule(),
+            _ => panic!("a merged fleet trace has no single admission log"),
+        }
     }
 
     /// Critical-path attribution (materializes the trace on first use).
@@ -837,12 +907,59 @@ mod tests {
             "r1:".to_string(),
         );
         let from_record = fleet.utilization();
-        let lazy = FleetTrace::from_fleet(fleet.clone());
+        let lazy = FleetTrace::from_fleet(Arc::new(fleet.clone()));
         assert_eq!(lazy.utilization(), from_record, "lazy view reads the record");
         let materialized = Trace::from_parts(fleet.graph(), fleet.schedule()).utilization();
         assert_eq!(from_record, materialized);
         assert_eq!(lazy.graph().nodes().len(), 4);
         assert_eq!(lazy.utilization(), materialized, "post-materialization agrees too");
+    }
+
+    #[test]
+    fn merged_fleet_trace_reads_the_records_until_a_view_needs_the_merge() {
+        // Two fleet records with different schedules, each shifted into
+        // its own resource domain and labelled like a router's shards.
+        let g = sample_graph();
+        let fleets: Vec<Arc<FleetTimeline>> = [0.0, 0.5]
+            .into_iter()
+            .map(|second_release| {
+                let mut fleet = FleetTimeline::new();
+                fleet.admit(&g, 0.0, "r0:");
+                fleet.admit(&g, second_release, "r1:");
+                Arc::new(fleet)
+            })
+            .collect();
+        let shift = |k: usize| {
+            move |r: &Resource| match *r {
+                Resource::Stream { gpu, stream } => Resource::Stream { gpu: gpu + 2 * k, stream },
+                Resource::PcieNetwork { node, network } => {
+                    Resource::PcieNetwork { node: node + k, network }
+                }
+                other => other,
+            }
+        };
+        let prefix = |k: usize| format!("s{k}:");
+        let merged = FleetTrace::merged(
+            fleets.iter().enumerate().map(|(k, fleet)| (fleet.clone(), shift(k), prefix(k))),
+        );
+        let parts = fleets
+            .iter()
+            .enumerate()
+            .map(|(k, fleet)| {
+                let mut graph = fleet.graph();
+                graph.remap_resources(shift(k));
+                (graph, fleet.schedule(), prefix(k))
+            })
+            .collect();
+        let (graph, schedule) = merge_fleet_parts(parts);
+        let want = Trace::from_parts(graph, schedule);
+
+        assert_eq!(merged.makespan().to_bits(), want.makespan().to_bits());
+        assert_eq!(merged.utilization(), want.utilization());
+        assert!(merged.cell.get().is_none(), "makespan and utilization read the records");
+        assert_eq!(format!("{:?}", merged.graph()), format!("{:?}", want.graph()));
+        assert_eq!(format!("{:?}", merged.schedule()), format!("{:?}", want.schedule()));
+        assert_eq!(merged.chrome_trace_json(), want.chrome_trace_json());
     }
 
     #[test]

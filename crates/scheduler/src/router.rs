@@ -28,11 +28,10 @@
 //! both drive the same `ShardState` stepping code.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Condvar, Mutex};
 
 use devices::{DevicePreset, FabricPreset};
 use gpu_sim::host;
-use interconnect::{merge_fleet_parts, Resource, Trace};
+use interconnect::{FleetTrace, Resource};
 use scan_core::{ScanError, ScanResult};
 
 use crate::metrics::ShardedMetrics;
@@ -132,12 +131,13 @@ pub struct RouterConfig {
     /// Each shard's interconnect fabric (same meaning as
     /// [`ServeConfig::fabric`]).
     pub fabric: FabricPreset,
-    /// Worker threads for parallel shard stepping; `0` = one per shard,
-    /// capped at the host's fan width (`gpu_sim::host::width`). Always
-    /// capped at the shard count; an effective count of 1 steps every
-    /// shard serially on the caller's thread — the engine the parallel
-    /// stepping is differentially pinned against. Thread count never
-    /// changes any output byte.
+    /// Host threads a window may use. Ticks always run on the caller's
+    /// thread as a fan worker (`gpu_sim::host::as_worker`); the only host
+    /// fan left is the window's end, where each shard's report (its
+    /// response pass) is built. `1` runs the whole window on the caller's
+    /// thread; any other value (`0` is the default) fans the shards'
+    /// reports out to `gpu_sim::host::width` threads (a 1-shard router's
+    /// response pass fans out itself). No output byte depends on it.
     pub threads: usize,
 }
 
@@ -220,7 +220,9 @@ pub struct ShardedReport {
     pub metrics: ShardedMetrics,
     /// All shards' traces merged onto one timeline, phase labels prefixed
     /// `s<shard>:` and resources remapped into disjoint per-shard domains.
-    pub trace: Trace,
+    /// Lazy: it reads the shards' fleet records (shared with each
+    /// [`ShardReport`]'s own trace) and merges them on first use.
+    pub trace: FleetTrace,
 }
 
 impl ShardedReport {
@@ -287,32 +289,20 @@ impl Router {
         })
     }
 
-    /// The worker count one window actually steps with: the configured
-    /// [`RouterConfig::threads`] (`0` = [`host::width`]), capped at the
-    /// shard count.
-    fn effective_threads(&self) -> usize {
-        let want = if self.config.threads == 0 { host::width() } else { self.config.threads };
-        want.min(self.config.shards).max(1)
-    }
-
     /// Serve `requests` (sorted by arrival) to completion across all
     /// shards.
     ///
-    /// Shards advance in simulated-clock lockstep. Within a tick each
-    /// shard's dispatch touches only its own state and engine (pools,
-    /// timelines, caches and memos are all per-shard), so a tick with two
-    /// or more shards holding queued work runs its dispatch fan on a
-    /// scoped worker pool. With more than one thread, shards are this
-    /// call path's outermost parallel level: the pool workers and the
-    /// main thread are fan workers ([`host::as_worker`]), so every launch
-    /// runs its groups, GPUs and blocks serially. Every cross-shard
-    /// interaction — routing, redirect spill, work stealing, SLO
-    /// escalation, the clock advance — resolves serially at the barrier
-    /// between ticks, in shard-index order. Outputs are therefore
-    /// byte-identical to serial stepping (`threads: 1`) by construction,
-    /// whatever the thread count. Each shard's responses are computed by
+    /// Shards advance in simulated-clock lockstep, and every tick runs on
+    /// the caller's thread as a fan worker ([`host::as_worker`]), so every
+    /// launch runs its groups, GPUs and blocks serially: a tick's dispatch
+    /// is a few microseconds of work, less than waking another thread
+    /// costs. Every cross-shard interaction — routing, redirect spill,
+    /// work stealing, SLO escalation, the clock advance — resolves between
+    /// ticks, in shard-index order. Each shard's responses are computed by
     /// its engine's window-end response pass when the window is
-    /// finalized.
+    /// finalized; the shards' reports are the window's only host fan, and
+    /// [`RouterConfig::threads`] = 1 keeps them on this thread too.
+    /// Outputs are byte-identical whatever the thread count.
     ///
     /// # Errors
     /// [`ScanError::InvalidConfig`] when an arrival is negative, not
@@ -322,52 +312,29 @@ impl Router {
     pub fn run(&self, requests: &[ServeRequest]) -> ScanResult<ShardedReport> {
         // Every shard's engine serves the same configuration.
         self.engines[0].check_arrivals(requests)?;
-        let states: Vec<Mutex<ShardState>> = (0..self.config.shards)
-            .map(|s| Mutex::new(ShardState::new(s, self.engines[s].new_pool())))
-            .collect();
-        let threads = self.effective_threads();
-        let (rejections, redirects_in, steals_out) = if threads <= 1 {
-            self.drive(requests, &states, None)?
-        } else {
-            let shared = DispatchShared {
-                states: &states,
-                engines: &self.engines,
-                requests,
-                job: Mutex::new(JobState::default()),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| host::as_worker(|| shared.worker_loop()));
-                }
-                // Shards are this call path's outermost parallel level, so
-                // the main thread's own dispatches (single-shard ticks and
-                // steals) run their launches serially too.
-                let out = host::as_worker(|| self.drive(requests, &states, Some(&shared)));
-                shared.shutdown();
-                out
-            })?
+        let window = || {
+            let mut states: Vec<ShardState> = (0..self.config.shards)
+                .map(|s| ShardState::new(s, self.engines[s].new_pool()))
+                .collect();
+            let (rejections, redirects_in, steals_out) =
+                host::as_worker(|| self.drive(requests, &mut states))?;
+            Ok(self.finalize(states, rejections, redirects_in, steals_out))
         };
-        let states = states
-            .into_iter()
-            .map(|m| m.into_inner().expect("shard state poisoned"))
-            .collect::<Vec<_>>();
-        Ok(self.finalize(states, threads, rejections, redirects_in, steals_out))
+        if self.config.threads == 1 {
+            host::as_worker(window)
+        } else {
+            window()
+        }
     }
 
-    /// The lockstep serving loop, shared by serial and parallel stepping —
-    /// the only difference is how the per-tick dispatch fan executes
-    /// (inline in shard order, or claimed by the worker pool). Returns
-    /// `(rejections, redirects_in, steals_out)`.
+    /// The lockstep serving loop. Returns `(rejections, redirects_in,
+    /// steals_out)`.
     fn drive(
         &self,
         requests: &[ServeRequest],
-        states: &[Mutex<ShardState>],
-        pool: Option<&DispatchShared<'_>>,
+        states: &mut [ShardState],
     ) -> ScanResult<(Vec<Rejection>, Vec<usize>, Vec<usize>)> {
         let shards = self.config.shards;
-        let lock = |s: usize| states[s].lock().expect("shard state poisoned");
         let mut rejections: Vec<Rejection> = Vec::new();
         let mut redirects_in = vec![0usize; shards];
         let mut steals_out = vec![0usize; shards];
@@ -384,10 +351,10 @@ impl Router {
                 let r = &requests[next];
                 let primary = self.place(r, states);
                 let target = match self.config.queue_capacity {
-                    Some(cap) if lock(primary).queue.len() >= cap => {
+                    Some(cap) if states[primary].queue.len() >= cap => {
                         let alt = (0..shards)
-                            .filter(|&s| lock(s).queue.len() < cap)
-                            .min_by_key(|&s| (lock(s).queue.len(), s));
+                            .filter(|&s| states[s].queue.len() < cap)
+                            .min_by_key(|&s| (states[s].queue.len(), s));
                         if let Some(alt) = alt {
                             redirects_in[alt] += 1;
                         }
@@ -396,7 +363,7 @@ impl Router {
                     _ => Some(primary),
                 };
                 match target {
-                    Some(s) => lock(s).enqueue(next),
+                    Some(s) => states[s].enqueue(next),
                     None => {
                         rejections.push(Rejection { request: r.clone(), time: now, shard: primary })
                     }
@@ -404,44 +371,33 @@ impl Router {
                 next += 1;
             }
 
-            // Dispatch every shard — inline in shard-id order, or fanned
-            // across the worker pool (order-free: shards are disjoint
-            // during dispatch, see `run`). Only a shard with queued work
-            // has anything to dispatch, so a tick with fewer than two of
-            // them stays inline: waking the pool would cost more than the
-            // tick's work.
             let escalate = self.config.slo.is_some().then_some(&over);
-            match pool.filter(|_| (0..shards).filter(|&s| !lock(s).queue.is_empty()).count() >= 2) {
-                Some(pool) => pool.dispatch_tick(now, escalate)?,
-                None => {
-                    for s in 0..shards {
-                        self.engines[s].dispatch(&mut lock(s), requests, now, escalate)?;
-                    }
-                }
+            for (engine, state) in self.engines.iter().zip(states.iter_mut()) {
+                engine.dispatch(state, requests, now, escalate)?;
             }
 
-            // Work stealing (at the barrier, serial): an idle shard (empty
-            // queue, free GPUs) pulls the least-urgent *eligible* entry
-            // from the most-backlogged shard. A shard whose queue is still
-            // non-empty after dispatch has an exhausted pool, so its
-            // surplus really is blocked work. Requests of tenants past
-            // their SLO miss budget are not eligible: they are escalation
-            // candidates on their own shard, and paying a steal transfer
-            // would only push the tenant further past its deadline.
+            // Work stealing: an idle shard (empty queue, free GPUs) pulls
+            // the least-urgent *eligible* entry from the most-backlogged
+            // shard. A shard whose queue is still non-empty after dispatch
+            // has an exhausted pool, so its surplus really is blocked work.
+            // Requests of tenants past their SLO miss budget are not
+            // eligible: they are escalation candidates on their own shard,
+            // and paying a steal transfer would only push the tenant
+            // further past its deadline.
             if self.config.steal {
                 let eligible = |e: &QueueEntry| !over.contains(&requests[e.idx].tenant);
                 loop {
                     let thief = (0..shards)
-                        .find(|&s| lock(s).queue.is_empty() && lock(s).pool.free_count() > 0);
+                        .find(|&s| states[s].queue.is_empty() && states[s].pool.free_count() > 0);
                     let Some(thief) = thief else { break };
                     let victim = (0..shards)
                         .filter(|&s| {
-                            let st = lock(s);
+                            let st = &states[s];
                             s != thief && st.queue.len() >= 2 && st.queue.iter().any(eligible)
                         })
-                        .max_by_key(|&s| (lock(s).queue.len(), std::cmp::Reverse(s)));
+                        .max_by_key(|&s| (states[s].queue.len(), std::cmp::Reverse(s)));
                     let Some(victim) = victim else { break };
-                    let tail = lock(victim)
+                    let tail = states[victim]
                         .queue
                         .iter()
                         .enumerate()
@@ -449,33 +405,30 @@ impl Router {
                         .max_by_key(|(_, e)| self.config.policy.key(&requests[e.idx]))
                         .map(|(pos, _)| pos)
                         .expect("victim has an eligible entry");
-                    let entry = lock(victim).queue.remove(tail);
+                    let entry = states[victim].queue.remove(tail);
                     steals_out[victim] += 1;
-                    {
-                        let mut thief_state = lock(thief);
-                        thief_state
-                            .queue
-                            .push(QueueEntry { idx: entry.idx, stolen_from: Some(victim) });
-                        thief_state.queue_sorted = false;
-                        // The thief has a free GPU, so the stolen entry
-                        // launches now (with its steal-in transfer admitted
-                        // ahead of it).
-                        self.engines[thief].dispatch(&mut thief_state, requests, now, escalate)?;
-                    }
+                    let thief_state = &mut states[thief];
+                    thief_state
+                        .queue
+                        .push(QueueEntry { idx: entry.idx, stolen_from: Some(victim) });
+                    thief_state.queue_sorted = false;
+                    // The thief has a free GPU, so the stolen entry launches
+                    // now (with its steal-in transfer admitted ahead of it).
+                    self.engines[thief].dispatch(thief_state, requests, now, escalate)?;
                 }
             }
 
-            for s in 0..shards {
-                lock(s).sample(now);
+            for state in states.iter_mut() {
+                state.sample(now);
             }
 
             // Advance the shared clock to the next event anywhere.
-            let next_completion = (0..shards).filter_map(|s| lock(s).next_finish()).min();
+            let next_completion = states.iter().filter_map(ShardState::next_finish).min();
             let next_arrival = (next < requests.len()).then(|| requests[next].arrival);
             now = match (next_completion, next_arrival) {
                 (None, None) => {
                     assert!(
-                        (0..shards).all(|s| lock(s).queue.is_empty()),
+                        states.iter().all(|s| s.queue.is_empty()),
                         "idle fleet with a non-empty queue"
                     );
                     break;
@@ -487,12 +440,11 @@ impl Router {
 
             // Retire finished launches on every shard, in shard-id order,
             // then settle the SLO ledger from the new completions.
-            for s in 0..shards {
-                lock(s).retire(now);
+            for state in states.iter_mut() {
+                state.retire(now);
             }
             if let Some(slo) = self.config.slo {
-                for s in 0..shards {
-                    let mut state = lock(s);
+                for state in states.iter_mut() {
                     for c in &state.completions[state.accounted..] {
                         if c.missed_deadline() {
                             *misses.entry(c.request.tenant).or_insert(0) += 1;
@@ -509,14 +461,14 @@ impl Router {
     }
 
     /// Fold the drained shard states into the fleet-wide report: per-shard
-    /// reports, merged trace (resources remapped into disjoint per-shard
-    /// domains), and rollup metrics. With more than one stepping thread,
-    /// the shards' reports (each with its response pass) are built under
-    /// one host fan, like their dispatches.
+    /// reports (each with its response pass), built under one host fan
+    /// over the shards — the window's coarsest unit after the loop — and
+    /// kept in shard-id order, the merged trace over the shards' fleet
+    /// records (resources remapped into disjoint per-shard domains,
+    /// materialized only when read), and rollup metrics.
     fn finalize(
         &self,
         states: Vec<ShardState>,
-        threads: usize,
         rejections: Vec<Rejection>,
         redirects_in: Vec<usize>,
         steals_out: Vec<usize>,
@@ -527,10 +479,8 @@ impl Router {
         let nodes_per_shard = gpus.div_ceil(self.config.fabric.gpus_per_node()).max(1);
         let finish = |(s, mut state): (usize, ShardState)| {
             let stolen_ids = std::mem::take(&mut state.stolen_ids);
-            let report = self.engines[s].report(state);
-            let mut graph = report.trace.graph().clone();
-            graph.remap_resources(|r| remap_shard_resource(r, s, gpus, nodes_per_shard));
-            let part = (graph, report.trace.schedule().clone(), format!("s{s}:"));
+            let (report, fleet) = self.engines[s].report(state);
+            let remap = move |r: &Resource| remap_shard_resource(r, s, gpus, nodes_per_shard);
             let shard = ShardReport {
                 shard: s,
                 steals_in: stolen_ids.len(),
@@ -539,16 +489,11 @@ impl Router {
                 stolen_ids,
                 report,
             };
-            (shard, part)
+            (shard, (fleet, remap, format!("s{s}:")))
         };
-        let states = states.into_iter().enumerate();
-        let (shard_reports, parts): (Vec<_>, Vec<_>) = if threads <= 1 {
-            states.map(finish).unzip()
-        } else {
-            host::fan_out(states, finish).into_iter().unzip()
-        };
-        let (graph, schedule) = merge_fleet_parts(parts);
-        let trace = Trace::from_parts(graph, schedule);
+        let (shard_reports, parts): (Vec<ShardReport>, Vec<_>) =
+            host::fan_out(states.into_iter().enumerate(), finish).into_iter().unzip();
+        let trace = FleetTrace::merged(parts);
         let makespan = shard_reports.iter().map(|s| s.report.makespan).fold(0.0f64, f64::max);
         let completions: Vec<&[Completion]> =
             shard_reports.iter().map(|s| s.report.completions.as_slice()).collect();
@@ -566,136 +511,16 @@ impl Router {
     }
 
     /// The arrival's primary shard under the configured [`Placement`].
-    fn place(&self, r: &ServeRequest, states: &[Mutex<ShardState>]) -> usize {
+    fn place(&self, r: &ServeRequest, states: &[ShardState]) -> usize {
         let shards = self.config.shards;
         match self.config.placement {
             Placement::Hash => {
                 (splitmix64(((r.id as u64) << 8) | r.tenant as u64) % shards as u64) as usize
             }
             Placement::LeastLoaded => (0..shards)
-                .min_by_key(|&s| {
-                    let st = states[s].lock().expect("shard state poisoned");
-                    (st.queue.len() + st.running.len(), s)
-                })
+                .min_by_key(|&s| (states[s].queue.len() + states[s].running.len(), s))
                 .expect("at least one shard"),
             Placement::LocalityByOp => r.op as usize % shards,
-        }
-    }
-}
-
-/// One tick's dispatch fan, published to the worker pool: the mutable job
-/// cursor plus the per-tick inputs every worker needs.
-#[derive(Default)]
-struct JobState {
-    /// The tick's simulated clock.
-    now: f64,
-    /// The tick's over-budget tenant set (cloned per tick — tiny, and
-    /// only non-empty under SLO pressure).
-    escalate: Option<BTreeSet<u8>>,
-    /// Next shard index to claim.
-    next: usize,
-    /// Shards claimed or dispatched but not yet finished this tick.
-    remaining: usize,
-    /// Whether a tick is currently published.
-    tick_active: bool,
-    /// Tells workers to exit.
-    shutdown: bool,
-    /// First dispatch error of the tick, by lowest shard index — the same
-    /// error serial stepping (which stops at the first failing shard)
-    /// would surface.
-    error: Option<(usize, ScanError)>,
-}
-
-/// Everything the scoped dispatch workers share: the shard states and
-/// engines (disjoint per shard during a tick), the request slice, and the
-/// tick job under its condvars. Workers persist across ticks; the main
-/// thread publishes one tick at a time with [`DispatchShared::dispatch_tick`]
-/// and blocks until the fan drains.
-struct DispatchShared<'a> {
-    states: &'a [Mutex<ShardState>],
-    engines: &'a [Server],
-    requests: &'a [ServeRequest],
-    job: Mutex<JobState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-/// Decrements the tick's remaining count when a worker finishes (or
-/// unwinds out of) a shard dispatch, waking the main thread — a panicking
-/// dispatch must not leave the barrier waiting forever.
-struct TickGuard<'a, 'b> {
-    shared: &'a DispatchShared<'b>,
-}
-
-impl Drop for TickGuard<'_, '_> {
-    fn drop(&mut self) {
-        let mut job = self.shared.job.lock().expect("dispatch job poisoned");
-        job.remaining -= 1;
-        if job.remaining == 0 {
-            job.tick_active = false;
-            self.shared.done_cv.notify_all();
-        }
-    }
-}
-
-impl DispatchShared<'_> {
-    /// Publish one tick: every shard dispatched once at `now`, claimed by
-    /// whichever worker gets there first. Blocks until all shards finish;
-    /// surfaces the lowest-shard dispatch error, if any.
-    fn dispatch_tick(&self, now: f64, escalate: Option<&BTreeSet<u8>>) -> ScanResult<()> {
-        let mut job = self.job.lock().expect("dispatch job poisoned");
-        job.now = now;
-        job.escalate = escalate.cloned();
-        job.next = 0;
-        job.remaining = self.states.len();
-        job.tick_active = true;
-        self.work_cv.notify_all();
-        while job.tick_active {
-            job = self.done_cv.wait(job).expect("dispatch job poisoned");
-        }
-        match job.error.take() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Wake every worker for exit.
-    fn shutdown(&self) {
-        self.job.lock().expect("dispatch job poisoned").shutdown = true;
-        self.work_cv.notify_all();
-    }
-
-    /// One worker: claim shards off the published tick and dispatch them
-    /// until shutdown. A claimed shard's dispatch touches only that
-    /// shard's state and engine, so claim order cannot affect any output.
-    fn worker_loop(&self) {
-        loop {
-            let (s, now, escalate) = {
-                let mut job = self.job.lock().expect("dispatch job poisoned");
-                loop {
-                    if job.shutdown {
-                        return;
-                    }
-                    if job.tick_active && job.next < self.states.len() {
-                        let s = job.next;
-                        job.next += 1;
-                        break (s, job.now, job.escalate.clone());
-                    }
-                    job = self.work_cv.wait(job).expect("dispatch job poisoned");
-                }
-            };
-            let _guard = TickGuard { shared: self };
-            let result = {
-                let mut state = self.states[s].lock().expect("shard state poisoned");
-                self.engines[s].dispatch(&mut state, self.requests, now, escalate.as_ref())
-            };
-            if let Err(e) = result {
-                let mut job = self.job.lock().expect("dispatch job poisoned");
-                match &job.error {
-                    Some((first, _)) if *first <= s => {}
-                    _ => job.error = Some((s, e)),
-                }
-            }
         }
     }
 }
@@ -825,5 +650,17 @@ mod tests {
         let total_nodes: usize =
             report.shards.iter().map(|s| s.report.trace.graph().nodes().len()).sum();
         assert_eq!(report.trace.graph().nodes().len(), total_nodes);
+    }
+
+    #[test]
+    fn merged_trace_makespan_is_the_window_makespan() {
+        let requests = small_workload(5, 16);
+        for threads in [0, 1] {
+            let mut config = RouterConfig::new(3, Policy::Edf, 5);
+            config.threads = threads;
+            let report = Router::new(config).unwrap().run(&requests).unwrap();
+            assert!(report.makespan > 0.0);
+            assert_eq!(report.trace.makespan().to_bits(), report.makespan.to_bits());
+        }
     }
 }

@@ -404,7 +404,7 @@ impl Server {
             state.retire(now);
         }
 
-        Ok(self.report(state))
+        Ok(self.report(state).0)
     }
 
     /// Dispatch in strict policy order until the queue drains or the pool
@@ -481,15 +481,17 @@ impl Server {
     }
 
     /// Finalize one serve loop's state into its report, running the
-    /// window's response pass first.
-    pub(crate) fn report(&self, mut state: ShardState) -> ServeReport {
+    /// window's response pass first. Also returns the fleet record the
+    /// report's trace reads, for the router's merged trace to share.
+    pub(crate) fn report(&self, mut state: ShardState) -> (ServeReport, Arc<FleetTimeline>) {
         self.respond(&mut state);
         let ShardState { fleet, completions, queue_samples, launches, pool, .. } = state;
         let makespan = fleet.makespan();
         // Busy accounting comes straight off the fleet's admission records;
         // the merged graph only materializes if a trace consumer asks.
         let stream_busy = fleet.stream_busy_seconds();
-        let trace = FleetTrace::from_fleet(fleet);
+        let fleet = Arc::new(fleet);
+        let trace = FleetTrace::from_fleet(fleet.clone());
         let metrics = FleetMetrics::compute(
             self.config.policy,
             self.config.pool_gpus,
@@ -500,7 +502,7 @@ impl Server {
             &queue_samples,
             &pool.gpu_classes(),
         );
-        ServeReport {
+        let report = ServeReport {
             completions,
             launches,
             makespan,
@@ -508,7 +510,8 @@ impl Server {
             queue_samples,
             metrics,
             cache_stats: self.cache.stats(),
-        }
+        };
+        (report, fleet)
     }
 
     /// Execute one (possibly coalesced) launch, admit it to the fleet, and

@@ -10,8 +10,9 @@
 //!   kind-uniform;
 //! * SLO escalation reorders only *when* requests run, never *what* they
 //!   compute;
-//! * parallel shard stepping (the scoped worker pool) is **byte-equal** to
-//!   serial stepping (`RouterConfig::threads` = 1) across seeds ×
+//! * a window whose shards' reports (their response passes) fan out
+//!   across the cores (`RouterConfig::threads` = 4) is **byte-equal** to
+//!   the whole window on one thread (`threads` = 1) across seeds ×
 //!   policies × placements × shard counts, including windows with steals,
 //!   redirects and SLO escalations;
 //! * a repeated window is served entirely from the shards' response memos
@@ -410,15 +411,16 @@ fn mixed_generation_pool_never_spans_models_in_one_launch() {
     }
 }
 
-/// The parallel-stepping differential matrix: stepping shards on the
-/// scoped worker pool (forced to 4 threads so the pool engages even on a
-/// single-core host) must be **byte-equal** to serial stepping
-/// (`threads: 1`) — completion order, checksums, queue-depth samples,
-/// rollup metrics JSON and the merged Chrome trace, all rendered through
-/// [`deep_snapshot`] — across seeds × policies × placements × shard
-/// counts, under bounded queues and an SLO budget so redirects and
-/// escalations are in play. `threads` is the only knob flipped, so any
-/// byte of divergence is the worker pool's fault alone.
+/// The thread-count differential matrix: a window whose shards' reports
+/// (their response passes) may fan out across the cores (`threads: 4`;
+/// ticks run on the caller either way) must be **byte-equal** to the
+/// whole window on one thread (`threads: 1`) — completion order,
+/// checksums, queue-depth samples, rollup metrics JSON and the merged
+/// Chrome trace, all rendered through [`deep_snapshot`] — across seeds ×
+/// policies × placements × shard counts, under bounded queues and an SLO
+/// budget so redirects and escalations are in play. `threads` is the
+/// only knob flipped, so any byte of divergence is the shard-report fan's
+/// fault alone.
 #[test]
 fn parallel_stepping_is_byte_equal_to_serial() {
     for seed in [7u64, 19] {
@@ -435,17 +437,17 @@ fn parallel_stepping_is_byte_equal_to_serial() {
                         deep_snapshot(&Router::new(config).unwrap().run(&requests).unwrap())
                     };
                     let ctx = format!("seed {seed}, {policy:?}, {placement}, {shards} shard(s)");
-                    assert_eq!(run(1), run(4), "{ctx}: parallel diverges from serial");
+                    assert_eq!(run(1), run(4), "{ctx}: the fanned window diverges from one thread");
                 }
             }
         }
     }
 }
 
-/// The steal-heavy window under parallel stepping: the imbalanced
-/// locality placement still provokes steals, the stolen requests still
-/// launch solo with their transfer admitted, and every byte matches the
-/// serial engine.
+/// The steal-heavy window with its shards' reports fanned out
+/// (`threads: 4`): the imbalanced locality placement still provokes
+/// steals, the stolen requests still launch solo with their transfer
+/// admitted, and every byte matches the whole window on one thread.
 #[test]
 fn parallel_stepping_is_byte_equal_under_steals() {
     let requests = steal_workload();
