@@ -13,8 +13,8 @@
 //! relative performance reported in the paper's Figures 11–13 and are
 //! documented on each type.
 
-use gpu_sim::{DeviceBuffer, DeviceSpec, EventKind, Gpu};
-use interconnect::Timeline;
+use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu};
+use interconnect::{EventKind, NodeMeta};
 use scan_core::{ProblemParams, RunReport, ScanError, ScanOutput, ScanResult};
 use skeletons::Scannable;
 
@@ -61,24 +61,32 @@ pub trait ScanLibrary<T: Scannable> {
         let dinput = gpu.alloc_from(input)?;
         let mut output = gpu.alloc::<T>(input.len())?;
         let n = problem.problem_size();
+        let mut setup = 0.0;
         for g in 0..problem.batch() {
-            gpu.charge("host:setup", EventKind::Host, self.invocation_overhead());
+            setup += self.invocation_overhead();
             self.scan_once(&mut gpu, &dinput, &mut output, g * n, n)?;
         }
-        Ok(ScanOutput::new(output.into_host(), report_from_gpu(self.name(), problem, &gpu)))
+        Ok(ScanOutput::new(output.into_host(), library_report(self.name(), problem, setup, &gpu)))
     }
 }
 
-/// Build a library run report from the GPU's event log: one phase per
-/// event kind (host setup vs. kernel time).
-pub(crate) fn report_from_gpu(name: &'static str, problem: ProblemParams, gpu: &Gpu) -> RunReport {
-    let mut tl = Timeline::new();
-    let host = gpu.log().seconds_of_kind(EventKind::Host);
-    if host > 0.0 {
-        tl.push("host:setup", host);
-    }
-    tl.push("kernels", gpu.log().seconds_of_kind(EventKind::Kernel));
-    RunReport::from_timeline(name, problem.total_elems(), tl)
+/// A library run's report: the chain of its summed per-invocation
+/// `setup` overhead, then the kernels `gpu` ran (its clock, which only
+/// kernels advance, and their counters).
+pub(crate) fn library_report(
+    name: &str,
+    problem: ProblemParams,
+    setup: f64,
+    gpu: &Gpu,
+) -> RunReport {
+    RunReport::from_chain(
+        name,
+        problem.total_elems(),
+        [
+            ("host:setup", EventKind::Host, setup, NodeMeta::default()),
+            ("kernels", EventKind::Kernel, gpu.elapsed(), NodeMeta::kernel(gpu.counters())),
+        ],
+    )
 }
 
 /// Charge the in-kernel compute costs of scanning a `len`-element tile the

@@ -157,7 +157,7 @@ mod tests {
         let input = gpu.alloc_from(&input_data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
         Cub::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
-        let c = gpu.log().total_counters();
+        let c = gpu.counters();
         let data_transactions = (n * 4 / 128) as u64;
         // Loads: data + one descriptor per tile; stores symmetric.
         let tiles = (n / TILE) as u64;

@@ -16,11 +16,11 @@
 //! Traffic: ~4N (vs. the proposal's ~3N and CUB's ~2N), which is what
 //! positions CUDPP between CUB and ModernGPU in Fig. 11.
 
-use gpu_sim::{DeviceBuffer, DeviceSpec, EventKind, Gpu, LaunchConfig};
+use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu, LaunchConfig};
 use scan_core::{ProblemParams, ScanError, ScanOutput, ScanResult};
 use skeletons::{reference_exclusive, ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, report_from_gpu, ScanLibrary};
+use crate::api::{charge_tile_scan, library_report, ScanLibrary};
 
 /// Elements per block tile (256 threads × 4 elements).
 const TILE: usize = 1024;
@@ -150,7 +150,6 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cudpp<O> {
         let mut gpu = Gpu::new(0, device.clone());
         let dinput = gpu.alloc_from(input)?;
         let mut output = gpu.alloc::<T>(input.len())?;
-        gpu.charge("host:setup", EventKind::Host, self.invocation_overhead());
         self.run_kernels(
             &mut gpu,
             &dinput,
@@ -159,7 +158,8 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cudpp<O> {
             problem.problem_size(),
             problem.batch(),
         )?;
-        Ok(ScanOutput::new(output.into_host(), report_from_gpu("CUDPP", problem, &gpu)))
+        let setup = self.invocation_overhead();
+        Ok(ScanOutput::new(output.into_host(), library_report("CUDPP", problem, setup, &gpu)))
     }
 }
 
@@ -219,7 +219,7 @@ mod tests {
         let input = gpu.alloc_from(&data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
         Cudpp::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
-        let c = gpu.log().total_counters();
+        let c = gpu.counters();
         let n_transactions = (n * 4 / 128) as u64;
         assert!(c.gld_transactions >= 2 * n_transactions, "two full reads");
         assert!(c.gst_transactions >= 2 * n_transactions, "two full writes");

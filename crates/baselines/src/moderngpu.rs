@@ -159,7 +159,7 @@ mod tests {
         let input = gpu.alloc_from(&data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
         ModernGpu::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
-        let c = gpu.log().total_counters();
+        let c = gpu.counters();
         let n_transactions = (n * 4 / 128) as u64;
         assert!(c.gld_transactions >= 2 * n_transactions, "two full reads");
         assert!(c.gld_transactions < 2 * n_transactions + 200);

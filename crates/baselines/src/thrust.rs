@@ -15,11 +15,11 @@
 //! performance" (§5.1); the paper found G separate invocations faster for
 //! n < 21 and uses whichever wins, as does the bench harness.
 
-use gpu_sim::{AccessWidth, DeviceBuffer, DeviceSpec, EventKind, Gpu, LaunchConfig};
+use gpu_sim::{AccessWidth, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig};
 use scan_core::{ProblemParams, ScanError, ScanOutput, ScanResult};
 use skeletons::{reference_exclusive, ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, report_from_gpu, ScanLibrary};
+use crate::api::{charge_tile_scan, library_report, ScanLibrary};
 
 /// Elements per tile.
 const TILE: usize = 1024;
@@ -139,11 +139,6 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
         let mut gpu = Gpu::new(0, device.clone());
         let dinput = gpu.alloc_from(input)?;
         let mut output = gpu.alloc::<T>(input.len())?;
-        gpu.charge(
-            "host:setup",
-            EventKind::Host,
-            <Self as ScanLibrary<T>>::invocation_overhead(self),
-        );
         // Functionally: per-problem scans (the flags reset the running
         // value at each boundary); cost-wise: one pass over G·N with flag
         // traffic.
@@ -151,9 +146,10 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
         for g in 0..problem.batch() {
             self.kernels(&mut gpu, &dinput, &mut output, g * n, n, true)?;
         }
+        let setup = <Self as ScanLibrary<T>>::invocation_overhead(self);
         Ok(ScanOutput::new(
             output.into_host(),
-            report_from_gpu("Thrust (segmented)", problem, &gpu),
+            library_report("Thrust (segmented)", problem, setup, &gpu),
         ))
     }
 }

@@ -380,13 +380,15 @@ fn k_sweep(h: &Harness) {
     println!();
 }
 
-/// Export Chrome-trace JSON for the Fig. 9 Scan-MPS configurations and an
-/// eviction-recovery run, plus the derived observability reports.
+/// Export Chrome-trace JSON for the Fig. 9 Scan-MPS configurations, one
+/// library run (CUB) on the same input and an eviction-recovery run, plus
+/// the derived observability reports.
 ///
-/// Files land in `dir` as `fig9_mps_w{W}.trace.json` and
-/// `recovery_mps_w4_evict_gpu2.trace.json`; load them in
-/// `chrome://tracing` or <https://ui.perfetto.dev>.
+/// Files land in `dir` as `fig9_mps_w{W}.trace.json`,
+/// `library_cub.trace.json` and `recovery_mps_w4_evict_gpu2.trace.json`;
+/// load them in `chrome://tracing` or <https://ui.perfetto.dev>.
 fn trace_export(dir: &str) {
+    use baselines::{Cub, ScanLibrary};
     use interconnect::FaultPlan;
     use scan_core::{
         NodeConfig, PipelinePolicy, ProblemParams, Proposal, ScanRequest, TraceOptions,
@@ -417,6 +419,12 @@ fn trace_export(dir: &str) {
             println!("{}", handle.critical_path());
         }
     }
+
+    let out = Cub::new(Add).batch_scan(&DeviceSpec::tesla_k80(), problem, &input).expect("CUB");
+    let path = format!("{dir}/library_cub.trace.json");
+    let handle = out.trace().expect("library runs keep their graph");
+    handle.write_chrome_trace(&path).expect("write trace");
+    println!("wrote {path} ({} nodes)", out.report.graph.as_ref().unwrap().nodes().len());
 
     let out = ScanRequest::new(Add, problem)
         .proposal(Proposal::Mps)
@@ -1166,8 +1174,7 @@ fn assert_same_schedule(a: &interconnect::Schedule, b: &interconnect::Schedule, 
 /// resources. Durations come from a fixed LCG so the graph (and both
 /// schedules of it) are identical on every run.
 fn synthetic_layered_dag(nodes: usize, width: usize) -> interconnect::ExecGraph {
-    use gpu_sim::EventKind;
-    use interconnect::{ExecGraph, NodeId, Resource};
+    use interconnect::{EventKind, ExecGraph, NodeId, Resource};
 
     let mut g = ExecGraph::new();
     let mut state = 0x243F_6A88_85A3_08D3u64;

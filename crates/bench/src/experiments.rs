@@ -333,11 +333,8 @@ impl Harness {
             .into_iter()
             .filter_map(|n| {
                 self.run_multinode(n, 4, 4, 1, 2).map(|out| {
-                    let b = match &out.report.graph {
-                        Some(graph) => Breakdown::from_graph(graph),
-                        None => Breakdown::from_timeline(&out.report.timeline),
-                    };
-                    (n, b)
+                    let graph = out.report.graph.as_ref().expect("runs keep a graph");
+                    (n, Breakdown::from_graph(graph))
                 })
             })
             .collect()

@@ -15,10 +15,10 @@
 //!   overlap Stage-1 compute of the next. This is a capability *beyond*
 //!   the paper's model and is off by default (see DESIGN.md §2).
 
-use gpu_sim::{host, DeviceSpec, EventKind, SimResult};
+use gpu_sim::{host, DeviceSpec, SimResult};
 use interconnect::{
-    apply_link_faults, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId, NodeMeta,
-    Resource, Timeline,
+    apply_link_faults, EventKind, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId,
+    NodeMeta, Resource, Timeline,
 };
 use skeletons::{ScanOp, Scannable, SplkTuple};
 
@@ -354,10 +354,13 @@ impl<O> Launch<'_, O> {
             .collect();
 
         // Aux gather: needs every GPU's chunk reductions; occupies the
-        // union of links to the root.
+        // union of links to the root. Both exchanges are also charged to
+        // the root's clock: the Stage-2 and the root's Stage-3 seconds are
+        // differences of that clock, `(c + s) - c` rounds by where `c`
+        // stands, and so dropping these charges moves the pinned schedules.
         let mut root_aux = workers[0].gpu.alloc::<T>(plan.aux_global_len())?;
         let gather = gather_aux(fabric, &workers, &mut root_aux, &plan);
-        workers[0].gpu.charge(label("comm:gather-aux"), EventKind::Transfer, gather.seconds);
+        workers[0].gpu.charge(gather.seconds);
         let p = graph.phase(label("comm:gather-aux"));
         let g_id = graph.add_with_meta(
             p,
@@ -371,9 +374,7 @@ impl<O> Launch<'_, O> {
 
         // Stage 2 on the group root's stream.
         let before = workers[0].gpu.elapsed();
-        let counters_before = workers[0].gpu.log().total_counters();
-        run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
-        let s2_counters = workers[0].gpu.log().total_counters().since(&counters_before);
+        let s2_stats = run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
         let p = graph.phase(label("stage2:intermediate-scan"));
         let s2 = graph.add_with_meta(
             p,
@@ -382,12 +383,12 @@ impl<O> Launch<'_, O> {
             workers[0].gpu.elapsed() - before,
             &[g_id],
             &[stream(&workers[0])],
-            NodeMeta::kernel(s2_counters),
+            NodeMeta::kernel(s2_stats.counters),
         );
 
         // Offsets scatter, back over the same links.
         let scatter = scatter_offsets(fabric, &mut workers, &root_aux, &plan);
-        workers[0].gpu.charge(label("comm:scatter-offsets"), EventKind::Transfer, scatter.seconds);
+        workers[0].gpu.charge(scatter.seconds); // see the gather's charge
         let p = graph.phase(label("comm:scatter-offsets"));
         let sc = graph.add_with_meta(
             p,

@@ -26,8 +26,8 @@
 //! schedule bit for bit. A [`interconnect::FaultReport`] records what was
 //! injected, what retried and what was replanned.
 
-use gpu_sim::{EventKind, SimError};
-use interconnect::{ExecGraph, FaultEvent, NodeId, Resource};
+use gpu_sim::SimError;
+use interconnect::{EventKind, ExecGraph, FaultEvent, NodeId, Resource};
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};

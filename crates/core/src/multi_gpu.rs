@@ -76,8 +76,8 @@ pub fn build_workers<T: Scannable>(
 
 /// Run `f` on every worker under one fan ([`gpu_sim::host::fan_out`])
 /// and return, in worker order, each GPU's simulated time spent in the
-/// phase with the hardware counters it accumulated there (the difference
-/// of its event-log totals around `f`) — or the error its launch raised.
+/// phase (the difference of its clock around `f`) with the hardware
+/// counters of the launch `f` made — or the error its launch raised.
 /// Callers that need every GPU to succeed collect the results; the fault
 /// replanner tells an evicted device's expected `DeviceLost` from a real
 /// failure on a survivor.
@@ -88,10 +88,8 @@ where
 {
     host::fan_out(workers.iter_mut(), |w| {
         let before = w.gpu.elapsed();
-        let counters_before = w.gpu.log().total_counters();
-        f(w)?;
-        let counters = w.gpu.log().total_counters().since(&counters_before);
-        Ok((w.gpu.elapsed() - before, counters))
+        let stats = f(w)?;
+        Ok((w.gpu.elapsed() - before, stats.counters))
     })
 }
 

@@ -11,8 +11,8 @@
 //! CUDA-aware MPI routes same-network ranks over P2P automatically, which
 //! the [`interconnect::MpiComm`] cost model honours.
 
-use gpu_sim::{EventKind, SimResult};
-use interconnect::{ExecGraph, MpiComm, NodeId, NodeMeta, Resource};
+use gpu_sim::SimResult;
+use interconnect::{EventKind, ExecGraph, MpiComm, NodeId, NodeMeta, Resource};
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
@@ -93,7 +93,10 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     let mut root_aux = workers[0].gpu.alloc::<T>(plan.aux_global_len())?;
     gather_aux_functional(&workers, &mut root_aux, &plan);
     let gather = comm.gather(fabric, plan.aux_local_len() * elem_bytes);
-    workers[0].gpu.charge("MPI_Gather", EventKind::Collective, gather.seconds);
+    // Charged to the master's clock like the intra-node exchanges: the
+    // Stage-2 and the master's Stage-3 seconds are differences of that
+    // clock, and a difference rounds by where the clock stands.
+    workers[0].gpu.charge(gather.seconds);
     let p = graph.phase("MPI_Gather");
     let g_id = graph.add_with_meta(
         p,
@@ -106,9 +109,7 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     );
 
     let before = workers[0].gpu.elapsed();
-    let counters_before = workers[0].gpu.log().total_counters();
-    run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
-    let s2_counters = workers[0].gpu.log().total_counters().since(&counters_before);
+    let s2_stats = run_stage2(&mut workers[0].gpu, &plan, op, &mut root_aux)?;
     let p = graph.phase("stage2:intermediate-scan");
     let s2 = graph.add_with_meta(
         p,
@@ -117,13 +118,13 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
         workers[0].gpu.elapsed() - before,
         &[g_id],
         &[stream(&workers[0])],
-        NodeMeta::kernel(s2_counters),
+        NodeMeta::kernel(s2_stats.counters),
     );
 
     // MPI_Scatter: each rank's slice of the scanned offsets back.
     scatter_offsets_functional(&mut workers, &root_aux, &plan);
     let scatter = comm.scatter(fabric, plan.aux_local_len() * elem_bytes);
-    workers[0].gpu.charge("MPI_Scatter", EventKind::Collective, scatter.seconds);
+    workers[0].gpu.charge(scatter.seconds);
     let p = graph.phase("MPI_Scatter");
     let sc = graph.add_with_meta(
         p,

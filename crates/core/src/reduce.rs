@@ -10,8 +10,8 @@
 //! has no per-element output), so its traffic is ~N reads plus negligible
 //! auxiliary movement.
 
-use gpu_sim::{DeviceSpec, Gpu};
-use interconnect::Timeline;
+use gpu_sim::{DeviceSpec, Gpu, KernelStats};
+use interconnect::{EventKind, NodeMeta};
 use skeletons::{lf, ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
@@ -49,11 +49,9 @@ pub fn reduce_sp<T: Scannable, O: ScanOp<T>>(
     let mut gpu = Gpu::new(0, device.clone());
     let dinput = gpu.alloc_from(input)?;
     let mut aux = gpu.alloc::<T>(plan.aux_local_len())?;
-    let mut tl = Timeline::new();
 
     // Kernel 1: the scan pipeline's Stage 1, unchanged.
     let s1 = run_stage1(&mut gpu, &plan, op, &dinput, &mut aux)?;
-    tl.push("stage1:chunk-reduce", s1.seconds());
 
     // Kernel 2: combine each problem's chunk reductions. Reuses the
     // Stage 2 grid shape but folds instead of scanning.
@@ -76,11 +74,14 @@ pub fn reduce_sp<T: Scannable, O: ScanOp<T>>(
             ctx.alu(lf::depth(rows) as u64 * (rows.div_ceil(32).max(1)) as u64);
         }
     })?;
-    tl.push("stage2:final-reduce", s2.seconds());
 
+    let kernel = |name, stats: KernelStats| {
+        (name, EventKind::Kernel, stats.seconds(), NodeMeta::kernel(stats.counters))
+    };
+    let phases = [kernel("stage1:chunk-reduce", s1), kernel("stage2:final-reduce", s2)];
     Ok(ReduceOutput {
         totals,
-        report: RunReport::from_timeline("Reduce-SP", problem.total_elems(), tl),
+        report: RunReport::from_chain("Reduce-SP", problem.total_elems(), phases),
     })
 }
 

@@ -1,7 +1,8 @@
 //! Run reports: what a pipeline invocation returns besides the data.
 
 use interconnect::{
-    CriticalPathReport, ExecGraph, FaultReport, Timeline, Trace, UtilizationReport,
+    CriticalPathReport, EventKind, ExecGraph, FaultReport, NodeId, NodeMeta, Resource, Timeline,
+    Trace, UtilizationReport,
 };
 
 use crate::exec::PipelineRun;
@@ -22,17 +23,30 @@ pub struct RunReport {
     /// [`Timeline::total`]; with pipelining enabled it can be strictly
     /// smaller.
     pub makespan: f64,
-    /// The execution graph the run was scheduled from, when the proposal
-    /// builds one (the reduce and baseline paths only record a timeline).
+    /// The execution graph the run was scheduled from. Every constructor
+    /// sets it; it stays an `Option` for readers that match on it.
     pub graph: Option<ExecGraph>,
 }
 
 impl RunReport {
-    /// Report for a run that only recorded a phase timeline (no execution
-    /// graph): the makespan is the phase sum.
-    pub fn from_timeline(label: impl Into<String>, elements: usize, timeline: Timeline) -> Self {
-        let makespan = timeline.total();
-        RunReport { label: label.into(), elements, timeline, makespan, graph: None }
+    /// Report for a run whose phases ran back to back on one GPU (a
+    /// library or the batch reduction): one node per `(label, kind,
+    /// seconds, meta)` phase, each depending on the one before, all on GPU
+    /// 0's stream 0. The schedule adds the phases' seconds in order from
+    /// zero, the same additions as [`Timeline::total`].
+    pub fn from_chain<'a>(
+        label: impl Into<String>,
+        elements: usize,
+        phases: impl IntoIterator<Item = (&'a str, EventKind, f64, NodeMeta)>,
+    ) -> Self {
+        let mut graph = ExecGraph::new();
+        let stream = [Resource::Stream { gpu: 0, stream: 0 }];
+        let mut prev: Option<NodeId> = None;
+        for (name, kind, seconds, meta) in phases {
+            let (p, deps) = (graph.phase(name), prev.as_slice());
+            prev = Some(graph.add_with_meta(p, name, kind, seconds, deps, &stream, meta));
+        }
+        Self::from_run(label, elements, PipelineRun::from_graph(graph))
     }
 
     /// Report for a run scheduled through an execution graph.
@@ -129,7 +143,6 @@ impl<T> ScanOutput<T> {
 
     /// The run's execution trace: the captured handle when tracing was
     /// requested, otherwise built on demand from the report's graph.
-    /// `None` only for proposals that record a bare timeline (no graph).
     pub fn trace(&self) -> Option<TraceHandle> {
         if let Some(t) = &self.trace {
             return Some(t.clone());
@@ -144,13 +157,35 @@ mod tests {
 
     #[test]
     fn throughput_math() {
-        let mut tl = Timeline::new();
-        tl.push("stage1", 0.5);
-        tl.push("stage3", 0.5);
-        let r = RunReport::from_timeline("test", 1_000_000, tl);
+        let k = |name, seconds| (name, EventKind::Kernel, seconds, NodeMeta::default());
+        let r = RunReport::from_chain("test", 1_000_000, [k("stage1", 0.5), k("stage3", 0.5)]);
         assert!((r.seconds() - 1.0).abs() < 1e-12);
         assert!((r.throughput() - 1.0e6).abs() < 1e-6);
         assert!((r.throughput_gbs(4) - 0.004).abs() < 1e-12);
-        assert!(r.graph.is_none());
+    }
+
+    /// A chain schedules to the left-to-right sum of its phases, bit for
+    /// bit, and its timeline lists them in order.
+    #[test]
+    fn chain_is_the_phase_sum() {
+        let (a, b, c) = (3.0e-6, 0.1 + 0.2, 1.0 / 3.0);
+        let mut tl = Timeline::new();
+        for (name, seconds) in [("a", a), ("b", b), ("c", c)] {
+            tl.push(name, seconds);
+        }
+        let phases = [("a", a), ("b", b), ("c", c)]
+            .map(|(name, seconds)| (name, EventKind::Host, seconds, NodeMeta::default()));
+        let r = RunReport::from_chain("chain", 1, phases);
+        assert_eq!(r.makespan.to_bits(), tl.total().to_bits());
+        assert_eq!(r.timeline.phases(), tl.phases());
+        let deps: Vec<Vec<usize>> = r
+            .graph
+            .as_ref()
+            .unwrap()
+            .nodes()
+            .iter()
+            .map(|n| n.deps.iter().map(|d| d.index()).collect())
+            .collect();
+        assert_eq!(deps, [vec![], vec![0], vec![1]]);
     }
 }

@@ -62,10 +62,9 @@ impl CostCounters {
     /// Achieved global-memory bandwidth over a window of `seconds`
     /// simulated seconds, in **bytes per simulated second**.
     ///
-    /// This is the single definition of "achieved bandwidth" shared by
-    /// `ProfileReport::memory_throughput` and the execution-trace
-    /// exporter, so the profiler and the observability layer can never
-    /// disagree on units. Divide by `1e9` for GB/s.
+    /// This is the single definition of "achieved bandwidth", shared by
+    /// the execution-trace exporter and the `profile_pipeline` example, so
+    /// the two can never disagree on units. Divide by `1e9` for GB/s.
     pub fn achieved_bandwidth(&self, seconds: f64) -> f64 {
         self.global_bytes() as f64 / seconds
     }
@@ -73,24 +72,6 @@ impl CostCounters {
     /// Merge another counter set into this one.
     pub fn merge(&mut self, other: &CostCounters) {
         *self += *other;
-    }
-
-    /// Counters accumulated since an `earlier` snapshot of the same
-    /// monotone stream (field-wise saturating difference). Used to
-    /// attribute a phase's counters to its execution-graph node.
-    pub fn since(&self, earlier: &CostCounters) -> CostCounters {
-        CostCounters {
-            gld_transactions: self.gld_transactions.saturating_sub(earlier.gld_transactions),
-            gst_transactions: self.gst_transactions.saturating_sub(earlier.gst_transactions),
-            gld_instructions: self.gld_instructions.saturating_sub(earlier.gld_instructions),
-            gst_instructions: self.gst_instructions.saturating_sub(earlier.gst_instructions),
-            shared_loads: self.shared_loads.saturating_sub(earlier.shared_loads),
-            shared_stores: self.shared_stores.saturating_sub(earlier.shared_stores),
-            shuffles: self.shuffles.saturating_sub(earlier.shuffles),
-            alu_ops: self.alu_ops.saturating_sub(earlier.alu_ops),
-            syncs: self.syncs.saturating_sub(earlier.syncs),
-            launches: self.launches.saturating_sub(earlier.launches),
-        }
     }
 }
 

@@ -1,26 +1,23 @@
-//! The simulated GPU: device spec + global memory + event timeline +
+//! The simulated GPU: device spec + global memory + a running clock +
 //! kernel launch engine.
 
 use crate::block::BlockCtx;
 use crate::counters::CostCounters;
 use crate::device::DeviceSpec;
 use crate::error::{SimError, SimResult};
-use crate::event::{Event, EventKind, EventLog, DEFAULT_STREAM};
 use crate::grid::LaunchConfig;
 use crate::host;
 use crate::memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::timing::{KernelTime, TimingModel};
 
-/// Grids smaller than this stay one run in [`Gpu::launch_blocks_on`]: the
+/// Grids smaller than this stay one run in [`Gpu::launch_blocks`]: the
 /// thread-spawn overhead dominates tiny launches.
 const PARALLEL_BLOCK_THRESHOLD: usize = 8;
 
 /// Statistics returned by one kernel launch.
 #[derive(Debug, Clone)]
 pub struct KernelStats {
-    /// Label of the launch.
-    pub label: String,
     /// Counters charged by the kernel's blocks.
     pub counters: CostCounters,
     /// Occupancy achieved by the block configuration.
@@ -39,8 +36,10 @@ impl KernelStats {
 /// One simulated GPU.
 ///
 /// Owns a memory tracker (allocations are [`DeviceBuffer`]s that debit it),
-/// an [`EventLog`] of everything that consumed simulated time, and the
-/// launch engine that executes kernels block by block.
+/// a running clock and counter total of everything that consumed simulated
+/// time, and the launch engine that executes kernels block by block. What
+/// ran when is the execution graph's record (the `interconnect` crate);
+/// the clock only sums.
 ///
 /// Blocks within a launch execute sequentially in row-major order
 /// (`by` outer, `bx` inner), which makes chained-scan algorithms (each block
@@ -52,7 +51,11 @@ pub struct Gpu {
     id: usize,
     spec: DeviceSpec,
     tracker: MemoryTracker,
-    log: EventLog,
+    /// Simulated seconds of every launch and [`Gpu::charge`], added in
+    /// the order they happened.
+    clock: f64,
+    /// Field-wise sum of every launch's counters.
+    counters: CostCounters,
     timing: TimingModel,
     /// Fault-injection slow-SM multiplier: every kernel launch takes
     /// `throttle` times longer (1.0 = healthy).
@@ -70,7 +73,8 @@ impl Gpu {
             id,
             spec,
             tracker,
-            log: EventLog::new(),
+            clock: 0.0,
+            counters: CostCounters::default(),
             timing: TimingModel::default(),
             throttle: 1.0,
             evicted: false,
@@ -102,30 +106,17 @@ impl Gpu {
         &mut self.timing
     }
 
-    /// The event log accumulated so far.
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Total simulated time elapsed on this GPU, as the sum of all event
-    /// durations. Work issued on concurrent streams is *not* discounted
-    /// here; stream-aware makespans come from the execution-graph
-    /// scheduler in the `interconnect` crate.
+    /// Total simulated time charged to this GPU: the seconds of every
+    /// launch and every [`Gpu::charge`], added in the order they happened.
+    /// Overlap is *not* discounted here; stream-aware makespans come from
+    /// the execution-graph scheduler in the `interconnect` crate.
     pub fn elapsed(&self) -> f64 {
-        self.log.total_seconds()
+        self.clock
     }
 
-    /// Current simulated time of `stream` — the end of the last event
-    /// recorded on it (the analogue of recording a CUDA event on the
-    /// stream and reading it back).
-    pub fn stream_time(&self, stream: usize) -> f64 {
-        self.log.stream_time(stream)
-    }
-
-    /// Clear the event log (e.g. between benchmark repetitions). Memory
-    /// allocations are unaffected.
-    pub fn reset_time(&mut self) {
-        self.log.clear();
+    /// Field-wise sum of the counters of every launch so far.
+    pub fn counters(&self) -> CostCounters {
+        self.counters
     }
 
     /// Slow every SM by `factor` (≥ 1.0): subsequent kernel launches take
@@ -146,8 +137,8 @@ impl Gpu {
 
     /// Evict this device: every subsequent launch fails with
     /// [`SimError::DeviceLost`], mimicking a GPU falling off the bus
-    /// mid-batch. Existing allocations and the event log are preserved so
-    /// the planner can still read the time already spent.
+    /// mid-batch. Existing allocations and the clock are preserved so the
+    /// planner can still read the time already spent.
     pub fn evict(&mut self) {
         self.evicted = true;
     }
@@ -176,29 +167,13 @@ impl Gpu {
         DeviceBuffer::new(self.id, self.tracker.clone(), data)
     }
 
-    /// Launch a kernel on the default stream. See [`Gpu::launch_on`].
-    pub fn launch<T, F>(&mut self, cfg: &LaunchConfig, kernel: F) -> SimResult<KernelStats>
-    where
-        T: DeviceCopy,
-        F: FnMut(&mut BlockCtx<'_, T>),
-    {
-        self.launch_on(DEFAULT_STREAM, cfg, kernel)
-    }
-
-    /// Launch a kernel on `stream`: run `kernel` once per block of `cfg`'s
-    /// grid, validate the configuration, account costs and record the event
-    /// on the stream (its start time is the end of the stream's previous
-    /// event; distinct streams may overlap in simulated time).
+    /// Launch a kernel: run `kernel` once per block of `cfg`'s grid,
+    /// validate the configuration, account costs and advance the clock.
     ///
     /// The closure receives a fresh [`BlockCtx`] per block; shared memory is
     /// zero-initialised for each block (deterministic simulation; real CUDA
     /// leaves it undefined, so kernels must not rely on this).
-    pub fn launch_on<T, F>(
-        &mut self,
-        stream: usize,
-        cfg: &LaunchConfig,
-        mut kernel: F,
-    ) -> SimResult<KernelStats>
+    pub fn launch<T, F>(&mut self, cfg: &LaunchConfig, mut kernel: F) -> SimResult<KernelStats>
     where
         T: DeviceCopy,
         F: FnMut(&mut BlockCtx<'_, T>),
@@ -227,22 +202,7 @@ impl Gpu {
             }
         }
 
-        Ok(self.finish_launch(stream, cfg, occ, counters))
-    }
-
-    /// Launch a kernel whose blocks are *independent*, on the default
-    /// stream. See [`Gpu::launch_blocks_on`].
-    pub fn launch_blocks<T, F>(
-        &mut self,
-        cfg: &LaunchConfig,
-        out: &mut [T],
-        kernel: F,
-    ) -> SimResult<KernelStats>
-    where
-        T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
-    {
-        self.launch_blocks_on(DEFAULT_STREAM, cfg, out, kernel)
+        Ok(self.finish_launch(cfg, occ, counters))
     }
 
     /// Launch a kernel whose blocks are *independent* — no block reads
@@ -256,9 +216,9 @@ impl Gpu {
     /// fresh zeroed shared memory and its own counter ledger; ledgers are
     /// merged in flat block order (field-wise `u64` sums, so the totals
     /// equal a serial run's exactly) and timing is derived from the merged
-    /// counters — results, counters, events and simulated times are all
+    /// counters — results, counters and simulated times are all
     /// bit-identical to running the same blocks sequentially through
-    /// [`Gpu::launch_on`].
+    /// [`Gpu::launch`].
     ///
     /// Small grids run on the calling thread; the parallel split only pays
     /// for itself when there are enough blocks to amortise thread spawns.
@@ -266,9 +226,8 @@ impl Gpu {
     /// [`host::width`] allows, which is one inside a fan worker: a launch
     /// made under a wider fan (a group's GPUs, a router's shards) runs its
     /// blocks serially.
-    pub fn launch_blocks_on<T, F>(
+    pub fn launch_blocks<T, F>(
         &mut self,
-        stream: usize,
         cfg: &LaunchConfig,
         out: &mut [T],
         kernel: F,
@@ -342,29 +301,12 @@ impl Gpu {
             counters += part;
         }
 
-        Ok(self.finish_launch(stream, cfg, occ, counters))
-    }
-
-    /// Launch a *batch* of identically-shaped independent-block kernels as
-    /// one simulator pass, on the default stream. See
-    /// [`Gpu::launch_blocks_batch_on`].
-    pub fn launch_blocks_batch<T, F>(
-        &mut self,
-        cfg: &LaunchConfig,
-        batch: usize,
-        out: &mut [T],
-        kernel: F,
-    ) -> SimResult<KernelStats>
-    where
-        T: DeviceCopy,
-        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
-    {
-        self.launch_blocks_batch_on(DEFAULT_STREAM, cfg, batch, out, kernel)
+        Ok(self.finish_launch(cfg, occ, counters))
     }
 
     /// Batched per-block simulation: run the concatenated blocks of `batch`
     /// identically-shaped members through one simulator pass instead of one
-    /// pass (validation, occupancy, thread-scope, event) per member.
+    /// pass (validation, occupancy, thread-scope, clock advance) per member.
     ///
     /// `cfg` describes a *single member's* grid `(Bx, By)`; the members'
     /// blocks concatenate along the y-dimension into a combined grid
@@ -375,11 +317,10 @@ impl Gpu {
     /// simulates its members: one pass over the concatenated blocks,
     /// outputs bit-identical to simulating each member's grid alone
     /// (blocks are independent, so concatenation adds no coupling), and
-    /// events/counters/timing bit-identical to a hand-combined
-    /// [`Gpu::launch_blocks_on`] launch.
-    pub fn launch_blocks_batch_on<T, F>(
+    /// counters and timing bit-identical to a hand-combined
+    /// [`Gpu::launch_blocks`] launch.
+    pub fn launch_blocks_batch<T, F>(
         &mut self,
-        stream: usize,
         cfg: &LaunchConfig,
         batch: usize,
         out: &mut [T],
@@ -402,15 +343,14 @@ impl Gpu {
                 cfg.label, cfg.grid.1
             ))
         })?;
-        self.launch_blocks_on(stream, &combined, out, kernel)
+        self.launch_blocks(&combined, out, kernel)
     }
 
-    /// Price the merged counters of a finished launch, record the event on
-    /// `stream` and package the stats — the epilogue shared by the serial
-    /// and parallel launch engines.
+    /// Price the merged counters of a finished launch, advance the clock
+    /// and the counter total, and package the stats — the epilogue shared
+    /// by the serial and parallel launch engines.
     fn finish_launch(
         &mut self,
-        stream: usize,
         cfg: &LaunchConfig,
         occ: Occupancy,
         counters: CostCounters,
@@ -424,29 +364,15 @@ impl Gpu {
             time.compute *= self.throttle;
             time.chain *= self.throttle;
         }
-        let mut event = Event::new(cfg.label.clone(), EventKind::Kernel, time.total());
-        event.stream = stream;
-        event.counters = counters;
-        self.log.push(event);
-        KernelStats { label: cfg.label.clone(), counters, occupancy: occ, time }
+        self.clock += time.total();
+        self.counters += counters;
+        KernelStats { counters, occupancy: occ, time }
     }
 
-    /// Charge externally-computed time to this GPU's default stream (memory
-    /// transfers and collectives are timed by the interconnect crate and
-    /// recorded here).
-    pub fn charge(&mut self, label: impl Into<String>, kind: EventKind, seconds: f64) {
-        self.charge_on(DEFAULT_STREAM, label, kind, seconds);
-    }
-
-    /// Charge externally-computed time to a specific stream.
-    pub fn charge_on(
-        &mut self,
-        stream: usize,
-        label: impl Into<String>,
-        kind: EventKind,
-        seconds: f64,
-    ) {
-        self.log.push(Event::new(label, kind, seconds).on_stream(stream));
+    /// Charge externally-computed seconds to this GPU's clock (memory
+    /// transfers and collectives are timed by the interconnect crate).
+    pub fn charge(&mut self, seconds: f64) {
+        self.clock += seconds;
     }
 }
 
@@ -532,7 +458,7 @@ mod tests {
 
     /// A trivial "copy" kernel: each block copies its 128-element chunk.
     #[test]
-    fn launch_runs_every_block_and_logs_time() {
+    fn launch_runs_every_block_and_charges_its_time() {
         let mut g = gpu();
         let src: Vec<i32> = (0..1024).collect();
         let input = g.alloc_from(&src).unwrap();
@@ -554,8 +480,8 @@ mod tests {
         assert_eq!(stats.counters.gld_transactions, 32);
         assert_eq!(stats.counters.gst_transactions, 32);
         assert!(stats.seconds() > 0.0);
-        assert_eq!(g.log().events().len(), 1);
-        assert!((g.elapsed() - stats.seconds()).abs() < 1e-15);
+        assert_eq!(g.elapsed().to_bits(), stats.seconds().to_bits());
+        assert_eq!(g.counters(), stats.counters);
     }
 
     #[test]
@@ -589,40 +515,50 @@ mod tests {
         let err = g.launch::<i32, _>(&cfg, |_| ran.set(true));
         assert!(err.is_err());
         assert!(!ran.get());
-        assert_eq!(g.log().events().len(), 0);
-    }
-
-    #[test]
-    fn charge_records_external_events() {
-        let mut g = gpu();
-        g.charge("MPI_Gather", EventKind::Collective, 0.5);
-        g.charge("p2p-copy", EventKind::Transfer, 0.25);
-        assert!((g.elapsed() - 0.75).abs() < 1e-12);
-        assert!((g.log().seconds_of_kind(EventKind::Collective) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streams_advance_independently() {
-        let mut g = gpu();
-        let cfg = LaunchConfig::new("k", (1, 1), (WARP_SIZE, 1)).regs(16);
-        let s0 = g.launch_on::<i32, _>(0, &cfg, |_| {}).unwrap().seconds();
-        let s1 = g.launch_on::<i32, _>(1, &cfg, |_| {}).unwrap().seconds();
-        g.charge_on(1, "h2d", EventKind::Transfer, 0.25);
-        assert!((g.stream_time(0) - s0).abs() < 1e-15);
-        assert!((g.stream_time(1) - (s1 + 0.25)).abs() < 1e-15);
-        let events = g.log().events();
-        assert_eq!(events[1].start, 0.0, "stream 1 overlaps stream 0");
-        assert!((events[2].start - s1).abs() < 1e-15, "stream 1 is in-order");
-    }
-
-    #[test]
-    fn reset_time_clears_log_but_not_memory() {
-        let mut g = gpu();
-        let _buf = g.alloc::<i32>(16).unwrap();
-        g.charge("x", EventKind::Barrier, 1.0);
-        g.reset_time();
         assert_eq!(g.elapsed(), 0.0);
-        assert_eq!(g.memory().used(), 64);
+        assert_eq!(g.counters(), CostCounters::default());
+    }
+
+    #[test]
+    fn charge_advances_the_clock() {
+        let mut g = gpu();
+        g.charge(0.5);
+        g.charge(0.25);
+        assert_eq!(g.elapsed(), 0.75);
+        assert_eq!(g.counters(), CostCounters::default(), "a charge runs no kernel");
+    }
+
+    /// The clock is the left-to-right sum of every launch and charge, the
+    /// counter total the field-wise sum of the launches, and a launch that
+    /// fails on an evicted GPU changes neither.
+    #[test]
+    fn clock_and_counters_sum_launches_and_charges_in_order() {
+        let mut g = gpu();
+        let input = g.alloc_from(&[3i32; 512]).unwrap();
+        let copy = LaunchConfig::new("copy", (4, 1), (128, 1)).regs(16);
+        let noop = LaunchConfig::new("noop", (1, 1), (WARP_SIZE, 1)).regs(16);
+        let read = |ctx: &mut BlockCtx<'_, i32>| {
+            let mut tmp = [0i32; 128];
+            ctx.read_global(input.host_view(), ctx.block_idx.0 * 128, &mut tmp);
+        };
+        let a = g.launch::<i32, _>(&copy, read).unwrap();
+        g.charge(1.0e-6);
+        let b = g.launch::<i32, _>(&noop, |_| {}).unwrap();
+        g.charge(3.0e-7);
+        let mut out = vec![0i32; 512];
+        let c = g.launch_blocks::<i32, _>(&copy, &mut out, |ctx, _| read(ctx)).unwrap();
+
+        let sum = 0.0 + a.seconds() + 1.0e-6 + b.seconds() + 3.0e-7 + c.seconds();
+        assert_eq!(g.elapsed().to_bits(), sum.to_bits());
+        assert_eq!(g.counters(), a.counters + b.counters + c.counters);
+        assert_eq!(g.counters().launches, 3);
+
+        let (clock, counters) = (g.elapsed(), g.counters());
+        g.evict();
+        assert!(g.launch::<i32, _>(&copy, read).is_err());
+        assert!(g.launch_blocks::<i32, _>(&copy, &mut out, |ctx, _| read(ctx)).is_err());
+        assert_eq!(g.elapsed().to_bits(), clock.to_bits());
+        assert_eq!(g.counters(), counters);
     }
 
     #[test]
@@ -667,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn evicted_gpu_rejects_launches_but_keeps_log() {
+    fn evicted_gpu_rejects_launches_but_keeps_its_clock() {
         let mut g = gpu();
         let cfg = LaunchConfig::new("k", (1, 1), (WARP_SIZE, 1)).regs(16);
         g.launch::<i32, _>(&cfg, |_| {}).unwrap();
@@ -681,7 +617,7 @@ mod tests {
         assert_eq!(g.elapsed(), before, "a failed launch must not consume time");
     }
 
-    /// The parallel block engine matches a serial `launch_on` run of the
+    /// The parallel block engine matches a serial `launch` run of the
     /// same kernel bit for bit: outputs, counters, and simulated time.
     #[test]
     fn launch_blocks_matches_serial_launch() {
@@ -729,7 +665,7 @@ mod tests {
     }
 
     /// One batched pass over four members' concatenated blocks produces the
-    /// same bytes as four per-member passes, and the same stats/event as a
+    /// same bytes as four per-member passes, and the same stats as a
     /// hand-combined grid.
     #[test]
     fn batched_blocks_match_per_member_passes() {
@@ -769,7 +705,7 @@ mod tests {
             g.launch_blocks_batch::<i32, _>(&member_cfg, members, &mut out, kernel(&src)).unwrap();
         assert_eq!(out, reference, "batched outputs must be bit-identical");
         assert_eq!(stats.counters.launches, 1, "one simulator pass, not {members}");
-        assert_eq!(g.log().events().len(), 1);
+        assert_eq!(g.counters(), stats.counters);
         // All non-launch work is the sum of the members'.
         assert_eq!(stats.counters.gld_transactions, ref_counters.gld_transactions);
         assert_eq!(stats.counters.gst_transactions, ref_counters.gst_transactions);
@@ -791,7 +727,7 @@ mod tests {
         let mut out = vec![0i32; 4];
         let err = g.launch_blocks_batch::<i32, _>(&cfg, 0, &mut out, |_, _| {}).unwrap_err();
         assert!(err.to_string().contains("zero members"));
-        assert_eq!(g.log().events().len(), 0);
+        assert_eq!(g.elapsed(), 0.0);
     }
 
     #[test]
@@ -801,7 +737,7 @@ mod tests {
         let mut out = vec![0i32; 16]; // 16 % 3 != 0
         let err = g.launch_blocks::<i32, _>(&cfg, &mut out, |_, _| {}).unwrap_err();
         assert!(err.to_string().contains("split evenly"));
-        assert_eq!(g.log().events().len(), 0);
+        assert_eq!(g.elapsed(), 0.0);
     }
 
     /// Two GPUs can run launches on separate host threads.

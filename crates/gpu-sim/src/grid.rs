@@ -11,7 +11,7 @@ use crate::warp::WARP_SIZE;
 /// usage, access width, chained-dependency flag).
 #[derive(Debug, Clone)]
 pub struct LaunchConfig {
-    /// Human-readable kernel name recorded in the event log
+    /// Human-readable kernel name, used in launch errors
     /// (e.g. `"stage1:chunk-reduce"`).
     pub label: String,
     /// Grid dimensions `(Bx, By)`. In the paper's batch convention `Bx` is

@@ -11,7 +11,9 @@
 //! reference — while a [`counters::CostCounters`] ledger records the
 //! hardware events (memory transactions, shuffles, shared-memory traffic,
 //! arithmetic) that the [`timing::TimingModel`] converts into simulated
-//! seconds.
+//! seconds. A [`Gpu`] keeps only a running clock and counter total of what
+//! it ran; which operation ran when, on which stream or link, is recorded
+//! once, in the `interconnect` crate's execution graph.
 //!
 //! ## Quick tour
 //!
@@ -45,13 +47,11 @@ pub mod block;
 pub mod counters;
 pub mod device;
 pub mod error;
-pub mod event;
 pub mod gpu;
 pub mod grid;
 pub mod host;
 pub mod memory;
 pub mod occupancy;
-pub mod profile;
 pub mod stream;
 pub mod timing;
 pub mod vecload;
@@ -61,12 +61,10 @@ pub use block::BlockCtx;
 pub use counters::CostCounters;
 pub use device::{DeviceSpec, TRANSACTION_BYTES};
 pub use error::{SimError, SimResult};
-pub use event::{Event, EventKind, EventLog, DEFAULT_STREAM};
 pub use gpu::{Gpu, KernelStats};
 pub use grid::LaunchConfig;
 pub use memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
 pub use occupancy::{occupancy, BlockResources, Limiter, Occupancy, Table3Row};
-pub use profile::{ProfileReport, ProfileRow};
 pub use stream::{StreamGrant, StreamNamespace};
 pub use timing::{KernelTime, TimingModel};
 pub use vecload::AccessWidth;

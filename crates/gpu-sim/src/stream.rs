@@ -3,9 +3,10 @@
 //! The serving layer (`scan-serve`) runs many requests against one shared
 //! cluster. Each request leases a subset of GPUs and builds an execution
 //! graph whose kernel nodes claim `Resource::Stream { gpu, stream }` slots;
-//! if every request used [`crate::DEFAULT_STREAM`], two requests that ever
-//! shared a GPU would alias each other's streams and the fleet scheduler
-//! could not tell intra-request ordering from cross-request contention.
+//! if every request used stream 0 (CUDA's default stream), two requests
+//! that ever shared a GPU would alias each other's streams and the fleet
+//! scheduler could not tell intra-request ordering from cross-request
+//! contention.
 //!
 //! A [`StreamNamespace`] hands each lease a private stream id per GPU, the
 //! simulated analogue of `cudaStreamCreate` in a per-client context.

@@ -39,11 +39,10 @@
 
 use std::fmt;
 
-use gpu_sim::EventKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::graph::{ExecGraph, NodeId, NodeMeta, Resource};
+use crate::graph::{EventKind, ExecGraph, NodeId, NodeMeta, Resource};
 
 /// SplitMix64 finalizer: decorrelates per-node seeds derived from the
 /// plan seed.

@@ -32,7 +32,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use gpu_sim::{CostCounters, EventKind};
+use gpu_sim::CostCounters;
 
 use crate::timeline::Timeline;
 use crate::topology::{LinkClass, Topology};
@@ -196,6 +196,23 @@ impl Resource {
     }
 }
 
+/// Category of a simulated operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    /// A kernel execution on a GPU.
+    Kernel,
+    /// A point-to-point memory transfer.
+    Transfer,
+    /// A collective operation (gather/scatter/broadcast).
+    Collective,
+    /// A synchronisation barrier (device sync or MPI barrier).
+    Barrier,
+    /// Host-side software overhead (library setup, temporary allocation,
+    /// plan creation — the per-invocation costs of §5's competing
+    /// libraries).
+    Host,
+}
+
 /// Optional observability metadata attached to an [`ExecNode`].
 ///
 /// Metadata never affects scheduling — it is carried verbatim through
@@ -230,7 +247,7 @@ impl NodeMeta {
 pub struct ExecNode {
     /// Label, e.g. `"stage1:chunk-reduce"` or `"MPI_Gather"`.
     pub label: String,
-    /// Operation category (shared with the GPU event log).
+    /// Operation category.
     pub kind: EventKind,
     /// Simulated duration in seconds.
     pub seconds: f64,

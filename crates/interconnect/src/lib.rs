@@ -41,8 +41,8 @@ pub use fault::{
 #[doc(hidden)]
 pub use graph::reference_schedule;
 pub use graph::{
-    empty_remap, merge_fleet_parts, Admission, ExecGraph, ExecNode, FleetTimeline, FxBuildHasher,
-    FxHasher, NodeId, NodeMeta, RemapTable, Resource, ResourceMap, Schedule,
+    empty_remap, merge_fleet_parts, Admission, EventKind, ExecGraph, ExecNode, FleetTimeline,
+    FxBuildHasher, FxHasher, NodeId, NodeMeta, RemapTable, Resource, ResourceMap, Schedule,
 };
 pub use link::{FabricSpec, LinkParams};
 pub use mpi::{MpiComm, MpiCost};

@@ -21,9 +21,9 @@
 //!
 //! All times inside this module are simulated **seconds**; the Chrome
 //! trace converts to the format's microseconds on output. Bandwidth args
-//! are **bytes per simulated second**, the same unit as
-//! `ProfileReport::memory_throughput` (both delegate to
-//! [`gpu_sim::CostCounters::achieved_bandwidth`]).
+//! are **bytes per simulated second**, from
+//! [`gpu_sim::CostCounters::achieved_bandwidth`], the one definition of
+//! achieved bandwidth.
 //!
 //! Fault-rewritten graphs need no special handling: retry attempts are
 //! ordinary nodes stamped with [`crate::NodeMeta::attempt`], so a retry
@@ -761,8 +761,7 @@ impl FleetTrace {
 mod tests {
     use super::*;
     use crate::fault::{apply_link_faults, FaultPlan, FaultReport};
-    use crate::graph::NodeMeta;
-    use gpu_sim::EventKind;
+    use crate::graph::{EventKind, NodeMeta};
 
     const K: EventKind = EventKind::Kernel;
     const T: EventKind = EventKind::Transfer;

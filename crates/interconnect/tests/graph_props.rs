@@ -3,10 +3,9 @@
 
 use std::sync::Arc;
 
-use gpu_sim::EventKind;
 use interconnect::{
-    apply_link_faults, empty_remap, reference_schedule, ExecGraph, FaultPlan, FaultReport,
-    FleetTimeline, NodeId, RemapTable, Resource, Timeline, Trace,
+    apply_link_faults, empty_remap, reference_schedule, EventKind, ExecGraph, FaultPlan,
+    FaultReport, FleetTimeline, NodeId, RemapTable, Resource, Timeline, Trace,
 };
 use proptest::prelude::*;
 

@@ -23,8 +23,7 @@
 
 use std::ops::Range;
 
-use gpu_sim::EventKind;
-use interconnect::{ExecGraph, FabricSpec, FleetTimeline, NodeMeta, Resource};
+use interconnect::{EventKind, ExecGraph, FabricSpec, FleetTimeline, NodeMeta, Resource};
 
 use crate::kind::OpKind;
 use crate::pool::{DevicePool, PoolLease};

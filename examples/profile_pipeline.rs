@@ -8,7 +8,7 @@
 
 use multigpu_scan::prelude::*;
 use multigpu_scan::scan::{plan::ExecutionPlan, stage1, stage2, stage3};
-use multigpu_scan::sim::{Gpu, ProfileReport};
+use multigpu_scan::sim::Gpu;
 
 fn main() {
     let problem = ProblemParams::new(20, 3); // 8 problems of 1M elements
@@ -19,32 +19,46 @@ fn main() {
 
     let input: Vec<i32> = (0..problem.total_elems()).map(|i| (i % 7) as i32).collect();
 
-    // Drive the three stages by hand on one GPU so the log shows each
-    // kernel separately.
+    // Drive the three stages by hand on one GPU so each kernel's stats
+    // come back separately.
     let mut gpu = Gpu::new(0, device);
     let dinput = gpu.alloc_from(&input).unwrap();
     let mut aux = gpu.alloc::<i32>(plan.aux_global_len()).unwrap();
     let mut output = gpu.alloc::<i32>(input.len()).unwrap();
 
-    stage1::run_stage1(&mut gpu, &plan, Add, &dinput, &mut aux).unwrap();
-    stage2::run_stage2(&mut gpu, &plan, Add, &mut aux).unwrap();
-    stage3::run_stage3(&mut gpu, &plan, Add, &dinput, &aux, &mut output).unwrap();
+    let stages = [
+        ("stage1:chunk-reduce", stage1::run_stage1(&mut gpu, &plan, Add, &dinput, &mut aux)),
+        ("stage2:intermediate-scan", stage2::run_stage2(&mut gpu, &plan, Add, &mut aux)),
+        ("stage3:scan-add", stage3::run_stage3(&mut gpu, &plan, Add, &dinput, &aux, &mut output)),
+    ]
+    .map(|(label, stats)| (label, stats.unwrap()));
 
     multigpu_scan::scan::verify::verify_batch(Add, problem, &input, &output.copy_to_host())
         .expect("pipeline correct");
 
-    let report = ProfileReport::from_log(gpu.log());
     println!(
         "pipeline over {} elements with {} (chunk = {}):\n",
         problem.total_elems(),
         plan.tuple,
         plan.chunk
     );
-    print!("{report}");
-    println!();
-    for stage in ["stage1:chunk-reduce", "stage2:intermediate-scan", "stage3:scan-add"] {
-        let bw = report.memory_throughput(stage).unwrap();
-        println!("{stage:28} {:6.1} GB/s effective", bw / 1e9);
+    println!(
+        "{:24} {:>6} {:>12} {:>7} {:>12} {:>12} {:>10} {:>8}",
+        "kernel", "calls", "time (ms)", "%", "gld txn", "gst txn", "shuffles", "GB/s"
+    );
+    let total = gpu.elapsed();
+    for (label, stats) in &stages {
+        let (seconds, c) = (stats.seconds(), stats.counters);
+        println!(
+            "{label:24} {:>6} {:>12.3} {:>6.1}% {:>12} {:>12} {:>10} {:>8.1}",
+            c.launches,
+            seconds * 1e3,
+            seconds / total * 100.0,
+            c.gld_transactions,
+            c.gst_transactions,
+            c.shuffles,
+            c.achieved_bandwidth(seconds) / 1e9
+        );
     }
     println!(
         "\ndevice peak: {:.1} GB/s — stages 1/3 stream near peak; stage 2 is a\n\
