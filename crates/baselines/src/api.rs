@@ -29,13 +29,15 @@ pub trait ScanLibrary<T: Scannable> {
 
     /// Scan `input[base .. base+len]` into `output[base ..]` on `gpu`.
     ///
-    /// The buffers hold the whole batch; one invocation addresses one
-    /// problem, exactly like calling the real library G times on
-    /// sub-ranges.
+    /// `input` and `output` hold the whole batch; one invocation addresses
+    /// one problem, exactly like calling the real library G times on
+    /// sub-ranges. The input is the caller's batch, read in place: the
+    /// batch entry points charge its device bytes through a
+    /// [`gpu_sim::Reservation`] instead of copying it.
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -43,7 +45,9 @@ pub trait ScanLibrary<T: Scannable> {
 
     /// Scan a batch of `G` problems. The default performs `G` separate
     /// invocations, each paying [`ScanLibrary::invocation_overhead`] — the
-    /// paper's methodology for every library except CUDPP.
+    /// paper's methodology for every library except CUDPP. The device
+    /// holds the input (reserved, read in place) and an output buffer,
+    /// which becomes the returned batch.
     fn batch_scan(
         &self,
         device: &DeviceSpec,
@@ -58,13 +62,13 @@ pub trait ScanLibrary<T: Scannable> {
             )));
         }
         let mut gpu = Gpu::new(0, device.clone());
-        let dinput = gpu.alloc_from(input)?;
+        let _input = gpu.reserve::<T>(input.len())?;
         let mut output = gpu.alloc::<T>(input.len())?;
         let n = problem.problem_size();
         let mut setup = 0.0;
         for g in 0..problem.batch() {
             setup += self.invocation_overhead();
-            self.scan_once(&mut gpu, &dinput, &mut output, g * n, n)?;
+            self.scan_once(&mut gpu, input, &mut output, g * n, n)?;
         }
         Ok(ScanOutput::new(output.into_host(), library_report(self.name(), problem, setup, &gpu)))
     }
@@ -126,7 +130,7 @@ mod tests {
         fn scan_once(
             &self,
             gpu: &mut Gpu,
-            input: &DeviceBuffer<i32>,
+            input: &[i32],
             output: &mut DeviceBuffer<i32>,
             base: usize,
             len: usize,
@@ -134,7 +138,7 @@ mod tests {
             let cfg = gpu_sim::LaunchConfig::new("toy", (1, 1), (32, 1)).regs(16);
             gpu.launch::<i32, _>(&cfg, |ctx| {
                 let mut tile = vec![0i32; len];
-                ctx.read_global(input.host_view(), base, &mut tile);
+                ctx.read_global(input, base, &mut tile);
                 let mut acc = Add.identity();
                 for v in &mut tile {
                     acc = Add.combine(acc, *v);

@@ -50,7 +50,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cub<O> {
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -70,7 +70,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cub<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
 
             // Local inclusive scan of the tile.
             let mut acc = op.identity();
@@ -125,9 +125,8 @@ mod tests {
         // drive scan_once directly with an odd length.
         let mut gpu = Gpu::new(0, DeviceSpec::tesla_k80());
         let input_data = pseudo(5000);
-        let input = gpu.alloc_from(&input_data).unwrap();
         let mut output = gpu.alloc::<i32>(5000).unwrap();
-        Cub::new(Add).scan_once(&mut gpu, &input, &mut output, 0, 5000).unwrap();
+        Cub::new(Add).scan_once(&mut gpu, &input_data, &mut output, 0, 5000).unwrap();
         assert_eq!(output.copy_to_host(), reference_inclusive(Add, &input_data));
     }
 
@@ -154,9 +153,8 @@ mod tests {
         let mut gpu = Gpu::new(0, DeviceSpec::tesla_k80());
         let n = 1 << 16;
         let input_data = pseudo(n);
-        let input = gpu.alloc_from(&input_data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
-        Cub::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
+        Cub::new(Add).scan_once(&mut gpu, &input_data, &mut output, 0, n).unwrap();
         let c = gpu.counters();
         let data_transactions = (n * 4 / 128) as u64;
         // Loads: data + one descriptor per tile; stores symmetric.

@@ -45,7 +45,7 @@ impl<O: Copy + Send + Sync + 'static> Cudpp<O> {
     fn run_kernels<T: Scannable>(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -68,7 +68,7 @@ impl<O: Copy + Send + Sync + 'static> Cudpp<O> {
             let tile_base = base + g * len + bx * TILE;
             let t = TILE.min(base + (g + 1) * len - tile_base);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
             let mut acc = op.identity();
             for v in &mut tile {
                 acc = op.combine(acc, *v);
@@ -124,7 +124,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cudpp<O> {
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -148,16 +148,9 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cudpp<O> {
             )));
         }
         let mut gpu = Gpu::new(0, device.clone());
-        let dinput = gpu.alloc_from(input)?;
+        let _input = gpu.reserve::<T>(input.len())?;
         let mut output = gpu.alloc::<T>(input.len())?;
-        self.run_kernels(
-            &mut gpu,
-            &dinput,
-            &mut output,
-            0,
-            problem.problem_size(),
-            problem.batch(),
-        )?;
+        self.run_kernels(&mut gpu, input, &mut output, 0, problem.problem_size(), problem.batch())?;
         let setup = self.invocation_overhead();
         Ok(ScanOutput::new(output.into_host(), library_report("CUDPP", problem, setup, &gpu)))
     }
@@ -216,9 +209,8 @@ mod tests {
         let mut gpu = Gpu::new(0, DeviceSpec::tesla_k80());
         let n = 1 << 16;
         let data = pseudo(n);
-        let input = gpu.alloc_from(&data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
-        Cudpp::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
+        Cudpp::new(Add).scan_once(&mut gpu, &data, &mut output, 0, n).unwrap();
         let c = gpu.counters();
         let n_transactions = (n * 4 / 128) as u64;
         assert!(c.gld_transactions >= 2 * n_transactions, "two full reads");

@@ -52,7 +52,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for LightScan<O> {
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -71,7 +71,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for LightScan<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
 
             // Wait for the predecessor's full inclusive prefix.
             let prefix = if bx == 0 {

@@ -50,7 +50,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -69,7 +69,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
             let total = tile.iter().fold(op.identity(), |acc, &x| op.combine(acc, x));
             ctx.alu(t.div_ceil(32) as u64);
             ctx.charge_shuffles(5);
@@ -100,7 +100,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
             let t = TILE.min(base + len - tile_base);
             let offset = ctx.read_global_one(partials.host_view(), bx);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
             let mut acc = offset;
             for v in &mut tile {
                 acc = op.combine(acc, *v);
@@ -156,9 +156,8 @@ mod tests {
         let mut gpu = Gpu::new(0, DeviceSpec::tesla_k80());
         let n = 1 << 16;
         let data = pseudo(n);
-        let input = gpu.alloc_from(&data).unwrap();
         let mut output = gpu.alloc::<i32>(n).unwrap();
-        ModernGpu::new(Add).scan_once(&mut gpu, &input, &mut output, 0, n).unwrap();
+        ModernGpu::new(Add).scan_once(&mut gpu, &data, &mut output, 0, n).unwrap();
         let c = gpu.counters();
         let n_transactions = (n * 4 / 128) as u64;
         assert!(c.gld_transactions >= 2 * n_transactions, "two full reads");

@@ -42,7 +42,7 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
     fn kernels<T: Scannable>(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,
@@ -66,7 +66,7 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
             if extra_flag_traffic {
                 // scan-by-key also streams the flags array.
                 ctx.charge_global_read(t);
@@ -102,7 +102,7 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             let t = TILE.min(base + len - tile_base);
             let offset = ctx.read_global_one(partials.host_view(), bx);
             let mut tile = vec![T::default(); t];
-            ctx.read_global(input.host_view(), tile_base, &mut tile);
+            ctx.read_global(input, tile_base, &mut tile);
             if extra_flag_traffic {
                 ctx.charge_global_read(t);
             }
@@ -137,14 +137,14 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             )));
         }
         let mut gpu = Gpu::new(0, device.clone());
-        let dinput = gpu.alloc_from(input)?;
+        let _input = gpu.reserve::<T>(input.len())?;
         let mut output = gpu.alloc::<T>(input.len())?;
         // Functionally: per-problem scans (the flags reset the running
         // value at each boundary); cost-wise: one pass over G·N with flag
         // traffic.
         let n = problem.problem_size();
         for g in 0..problem.batch() {
-            self.kernels(&mut gpu, &dinput, &mut output, g * n, n, true)?;
+            self.kernels(&mut gpu, input, &mut output, g * n, n, true)?;
         }
         let setup = <Self as ScanLibrary<T>>::invocation_overhead(self);
         Ok(ScanOutput::new(
@@ -167,7 +167,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Thrust<O> {
     fn scan_once(
         &self,
         gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
+        input: &[T],
         output: &mut DeviceBuffer<T>,
         base: usize,
         len: usize,

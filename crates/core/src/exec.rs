@@ -15,7 +15,7 @@
 //!   overlap Stage-1 compute of the next. This is a capability *beyond*
 //!   the paper's model and is off by default (see DESIGN.md §2).
 
-use gpu_sim::{host, DeviceSpec, SimResult};
+use gpu_sim::{host, DeviceSpec, Reservation, SimResult};
 use interconnect::{
     apply_link_faults, EventKind, ExecGraph, Fabric, FaultEvent, FaultPlan, FaultReport, NodeId,
     NodeMeta, Resource, Timeline,
@@ -25,14 +25,12 @@ use skeletons::{ScanOp, Scannable, SplkTuple};
 use crate::error::{ScanError, ScanResult};
 use crate::fault::abort_and_replan;
 use crate::multi_gpu::{
-    assemble_into, build_workers, gather_aux, parallel_phase, scatter_offsets, Worker,
+    gather_aux, reserve_workers, scatter_offsets, stage1_phase, stage3_phase, Worker,
 };
 use crate::params::{ProblemParams, ScanKind};
 use crate::plan::ExecutionPlan;
 use crate::report::{RunReport, ScanOutput};
-use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
-use crate::stage3::run_stage3_kind;
 
 /// How a pipeline run issues its batch onto the execution graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,16 +106,15 @@ pub(crate) struct Launch<'a, O> {
 }
 
 impl<O> Launch<'_, O> {
-    /// [`build_workers`] over `gpu_ids`, with the fault plan's SM throttles
-    /// applied (the `gpu-sim` layer then stretches every kernel they run,
-    /// so the throttled durations flow into the execution graph).
+    /// [`reserve_workers`] over `gpu_ids`, with the fault plan's SM
+    /// throttles applied (the `gpu-sim` layer then stretches every kernel
+    /// they run, so the throttled durations flow into the execution graph).
     pub(crate) fn workers<T: Scannable>(
         &self,
         plan: &ExecutionPlan,
         gpu_ids: &[usize],
-        input: &[T],
-    ) -> ScanResult<Vec<Worker<T>>> {
-        let mut workers = build_workers(self.device, plan, gpu_ids, input)?;
+    ) -> ScanResult<Vec<Worker<T, Reservation>>> {
+        let mut workers = reserve_workers(self.device, plan, gpu_ids)?;
         if let Some(faults) = self.faults {
             for w in &mut workers {
                 let factor = faults.throttle_of(w.global_id);
@@ -299,7 +296,8 @@ impl<O> Launch<'_, O> {
     /// Append one sub-batch's five phase instances to `graph` and write its
     /// scanned data into `out`, returning the Stage-3 node ids (the
     /// sub-batch's exit frontier, which barrier-mode callers feed into the
-    /// next sub-batch's dependencies).
+    /// next sub-batch's dependencies). Every GPU reads its portions
+    /// straight out of `sub_input` and writes them straight into `out`.
     ///
     /// `phase_prefix` is prepended to every phase and node label — the
     /// replanner reruns an aborted sub-batch under a `"recovery:"` prefix so
@@ -322,8 +320,8 @@ impl<O> Launch<'_, O> {
     {
         let Launch { op, tuple, kind, fabric, .. } = *self;
         let plan = ExecutionPlan::new(sub_problem, tuple, gpu_ids.len())?;
-        let mut workers = self.workers(&plan, gpu_ids, sub_input)?;
-        let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream };
+        let mut workers = self.workers(&plan, gpu_ids)?;
+        let stream = |w: &Worker<T, Reservation>| Resource::Stream { gpu: w.global_id, stream };
         let links = collective_links(fabric, &workers);
         let label = |name: &str| format!("{phase_prefix}{name}");
 
@@ -331,11 +329,9 @@ impl<O> Launch<'_, O> {
         // cross-batch ordering in overlap mode is each stream's in-order
         // execution. Each kernel node carries the counters its GPU charged
         // during the phase, for the trace exporter's achieved-bandwidth args.
-        let t1 = parallel_phase(&mut workers, |w| {
-            run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux)
-        })
-        .into_iter()
-        .collect::<SimResult<Vec<_>>>()?;
+        let t1 = stage1_phase(&mut workers, &plan, op, sub_input)
+            .into_iter()
+            .collect::<SimResult<Vec<_>>>()?;
         let p = graph.phase(label("stage1:chunk-reduce"));
         let s1: Vec<NodeId> = workers
             .iter()
@@ -400,12 +396,11 @@ impl<O> Launch<'_, O> {
             NodeMeta::transfer(scatter.bytes as u64),
         );
 
-        // Stage 3: scan + add offsets, one kernel per GPU stream.
-        let t3 = parallel_phase(&mut workers, |w| {
-            run_stage3_kind(&mut w.gpu, &plan, op, &w.input, &w.offsets, &mut w.output, kind)
-        })
-        .into_iter()
-        .collect::<SimResult<Vec<_>>>()?;
+        // Stage 3: scan + add offsets, one kernel per GPU stream, each
+        // writing its portions into `out` in place.
+        let t3 = stage3_phase(&mut workers, &plan, op, kind, sub_input, out)
+            .into_iter()
+            .collect::<SimResult<Vec<_>>>()?;
         let p = graph.phase(label("stage3:scan-add"));
         let s3: Vec<NodeId> = workers
             .iter()
@@ -422,14 +417,12 @@ impl<O> Launch<'_, O> {
                 )
             })
             .collect();
-
-        assemble_into(&plan, &workers, out);
         Ok(s3)
     }
 }
 
 /// Reject an input that does not hold the problem's `G·N` elements.
-fn check_input<T>(problem: ProblemParams, input: &[T]) -> ScanResult<()> {
+pub(crate) fn check_input<T>(problem: ProblemParams, input: &[T]) -> ScanResult<()> {
     if input.len() != problem.total_elems() {
         return Err(ScanError::InvalidInput(format!(
             "input holds {} elements but G·N = {}",
@@ -453,9 +446,9 @@ pub(crate) fn effective_batches(requested: usize, batch: usize) -> usize {
 
 /// The link resources the aux-array exchange occupies: the union of the
 /// routes between the group root and every worker.
-pub(crate) fn collective_links<T: Scannable>(
+pub(crate) fn collective_links<T: Scannable, S>(
     fabric: &Fabric,
-    workers: &[Worker<T>],
+    workers: &[Worker<T, S>],
 ) -> Vec<Resource> {
     let root = workers[0].global_id;
     let mut links = Vec::new();

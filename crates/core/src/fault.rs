@@ -32,10 +32,9 @@ use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
 use crate::exec::Launch;
-use crate::multi_gpu::parallel_phase;
+use crate::multi_gpu::stage1_phase;
 use crate::params::ProblemParams;
 use crate::plan::ExecutionPlan;
-use crate::stage1::run_stage1;
 
 /// Largest power of two ≤ `n` (0 maps to 0). Shared with the lease
 /// planner, whose partial-lease rule is the same largest-feasible-subset
@@ -77,15 +76,13 @@ pub(crate) fn abort_and_replan<T: Scannable, O: ScanOp<T>>(
         events.push(FaultEvent::GpuEvicted { gpu, at_sub_batch: b });
     }
     let plan = ExecutionPlan::new(sub_problem, launch.tuple, active.len())?;
-    let mut workers = launch.workers(&plan, active, sub_input)?;
+    let mut workers = launch.workers(&plan, active)?;
     for w in &mut workers {
         if victims.contains(&w.global_id) {
             w.gpu.evict();
         }
     }
-    let results = parallel_phase(&mut workers, |w| {
-        run_stage1(&mut w.gpu, &plan, launch.op, &w.input, &mut w.aux)
-    });
+    let results = stage1_phase(&mut workers, &plan, launch.op, sub_input);
     let p = graph.phase("recovery:aborted-stage1");
     let mut abort_nodes: Vec<NodeId> = Vec::new();
     for (w, res) in workers.iter().zip(results) {

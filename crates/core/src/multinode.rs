@@ -11,23 +11,23 @@
 //! CUDA-aware MPI routes same-network ranks over P2P automatically, which
 //! the [`interconnect::MpiComm`] cost model honours.
 
-use gpu_sim::SimResult;
+use gpu_sim::{Reservation, SimResult};
 use interconnect::{EventKind, ExecGraph, MpiComm, NodeId, NodeMeta, Resource};
 use skeletons::{ScanOp, Scannable};
 
 use crate::error::{ScanError, ScanResult};
-use crate::exec::{collective_links, Launch};
+use crate::exec::{check_input, collective_links, Launch};
 use crate::multi_gpu::{
-    assemble_output, gather_aux_functional, parallel_phase, scatter_offsets_functional, Worker,
+    gather_aux_functional, scatter_offsets_functional, stage1_phase, stage3_phase, Worker,
 };
 use crate::params::NodeConfig;
 use crate::plan::ExecutionPlan;
 use crate::report::ScanOutput;
-use crate::stage1::run_stage1;
 use crate::stage2::run_stage2;
-use crate::stage3::run_stage3;
 
-/// Batch inclusive scan with Multi-GPU Problem Scattering across `M` nodes.
+/// Batch scan (either [`crate::ScanKind`]) with Multi-GPU Problem
+/// Scattering across `M` nodes. Every GPU reads its portions straight out
+/// of `input` and its Stage 3 writes them straight into the returned batch.
 ///
 /// Requires `cfg.m() > 1`; a single node runs [`crate::Proposal::Mps`].
 /// Of a fault plan, SM throttles and link faults (including InfiniBand
@@ -39,7 +39,7 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     cfg: NodeConfig,
     input: &[T],
 ) -> ScanResult<ScanOutput<T>> {
-    let Launch { op, problem, tuple, fabric, faults, .. } = *launch;
+    let Launch { op, problem, tuple, kind, fabric, faults, .. } = *launch;
     if faults.is_some_and(|plan| !plan.evictions().is_empty()) {
         return Err(ScanError::InvalidConfig(
             "device eviction is not supported for the multi-node proposal: MPI ranks cannot \
@@ -57,10 +57,11 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     let comm = MpiComm::new(gpu_ids.clone(), gpu_ids[0]);
 
     let plan = ExecutionPlan::new(problem, tuple, gpu_ids.len())?;
-    let mut workers = launch.workers(&plan, &gpu_ids, input)?;
+    check_input(problem, input)?;
+    let mut workers = launch.workers(&plan, &gpu_ids)?;
     let mut graph = ExecGraph::new();
     let elem_bytes = std::mem::size_of::<T>();
-    let stream = |w: &Worker<T>| Resource::Stream { gpu: w.global_id, stream: 0 };
+    let stream = |w: &Worker<T, Reservation>| Resource::Stream { gpu: w.global_id, stream: 0 };
     let links = collective_links(fabric, &workers);
 
     // "After synchronizing all MPI processes, the first stage is executed."
@@ -69,9 +70,7 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     let b0 = graph.add(p, "MPI_Barrier", EventKind::Collective, barrier.seconds, &[], &[]);
 
     let t1 =
-        parallel_phase(&mut workers, |w| run_stage1(&mut w.gpu, &plan, op, &w.input, &mut w.aux))
-            .into_iter()
-            .collect::<SimResult<Vec<_>>>()?;
+        stage1_phase(&mut workers, &plan, op, input).into_iter().collect::<SimResult<Vec<_>>>()?;
     let p = graph.phase("stage1:chunk-reduce");
     let s1: Vec<NodeId> = workers
         .iter()
@@ -136,11 +135,10 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
         NodeMeta::transfer(scatter.bytes as u64),
     );
 
-    let t3 = parallel_phase(&mut workers, |w| {
-        run_stage3(&mut w.gpu, &plan, op, &w.input, &w.offsets, &mut w.output)
-    })
-    .into_iter()
-    .collect::<SimResult<Vec<_>>>()?;
+    let mut data = vec![T::default(); problem.total_elems()];
+    let t3 = stage3_phase(&mut workers, &plan, op, kind, input, &mut data)
+        .into_iter()
+        .collect::<SimResult<Vec<_>>>()?;
     let p = graph.phase("stage3:scan-add");
     let s3: Vec<NodeId> = workers
         .iter()
@@ -164,7 +162,7 @@ pub(crate) fn scan_mps_multinode<T: Scannable, O: ScanOp<T>>(
     graph.add(p, "MPI_Barrier", EventKind::Collective, barrier.seconds, &s3, &[]);
 
     let label = format!("Scan-MPS multi-node M={} W={}", cfg.m(), cfg.w());
-    launch.finish(label, &gpu_ids, assemble_output(&plan, &workers), graph, Vec::new())
+    launch.finish(label, &gpu_ids, data, graph, Vec::new())
 }
 
 #[cfg(test)]

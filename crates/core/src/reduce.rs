@@ -15,10 +15,11 @@ use interconnect::{EventKind, NodeMeta};
 use skeletons::{lf, ScanOp, Scannable, SplkTuple};
 
 use crate::error::{ScanError, ScanResult};
+use crate::multi_gpu::Portions;
 use crate::params::ProblemParams;
 use crate::plan::ExecutionPlan;
 use crate::report::RunReport;
-use crate::stage1::run_stage1;
+use crate::stage1::chunk_reduce;
 
 /// Result of a batch reduction: one combined value per problem.
 #[derive(Debug, Clone)]
@@ -46,12 +47,14 @@ pub fn reduce_sp<T: Scannable, O: ScanOp<T>>(
         )));
     }
     let plan = ExecutionPlan::new(problem, tuple, 1)?;
+    // The input is device memory the kernel reads in place: reserved, not
+    // copied.
     let mut gpu = Gpu::new(0, device.clone());
-    let dinput = gpu.alloc_from(input)?;
+    let _input = gpu.reserve::<T>(input.len())?;
     let mut aux = gpu.alloc::<T>(plan.aux_local_len())?;
 
     // Kernel 1: the scan pipeline's Stage 1, unchanged.
-    let s1 = run_stage1(&mut gpu, &plan, op, &dinput, &mut aux)?;
+    let s1 = chunk_reduce(&mut gpu, &plan, op, Portions::of(&plan, input, 0), &mut aux)?;
 
     // Kernel 2: combine each problem's chunk reductions. Reuses the
     // Stage 2 grid shape but folds instead of scanning.

@@ -228,19 +228,7 @@ impl<O: Copy> ScanRequest<O> {
                 Ok(None)
             }
             Proposal::Mps | Proposal::Mppc => Ok(Some(self.require_cfg()?)),
-            Proposal::MpsMultinode => {
-                self.reject_policy()?;
-                // Its Stage 3 is the inclusive `run_stage3`: every other
-                // proposal reaches Stage 3 through the group pipeline,
-                // which takes both scan kinds.
-                if self.kind == ScanKind::Exclusive {
-                    return Err(ScanError::InvalidConfig(
-                        "exclusive semantics are not implemented for MpsMultinode".into(),
-                    ));
-                }
-                Ok(Some(self.require_cfg()?))
-            }
-            Proposal::Case1 => {
+            Proposal::MpsMultinode | Proposal::Case1 => {
                 self.reject_policy()?;
                 Ok(Some(self.require_cfg()?))
             }
@@ -249,8 +237,8 @@ impl<O: Copy> ScanRequest<O> {
 
     /// Execute the request over `input` (problem-major `[g][N]` layout).
     ///
-    /// Invalid combinations (exclusive multi-node, a policy for a proposal
-    /// that cannot pipeline, a missing device selection) surface as
+    /// Invalid combinations (a policy for a proposal that cannot pipeline,
+    /// a missing device selection, an eviction plan for multi-node) surface as
     /// [`ScanError::InvalidConfig`] instead of being silently ignored.
     pub fn run<T: Scannable>(&self, input: &[T]) -> ScanResult<ScanOutput<T>>
     where
@@ -350,14 +338,15 @@ mod tests {
             .unwrap();
         crate::verify::verify_batch_kind(Add, problem, &input, &out.data, ScanKind::Exclusive)
             .unwrap();
-        // Multi-node has no exclusive Stage 3.
-        let err = ScanRequest::new(Add, problem)
+        // Multi-node takes exclusive semantics like every other proposal.
+        let out = ScanRequest::new(Add, problem)
             .exclusive()
             .proposal(Proposal::MpsMultinode)
             .devices(NodeConfig::new(2, 2, 1, 2).unwrap())
             .run(&input)
-            .unwrap_err();
-        assert!(matches!(err, ScanError::InvalidConfig(_)));
+            .unwrap();
+        crate::verify::verify_batch_kind(Add, problem, &input, &out.data, ScanKind::Exclusive)
+            .unwrap();
         // Case1 takes no fault plan.
         let err = ScanRequest::new(Add, problem)
             .proposal(Proposal::Case1)

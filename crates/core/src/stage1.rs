@@ -15,9 +15,12 @@
 use gpu_sim::{DeviceBuffer, Gpu, KernelStats, SimResult};
 use skeletons::{block_reduce_tiles, Cascade, RegTile, ScanOp, Scannable};
 
+use crate::multi_gpu::Portions;
 use crate::plan::ExecutionPlan;
 
-/// Run Stage 1 on one GPU.
+/// Run Stage 1 on one GPU over a device buffer of its portions — the
+/// copying route's entry point (perfbench's replica); the program reads
+/// its portions in place through the same kernel.
 ///
 /// * `input` — the GPU's portions, laid out `[g][portion]` (problem-major).
 /// * `aux` — the GPU-local auxiliary array, laid out `[g][Bx¹]`; entry
@@ -30,11 +33,22 @@ pub fn run_stage1<T: Scannable, O: ScanOp<T>>(
     aux: &mut DeviceBuffer<T>,
 ) -> SimResult<KernelStats> {
     debug_assert_eq!(input.len(), plan.elems_per_gpu(), "input buffer mis-sized");
+    chunk_reduce(gpu, plan, op, Portions::contiguous(plan, input.host_view()), aux)
+}
+
+/// The Stage 1 kernel: reduce every chunk of the GPU's portions, read
+/// through `input`, into `aux` (`[g][Bx¹]`).
+pub(crate) fn chunk_reduce<T: Scannable, O: ScanOp<T>>(
+    gpu: &mut Gpu,
+    plan: &ExecutionPlan,
+    op: O,
+    input: Portions<'_, T>,
+    aux: &mut DeviceBuffer<T>,
+) -> SimResult<KernelStats> {
     debug_assert_eq!(aux.len(), plan.aux_local_len(), "aux buffer mis-sized");
 
     let cfg = plan.stage1_problem_cfg();
     let batch = plan.problem.batch();
-    let portion = plan.portion;
     let chunk = plan.chunk;
     let k = plan.tuple.iterations();
     let per_iter = plan.tuple.elems_per_iteration();
@@ -49,16 +63,15 @@ pub fn run_stage1<T: Scannable, O: ScanOp<T>>(
     // `(c, g)` is flat block `g·Bx¹ + c`, whose one-element window is
     // exactly aux slot `g·Bx¹ + c` — addressed block-locally as `out[0]`.
     debug_assert_eq!(aux.len(), cfg.grid.0 * cfg.grid.1 * batch);
-    let input_view = input.host_view();
     gpu.launch_blocks_batch::<T, _>(&cfg, batch, aux.host_view_mut(), |ctx, out| {
         let (c, g) = ctx.block_idx;
-        let base = g * portion + c * chunk;
+        let portion = input.get(g);
+        let base = c * chunk;
         let mut cascade = Cascade::new(op);
         for it in 0..k {
             let ibase = base + it * per_iter;
-            let tiles: Vec<RegTile<T>> = (0..warps)
-                .map(|w| RegTile::load(ctx, p, input_view, ibase + w * per_warp))
-                .collect();
+            let tiles: Vec<RegTile<T>> =
+                (0..warps).map(|w| RegTile::load(ctx, p, portion, ibase + w * per_warp)).collect();
             let total = block_reduce_tiles(ctx, op, &tiles);
             cascade.absorb(total);
         }

@@ -8,10 +8,13 @@
 use gpu_sim::{DeviceBuffer, Gpu, KernelStats, SimResult};
 use skeletons::{block_scan_global, block_scan_global_exclusive, Cascade, ScanOp, Scannable};
 
+use crate::multi_gpu::Portions;
 use crate::params::ScanKind;
 use crate::plan::ExecutionPlan;
 
-/// Run Stage 3 on one GPU.
+/// Run Stage 3 on one GPU over device buffers — the copying route's entry
+/// point (perfbench's replica); the program scans its portions in place
+/// through the same kernel.
 ///
 /// * `input` — the GPU's portions, `[g][portion]`.
 /// * `offsets` — GPU-local exclusive chunk offsets, `[g][Bx¹]` (the slice
@@ -29,7 +32,8 @@ pub fn run_stage3<T: Scannable, O: ScanOp<T>>(
 }
 
 /// [`run_stage3`] with explicit scan semantics; the exclusive form shifts
-/// each chunk's output right by one under the cascade carry.
+/// each chunk's output right by one under the cascade carry. The
+/// buffers' portions are their rows.
 pub fn run_stage3_kind<T: Scannable, O: ScanOp<T>>(
     gpu: &mut Gpu,
     plan: &ExecutionPlan,
@@ -40,12 +44,28 @@ pub fn run_stage3_kind<T: Scannable, O: ScanOp<T>>(
     kind: ScanKind,
 ) -> SimResult<KernelStats> {
     debug_assert_eq!(input.len(), plan.elems_per_gpu(), "input buffer mis-sized");
-    debug_assert_eq!(offsets.len(), plan.aux_local_len(), "offsets buffer mis-sized");
     debug_assert_eq!(output.len(), plan.elems_per_gpu(), "output buffer mis-sized");
+    let input = Portions::contiguous(plan, input.host_view());
+    let rows = output.host_view_mut().chunks_mut(plan.portion);
+    scan_add(gpu, plan, op, input, offsets, rows, kind)
+}
+
+/// The Stage 3 kernel: scan every chunk of the GPU's portions, read
+/// through `input` and seeded by its offset, into `rows` — one output row
+/// per portion, in problem order, wherever the rows lie.
+pub(crate) fn scan_add<'o, T: Scannable, O: ScanOp<T>>(
+    gpu: &mut Gpu,
+    plan: &ExecutionPlan,
+    op: O,
+    input: Portions<'_, T>,
+    offsets: &DeviceBuffer<T>,
+    rows: impl IntoIterator<Item = &'o mut [T]>,
+    kind: ScanKind,
+) -> SimResult<KernelStats> {
+    debug_assert_eq!(offsets.len(), plan.aux_local_len(), "offsets buffer mis-sized");
 
     let cfg = plan.stage3_problem_cfg();
     let batch = plan.problem.batch();
-    let portion = plan.portion;
     let chunk = plan.chunk;
     let bx1 = plan.bx1;
     let k = plan.tuple.iterations();
@@ -56,19 +76,16 @@ pub fn run_stage3_kind<T: Scannable, O: ScanOp<T>>(
     // Blocks are independent (each scans its own chunk seeded by a
     // precomputed offset), so they run on the batched block engine — one
     // simulator pass over the `G` problems' concatenated `(Bx¹, 1)` grids,
-    // as in Stage 1. Block `(c, g)` is flat block `g·Bx¹ + c` and its chunk
-    // starts at `g·portion + c·chunk = (g·Bx¹ + c)·chunk` — the engine's
-    // row-major window split. The scan skeletons address input and output
-    // through one shared base, so both are passed block-locally with
-    // iteration-relative offsets; the charged transactions are length-based
-    // and unchanged.
-    debug_assert_eq!(portion, bx1 * chunk);
-    let input_view = input.host_view();
+    // as in Stage 1. Grid row `g` is portion `g`'s output row, split into
+    // `Bx¹` chunk windows, so block `(c, g)` writes chunk `c` of it. The
+    // scan skeletons address input and output through one shared base, so
+    // both are passed block-locally with iteration-relative offsets; the
+    // charged transactions are length-based and unchanged.
+    debug_assert_eq!(plan.portion, bx1 * chunk);
     let offsets_view = offsets.host_view();
-    gpu.launch_blocks_batch::<T, _>(&cfg, batch, output.host_view_mut(), |ctx, out| {
+    gpu.launch_rows::<T, _>(&cfg, batch, rows, |ctx, out| {
         let (c, g) = ctx.block_idx;
-        let base = g * portion + c * chunk;
-        let block_input = &input_view[base..base + chunk];
+        let block_input = &input.get(g)[c * chunk..(c + 1) * chunk];
         let prefix = ctx.read_global_one(offsets_view, g * bx1 + c);
         let mut cascade = Cascade::with_prefix(op, prefix);
         for it in 0..k {

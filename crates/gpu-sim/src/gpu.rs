@@ -7,11 +7,11 @@ use crate::device::DeviceSpec;
 use crate::error::{SimError, SimResult};
 use crate::grid::LaunchConfig;
 use crate::host;
-use crate::memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
+use crate::memory::{DeviceBuffer, DeviceCopy, MemoryTracker, Reservation};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::timing::{KernelTime, TimingModel};
 
-/// Grids smaller than this stay one run in [`Gpu::launch_blocks`]: the
+/// Grids smaller than this stay one run in [`Gpu::launch_rows`]: the
 /// thread-spawn overhead dominates tiny launches.
 const PARALLEL_BLOCK_THRESHOLD: usize = 8;
 
@@ -35,7 +35,8 @@ impl KernelStats {
 
 /// One simulated GPU.
 ///
-/// Owns a memory tracker (allocations are [`DeviceBuffer`]s that debit it),
+/// Owns a memory tracker (allocations are [`DeviceBuffer`]s and
+/// [`Reservation`]s that debit it),
 /// a running clock and counter total of everything that consumed simulated
 /// time, and the launch engine that executes kernels block by block. What
 /// ran when is the execution graph's record (the `interconnect` crate);
@@ -148,6 +149,15 @@ impl Gpu {
         self.evicted
     }
 
+    /// Charge `len` elements of `T` to this GPU's memory without host
+    /// storage: device memory whose contents the simulator reads or writes
+    /// in place, in host memory the caller owns. The charge — and the
+    /// [`SimError::OutOfMemory`] past capacity — is exactly
+    /// [`Gpu::alloc`]'s for the same length.
+    pub fn reserve<T: DeviceCopy>(&self, len: usize) -> SimResult<Reservation> {
+        Reservation::new(self.id, self.tracker.clone(), std::mem::size_of::<T>() * len)
+    }
+
     /// Allocate a zero-initialised device buffer of `len` elements.
     pub fn alloc<T: DeviceCopy>(&self, len: usize) -> SimResult<DeviceBuffer<T>> {
         DeviceBuffer::new(self.id, self.tracker.clone(), vec![T::default(); len])
@@ -206,26 +216,12 @@ impl Gpu {
     }
 
     /// Launch a kernel whose blocks are *independent* — no block reads
-    /// another block's output — and may therefore execute on parallel host
-    /// threads.
+    /// another block's output — over one contiguous output window.
     ///
-    /// `out` is the launch's output window, split evenly into one disjoint
-    /// chunk per block in row-major flat block order (block `(bx, by)` gets
-    /// chunk `by·gx + bx`); the kernel receives each block's chunk as its
-    /// second argument and must address it block-locally. Every block gets
-    /// fresh zeroed shared memory and its own counter ledger; ledgers are
-    /// merged in flat block order (field-wise `u64` sums, so the totals
-    /// equal a serial run's exactly) and timing is derived from the merged
-    /// counters — results, counters and simulated times are all
-    /// bit-identical to running the same blocks sequentially through
-    /// [`Gpu::launch`].
-    ///
-    /// Small grids run on the calling thread; the parallel split only pays
-    /// for itself when there are enough blocks to amortise thread spawns.
-    /// A larger grid is cut into one contiguous run of blocks per thread
-    /// [`host::width`] allows, which is one inside a fan worker: a launch
-    /// made under a wider fan (a group's GPUs, a router's shards) runs its
-    /// blocks serially.
+    /// `out` is split evenly into one disjoint window per block in
+    /// row-major flat block order (block `(bx, by)` gets window
+    /// `by·gx + bx`): its `gy` equal rows are the launch's rows (see
+    /// [`Gpu::launch_rows`], which runs it).
     pub fn launch_blocks<T, F>(
         &mut self,
         cfg: &LaunchConfig,
@@ -236,94 +232,82 @@ impl Gpu {
         T: DeviceCopy,
         F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
     {
-        if self.evicted {
-            return Err(SimError::DeviceLost { gpu: self.id });
-        }
-        cfg.validate(&self.spec, std::mem::size_of::<T>())?;
-        let occ = occupancy(&self.spec, &cfg.block_resources(std::mem::size_of::<T>()));
-
-        let blocks = cfg.grid.0 * cfg.grid.1;
-        if !out.len().is_multiple_of(blocks) {
-            return Err(SimError::InvalidLaunch(format!(
-                "output window of {} elements does not split evenly over {blocks} blocks",
-                out.len()
-            )));
-        }
-        let chunk = out.len() / blocks;
-        let grid = cfg.grid;
-        // Each run reuses one shared-memory buffer across its blocks,
-        // refilled to the zero-initialised state between blocks — same
-        // semantics as a fresh allocation per block, without the per-block
-        // allocation.
-        let run_block = |b: usize, chunk_out: &mut [T], shared: &mut [T]| -> CostCounters {
-            let mut counters = CostCounters::default();
-            shared.fill(T::default());
-            let mut ctx = BlockCtx::new(
-                (b % grid.0, b / grid.0),
-                grid,
-                cfg.block,
-                cfg.width,
-                shared,
-                &mut counters,
-            );
-            kernel(&mut ctx, chunk_out);
-            counters
-        };
-
-        // Contiguous block runs, one per host thread the caller may fan out
-        // to; `split_at_mut` hands each run exactly its blocks' chunks, so
-        // runs share nothing.
-        let runs = if chunk == 0 || blocks < PARALLEL_BLOCK_THRESHOLD {
-            1
-        } else {
-            host::width().min(blocks)
-        };
-        let per = blocks.div_ceil(runs);
-        let mut rest = &mut *out;
-        let items: Vec<_> = (0..blocks)
-            .step_by(per)
-            .map(|b0| {
-                let count = per.min(blocks - b0);
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count * chunk);
-                rest = tail;
-                (b0..b0 + count, mine)
-            })
-            .collect();
-        let mut counters = CostCounters { launches: 1, ..Default::default() };
-        for part in host::fan_out(items, |(run, mine)| {
-            let mut acc = CostCounters::default();
-            let mut shared = vec![T::default(); cfg.shared_elems];
-            for (j, b) in run.enumerate() {
-                acc += run_block(b, &mut mine[j * chunk..(j + 1) * chunk], &mut shared);
-            }
-            acc
-        }) {
-            counters += part;
-        }
-
-        Ok(self.finish_launch(cfg, occ, counters))
+        self.launch_blocks_batch(cfg, 1, out, kernel)
     }
 
     /// Batched per-block simulation: run the concatenated blocks of `batch`
-    /// identically-shaped members through one simulator pass instead of one
-    /// pass (validation, occupancy, thread-scope, clock advance) per member.
-    ///
-    /// `cfg` describes a *single member's* grid `(Bx, By)`; the members'
-    /// blocks concatenate along the y-dimension into a combined grid
-    /// `(Bx, By·batch)`, exactly the paper's `(Bx, G)` batch convention —
-    /// member `m`'s blocks are grid rows `m·By .. (m+1)·By`, and the kernel
-    /// observes them through `BlockCtx::block_idx` as if the combined grid
-    /// had been launched directly. This is how a coalesced serving launch
-    /// simulates its members: one pass over the concatenated blocks,
-    /// outputs bit-identical to simulating each member's grid alone
-    /// (blocks are independent, so concatenation adds no coupling), and
-    /// counters and timing bit-identical to a hand-combined
-    /// [`Gpu::launch_blocks`] launch.
+    /// identically-shaped members through one simulator pass, over one
+    /// contiguous output window split as in [`Gpu::launch_blocks`]. See
+    /// [`Gpu::launch_rows`] for the batch convention.
     pub fn launch_blocks_batch<T, F>(
         &mut self,
         cfg: &LaunchConfig,
         batch: usize,
         out: &mut [T],
+        kernel: F,
+    ) -> SimResult<KernelStats>
+    where
+        T: DeviceCopy,
+        F: Fn(&mut BlockCtx<'_, T>, &mut [T]) + Sync,
+    {
+        // `By·batch` equal rows of `out`, front to back; the last row takes
+        // any remainder, which the engine then rejects as uneven.
+        let count = cfg.grid.1.saturating_mul(batch);
+        let row_len = out.len().checked_div(count).unwrap_or(0);
+        let mut rest = out;
+        let rows = (1..=count).map(move |by| {
+            let take = if by == count { rest.len() } else { row_len };
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            row
+        });
+        self.launch_rows(cfg, batch, rows, kernel)
+    }
+
+    /// The block engine: run a kernel whose blocks are *independent* — no
+    /// block reads another block's output — and may therefore execute on
+    /// parallel host threads.
+    ///
+    /// `cfg` describes a *single member's* grid `(Bx, By)`; the `batch`
+    /// members' blocks concatenate along the y-dimension into a combined
+    /// grid `(Bx, By·batch)`, exactly the paper's `(Bx, G)` batch
+    /// convention — member `m`'s blocks are grid rows `m·By .. (m+1)·By`,
+    /// and the kernel observes them through `BlockCtx::block_idx` as if
+    /// the combined grid had been launched directly. This is how a
+    /// coalesced serving launch simulates its members, and how a stage
+    /// kernel simulates a batch's problems: one pass over the concatenated
+    /// blocks, outputs bit-identical to simulating each member's grid
+    /// alone (blocks are independent, so concatenation adds no coupling).
+    ///
+    /// `rows` holds one output row per combined grid row, in order: grid
+    /// row `by` gets row `by`, split into `Bx` equal windows, and block
+    /// `(bx, by)` receives window `bx` of it as the kernel's second
+    /// argument, to address block-locally. The rows need not be adjacent
+    /// in memory — a worker's scanned portions are rows strided through
+    /// the caller's batch — and a contiguous window is its own rows
+    /// ([`Gpu::launch_blocks`]). Every row holds the same number of
+    /// elements. A row count other than `By·batch`, or a row of another
+    /// length or one that does not split into `Bx` windows, fails the
+    /// launch with [`SimError::InvalidLaunch`] before the clock moves.
+    ///
+    /// Every block gets fresh zeroed shared memory and its own counter
+    /// ledger; ledgers are merged by field-wise `u64` sums, so the totals
+    /// equal a serial run's exactly, and timing is derived from the merged
+    /// counters — results, counters and simulated times are all
+    /// bit-identical to running the same blocks sequentially through
+    /// [`Gpu::launch`], however the rows lie in memory.
+    ///
+    /// Small grids run on the calling thread; the parallel split only pays
+    /// for itself when there are enough blocks to amortise thread spawns.
+    /// A larger grid is cut into one contiguous run of blocks per thread
+    /// [`host::width`] allows, which is one inside a fan worker: a launch
+    /// made under a wider fan (a group's GPUs, a router's shards) runs its
+    /// blocks serially, straight off `rows`.
+    pub fn launch_rows<'o, T, F>(
+        &mut self,
+        cfg: &LaunchConfig,
+        batch: usize,
+        rows: impl IntoIterator<Item = &'o mut [T]>,
         kernel: F,
     ) -> SimResult<KernelStats>
     where
@@ -343,7 +327,112 @@ impl Gpu {
                 cfg.label, cfg.grid.1
             ))
         })?;
-        self.launch_blocks(&combined, out, kernel)
+        let cfg = &combined;
+        if self.evicted {
+            return Err(SimError::DeviceLost { gpu: self.id });
+        }
+        cfg.validate(&self.spec, std::mem::size_of::<T>())?;
+        let occ = occupancy(&self.spec, &cfg.block_resources(std::mem::size_of::<T>()));
+
+        let (gx, gy) = cfg.grid;
+        let blocks = gx * gy;
+        // Blocks `b0 .. b0 + count` of the flat order, whose windows tile
+        // `piece` front to back, each into one shared-memory buffer that is
+        // refilled to the zero-initialised state between blocks — same
+        // semantics as a fresh allocation per block, without the per-block
+        // allocation.
+        let run_piece = |b0: usize, count: usize, piece: &mut [T], shared: &mut [T]| {
+            let window = piece.len() / count;
+            let mut acc = CostCounters::default();
+            let mut rest = piece;
+            for b in b0..b0 + count {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(window);
+                rest = tail;
+                shared.fill(T::default());
+                let mut ctx = BlockCtx::new(
+                    (b % gx, b / gx),
+                    cfg.grid,
+                    cfg.block,
+                    cfg.width,
+                    shared,
+                    &mut acc,
+                );
+                kernel(&mut ctx, mine);
+            }
+            acc
+        };
+        // Every row must hold row 0's length, a whole number of windows.
+        let mut row_len = None;
+        let mut check_row = |by: usize, len: usize| {
+            let first = *row_len.get_or_insert(len);
+            if len == first && len.is_multiple_of(gx) {
+                return Ok(len / gx);
+            }
+            Err(SimError::InvalidLaunch(if len == first {
+                format!(
+                    "{}: output row {by} of {len} elements does not split evenly over {gx} blocks",
+                    cfg.label
+                )
+            } else {
+                format!("{}: output row {by} holds {len} elements, row 0 {first}", cfg.label)
+            }))
+        };
+        let miscounted = |got: usize| {
+            SimError::InvalidLaunch(format!(
+                "{}: {got} output rows for a grid of {gy} rows",
+                cfg.label
+            ))
+        };
+
+        // With one run, each row runs on the caller as it arrives: nothing
+        // is allocated beyond the shared-memory buffer. With more, the grid
+        // is cut into contiguous block runs, one per host thread the caller
+        // may fan out to; each row is cut where a run ends, so a run owns
+        // the pieces of the rows its blocks cover and runs share nothing.
+        let mut counters = CostCounters { launches: 1, ..Default::default() };
+        let runs = if blocks < PARALLEL_BLOCK_THRESHOLD { 1 } else { host::width().min(blocks) };
+        let per = blocks.div_ceil(runs);
+        let mut shared = vec![T::default(); if runs == 1 { cfg.shared_elems } else { 0 }];
+        let mut pieces: Vec<(usize, usize, &mut [T])> =
+            Vec::with_capacity(if runs == 1 { 0 } else { gy + runs });
+        let mut seen = 0;
+        for row in rows {
+            if seen == gy {
+                return Err(miscounted(seen + 1));
+            }
+            let window = check_row(seen, row.len())?;
+            let (first, end) = (seen * gx, (seen + 1) * gx);
+            seen += 1;
+            if runs == 1 {
+                counters += run_piece(first, gx, row, &mut shared);
+                continue;
+            }
+            let mut rest = row;
+            let mut b = first;
+            while b < end {
+                let count = (per - b % per).min(end - b);
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(count * window);
+                rest = tail;
+                pieces.push((b, count, piece));
+                b += count;
+            }
+        }
+        if seen != gy {
+            return Err(miscounted(seen));
+        }
+        let runs = pieces.chunk_by_mut(|a, b| a.0 / per == b.0 / per);
+        for part in host::fan_out(runs, |run| {
+            let mut shared = vec![T::default(); cfg.shared_elems];
+            let mut acc = CostCounters::default();
+            for (b0, count, piece) in run {
+                acc += run_piece(*b0, *count, piece, &mut shared);
+            }
+            acc
+        }) {
+            counters += part;
+        }
+
+        Ok(self.finish_launch(cfg, occ, counters))
     }
 
     /// Price the merged counters of a finished launch, advance the clock
@@ -738,6 +827,103 @@ mod tests {
         let err = g.launch_blocks::<i32, _>(&cfg, &mut out, |_, _| {}).unwrap_err();
         assert!(err.to_string().contains("split evenly"));
         assert_eq!(g.elapsed(), 0.0);
+    }
+
+    /// A reservation charges what an allocation of the same length would,
+    /// fails at the same capacity boundary with the same fields, and
+    /// releases on drop.
+    #[test]
+    fn reserve_charges_and_releases_like_alloc() {
+        let mut spec = DeviceSpec::tesla_k80();
+        spec.global_mem_bytes = 1000;
+        let (allocated, reserved) = (Gpu::new(0, spec.clone()), Gpu::new(0, spec));
+        let buf = allocated.alloc::<i32>(150).unwrap();
+        let res = reserved.reserve::<i32>(150).unwrap();
+        assert_eq!(reserved.memory().used(), allocated.memory().used());
+        assert_eq!(reserved.memory().used(), 600);
+        assert_eq!((res.size_bytes(), res.gpu_id()), (buf.size_bytes(), buf.gpu_id()));
+        // One element past the remaining 400 bytes fails alike, reserving
+        // nothing; exactly the remainder fits.
+        let refused = |err| match err {
+            SimError::OutOfMemory { requested, in_use, capacity } => (requested, in_use, capacity),
+            other => panic!("unexpected error {other:?}"),
+        };
+        assert_eq!(refused(allocated.alloc::<i32>(101).unwrap_err()), (404, 600, 1000));
+        assert_eq!(refused(reserved.reserve::<i32>(101).unwrap_err()), (404, 600, 1000));
+        assert_eq!(reserved.memory().used(), 600, "a refused reservation reserves nothing");
+        let full = reserved.reserve::<i32>(100).unwrap();
+        assert_eq!(reserved.memory().available(), 0);
+        drop((res, full, buf));
+        assert_eq!(reserved.memory().used(), 0);
+        assert_eq!(allocated.memory().used(), 0);
+    }
+
+    /// A launch over rows strided through a larger buffer matches the same
+    /// launch over one contiguous window bit for bit — outputs, counters
+    /// and seconds — whether its blocks fan out or run serially on a fan
+    /// worker, and writes nothing outside its rows.
+    #[test]
+    fn launch_over_strided_rows_matches_contiguous_launch() {
+        let (rows, gx, window, parts) = (6usize, 4usize, 32usize, 3usize);
+        let row_len = gx * window;
+        let src: Vec<i32> = (0..(rows * row_len) as i32).map(|i| i * 7 - 300).collect();
+        let cfg = LaunchConfig::new("scan", (gx, 1), (window, 1)).shared_elems(4).regs(16);
+        let kernel = |ctx: &mut BlockCtx<'_, i32>, out: &mut [i32]| {
+            let (bx, by) = ctx.block_idx;
+            let base = by * row_len + bx * window;
+            let mut acc = 0i32;
+            for (i, o) in out.iter_mut().enumerate() {
+                acc = acc.wrapping_add(ctx.read_global_one(&src, base + i));
+                *o = acc;
+            }
+            ctx.sh_write(0, acc);
+        };
+        for serial in [false, true] {
+            let launch = || {
+                let mut g = gpu();
+                let mut contiguous = vec![0i32; rows * row_len];
+                let want = g.launch_blocks_batch(&cfg, rows, &mut contiguous, kernel).unwrap();
+                // Row `by` of the launch is row `by·parts + 1` of `wide`.
+                let mut strided_gpu = gpu();
+                let mut wide = vec![-1i32; rows * row_len * parts];
+                let strided = wide.chunks_mut(row_len).skip(1).step_by(parts);
+                let got = strided_gpu.launch_rows(&cfg, rows, strided, kernel).unwrap();
+                (contiguous, want, wide, got, strided_gpu.elapsed())
+            };
+            let (contiguous, want, wide, got, clock) =
+                if serial { host::as_worker(launch) } else { launch() };
+            for (j, row) in wide.chunks(row_len).enumerate() {
+                if j % parts == 1 {
+                    let by = j / parts;
+                    assert_eq!(row, &contiguous[by * row_len..(by + 1) * row_len], "row {by}");
+                } else {
+                    assert!(row.iter().all(|&v| v == -1), "row {j} lies outside the launch");
+                }
+            }
+            assert_eq!(got.counters, want.counters, "serial {serial}");
+            assert_eq!(got.counters.launches, 1);
+            assert_eq!(got.seconds().to_bits(), want.seconds().to_bits());
+            assert_eq!(clock.to_bits(), want.seconds().to_bits());
+        }
+    }
+
+    #[test]
+    fn launch_rows_rejects_miscounted_and_unequal_rows() {
+        let cfg = LaunchConfig::new("k", (2, 1), (WARP_SIZE, 1)).regs(16);
+        let mut g = gpu();
+        let mut data = [0i32; 24];
+        let too_few = data.chunks_mut(8).take(2);
+        let err = g.launch_rows::<i32, _>(&cfg, 3, too_few, |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("2 output rows for a grid of 3 rows"), "{err}");
+        let too_many = data.chunks_mut(6);
+        let err = g.launch_rows::<i32, _>(&cfg, 3, too_many, |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("output rows for a grid of 3 rows"), "{err}");
+        let (a, b) = data.split_at_mut(8);
+        let (b, c) = b.split_at_mut(6);
+        let err = g.launch_rows::<i32, _>(&cfg, 3, [a, b, c], |_, _| {}).unwrap_err();
+        assert!(err.to_string().contains("row 1 holds 6 elements, row 0 8"), "{err}");
+        assert_eq!(g.elapsed(), 0.0, "a rejected launch charges nothing");
+        assert_eq!(g.counters(), CostCounters::default());
     }
 
     /// Two GPUs can run launches on separate host threads.

@@ -63,7 +63,7 @@ pub use device::{DeviceSpec, TRANSACTION_BYTES};
 pub use error::{SimError, SimResult};
 pub use gpu::{Gpu, KernelStats};
 pub use grid::LaunchConfig;
-pub use memory::{DeviceBuffer, DeviceCopy, MemoryTracker};
+pub use memory::{DeviceBuffer, DeviceCopy, MemoryTracker, Reservation};
 pub use occupancy::{occupancy, BlockResources, Limiter, Occupancy, Table3Row};
 pub use stream::{StreamGrant, StreamNamespace};
 pub use timing::{KernelTime, TimingModel};

@@ -1,10 +1,20 @@
 //! Simulated device global memory.
 //!
-//! A [`DeviceBuffer`] is a typed allocation in one GPU's global memory. The
-//! allocation is tracked against the device's capacity (so oversubscription
-//! fails like a real `cudaMalloc` would — the paper's Case 2 motivation is
-//! precisely problems that do not fit in a single GPU's memory), and the
-//! backing storage is host RAM, which lets tests inspect results directly.
+//! Every allocation is tracked against the device's capacity, so
+//! oversubscription fails like a real `cudaMalloc` would (the paper's
+//! Case 2 motivation is precisely problems that do not fit in a single
+//! GPU's memory). An allocation comes in one of two forms:
+//!
+//! * a [`Reservation`] charges the bytes and holds nothing. It stands for
+//!   device memory whose contents the simulator reads or writes in place,
+//!   in host memory the caller owns: the portions a multi-GPU run scans
+//!   straight out of the request's input and into its output, or a
+//!   library's input;
+//! * a [`DeviceBuffer`] is a reservation plus the typed host storage behind
+//!   it, for device data that exists nowhere else (auxiliary arrays,
+//!   library outputs, tile descriptors). Tests inspect it directly.
+//!
+//! Both release their bytes when dropped, through the one [`Reservation`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,7 +33,7 @@ impl<T: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static> De
 
 /// Shared capacity tracker for one device's global memory.
 ///
-/// Buffers hold a clone; dropping a buffer returns its bytes to the pool.
+/// Reservations hold a clone; dropping one returns its bytes to the pool.
 #[derive(Debug, Clone)]
 pub struct MemoryTracker {
     used: Arc<AtomicUsize>,
@@ -78,7 +88,43 @@ impl MemoryTracker {
     }
 }
 
-/// A typed allocation in simulated device global memory.
+/// Device memory charged to one GPU's tracker, without host storage.
+///
+/// Created through [`crate::gpu::Gpu::reserve`], which charges exactly
+/// what [`crate::gpu::Gpu::alloc`] of the same length would and fails with
+/// the same [`SimError::OutOfMemory`]. Dropping it releases the bytes.
+#[derive(Debug)]
+pub struct Reservation {
+    bytes: usize,
+    gpu_id: usize,
+    tracker: MemoryTracker,
+}
+
+impl Reservation {
+    pub(crate) fn new(gpu_id: usize, tracker: MemoryTracker, bytes: usize) -> SimResult<Self> {
+        tracker.reserve(bytes)?;
+        Ok(Reservation { bytes, gpu_id, tracker })
+    }
+
+    /// Size of the reservation in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Identifier of the GPU the bytes are charged to.
+    pub fn gpu_id(&self) -> usize {
+        self.gpu_id
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.tracker.release(self.bytes);
+    }
+}
+
+/// A typed allocation in simulated device global memory: a
+/// [`Reservation`] and the host storage behind it.
 ///
 /// Created through [`crate::gpu::Gpu::alloc`] (zero-initialised),
 /// [`crate::gpu::Gpu::alloc_from`] (host-to-device copy) or
@@ -90,14 +136,13 @@ impl MemoryTracker {
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceCopy> {
     data: Vec<T>,
-    gpu_id: usize,
-    tracker: MemoryTracker,
+    reservation: Reservation,
 }
 
 impl<T: DeviceCopy> DeviceBuffer<T> {
     pub(crate) fn new(gpu_id: usize, tracker: MemoryTracker, data: Vec<T>) -> SimResult<Self> {
-        tracker.reserve(std::mem::size_of::<T>() * data.len())?;
-        Ok(DeviceBuffer { data, gpu_id, tracker })
+        let reservation = Reservation::new(gpu_id, tracker, std::mem::size_of::<T>() * data.len())?;
+        Ok(DeviceBuffer { data, reservation })
     }
 
     /// Number of elements in the buffer.
@@ -112,12 +157,12 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 
     /// Size of the allocation in bytes.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<T>() * self.data.len()
+        self.reservation.size_bytes()
     }
 
     /// Identifier of the GPU owning this allocation.
     pub fn gpu_id(&self) -> usize {
-        self.gpu_id
+        self.reservation.gpu_id()
     }
 
     /// Read-only host-side view of the device data (a "host mapping" used by
@@ -139,11 +184,9 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 
     /// Free the allocation and hand its contents to the host without a
     /// copy: the device-to-host transfer of a buffer nothing reads again.
-    /// The bytes go back to the tracker here, once; the buffer then drops
-    /// empty, so [`Drop`] releases nothing more.
-    pub fn into_host(mut self) -> Vec<T> {
-        self.tracker.release(self.size_bytes());
-        std::mem::take(&mut self.data)
+    /// The reservation is released here, once.
+    pub fn into_host(self) -> Vec<T> {
+        self.data
     }
 
     /// Overwrite the buffer from a host slice.
@@ -164,12 +207,6 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// Fill the whole buffer with one value.
     pub fn fill(&mut self, value: T) {
         self.data.fill(value);
-    }
-}
-
-impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.tracker.release(self.size_bytes());
     }
 }
 

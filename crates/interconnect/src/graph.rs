@@ -1,9 +1,9 @@
 //! Execution graphs: DAG scheduling of simulated operations.
 //!
 //! Every simulated operation — a kernel launch, a P2P / host-staged /
-//! InfiniBand transfer, an MPI collective, a barrier — is an [`ExecNode`]
-//! with explicit dependencies, and the makespan of a run is the **critical
-//! path** of the graph, not a sum of phases. This is the simulator's
+//! InfiniBand transfer, an MPI collective (barriers included) — is an
+//! [`ExecNode`] with explicit dependencies, and the makespan of a run is the
+//! **critical path** of the graph, not a sum of phases. This is the simulator's
 //! analogue of CUDA streams + events (or CUDA graphs): a node may start as
 //! soon as all its dependencies have finished *and* every exclusive
 //! [`Resource`] it needs (a GPU stream, a PCIe network, the host bridge, an
@@ -203,10 +203,8 @@ pub enum EventKind {
     Kernel,
     /// A point-to-point memory transfer.
     Transfer,
-    /// A collective operation (gather/scatter/broadcast).
+    /// A collective operation (MPI gather, scatter or barrier).
     Collective,
-    /// A synchronisation barrier (device sync or MPI barrier).
-    Barrier,
     /// Host-side software overhead (library setup, temporary allocation,
     /// plan creation — the per-invocation costs of §5's competing
     /// libraries).

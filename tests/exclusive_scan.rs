@@ -149,6 +149,46 @@ fn exclusive_mppc_and_case1_match_reference() {
     }
 }
 
+/// Multi-node Scan-MPS reaches Stage 3 through the same in-place kernel as
+/// every other proposal, so it scans exclusively too — for invertible and
+/// non-invertible operators, healthy and under link-fault and throttle
+/// plans (a multi-node plan cannot evict).
+#[test]
+fn exclusive_multinode_matches_reference() {
+    let problem = ProblemParams::new(14, 1);
+    let input = pseudo(problem.total_elems(), 31);
+    let ib = multigpu_scan::fabric::Resource::ib(0, 1);
+    let plans = [
+        None,
+        Some(FaultPlan::none()),
+        Some(FaultPlan::new(7).degrade_link(ib, 6.0)),
+        Some(FaultPlan::new(7).transient_link(ib, 0.3).with_retry_budget(10)),
+        Some(FaultPlan::new(7).throttle_gpu(8, 2.0)),
+    ];
+    fn request<O: Copy>(op: O, cfg: NodeConfig, plan: &Option<FaultPlan>) -> ScanRequest<O> {
+        let req = ScanRequest::new(op, ProblemParams::new(14, 1))
+            .proposal(Proposal::MpsMultinode)
+            .devices(cfg)
+            .fabric(Fabric::tsubame_kfc(2))
+            .exclusive();
+        match plan {
+            Some(plan) => req.faults(plan.clone()),
+            None => req,
+        }
+    }
+    for cfg in [NodeConfig::new(2, 2, 1, 2).unwrap(), NodeConfig::new(4, 4, 1, 2).unwrap()] {
+        for plan in &plans {
+            let sum = request(Add, cfg, plan).run(&input).unwrap();
+            check_exclusive(problem, &input, &sum.data)
+                .unwrap_or_else(|m| panic!("{cfg:?} {plan:?} add: {m}"));
+            let max = request(Max, cfg, plan).run(&input).unwrap();
+            verify_batch_kind(Max, problem, &input, &max.data, ScanKind::Exclusive)
+                .unwrap_or_else(|m| panic!("{cfg:?} {plan:?} max: {m}"));
+            assert_eq!(max.data[0], i32::MIN, "max identity seeds the exclusive scan");
+        }
+    }
+}
+
 /// A fault plan is one more input to each proposal's body, so faulted
 /// runs scan exclusively too: Mps at W=4 and W=2 and MP-PC at W=8 V=4 and
 /// W=4 V=2 under every single-node plan of the fault differential matrix,
