@@ -16,7 +16,7 @@
 use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu};
 use interconnect::{EventKind, NodeMeta};
 use scan_core::{ProblemParams, RunReport, ScanError, ScanOutput, ScanResult};
-use skeletons::Scannable;
+use skeletons::{ScanOp, Scannable};
 
 /// A single-GPU scan implementation with per-invocation host overhead.
 pub trait ScanLibrary<T: Scannable> {
@@ -93,6 +93,38 @@ pub(crate) fn library_report(
     )
 }
 
+/// Inclusive scan of `tile` in place from `init`. Returns the running value
+/// after the last element. The libraries scan each tile inside its window
+/// of the output buffer, so no tile is copied out and back.
+pub(crate) fn scan_tile<T: Scannable, O: ScanOp<T>>(op: O, init: T, tile: &mut [T]) -> T {
+    let mut acc = init;
+    for v in tile {
+        acc = op.combine(acc, *v);
+        *v = acc;
+    }
+    acc
+}
+
+/// A spine kernel's body: exclusive scan of the tile partials in `row`, in
+/// place (as [`skeletons::reference_exclusive`] computes it), charged as a
+/// coalesced read and write of the row plus [`charge_tile_scan`].
+pub(crate) fn scan_spine<T: Scannable, O: ScanOp<T>>(
+    ctx: &mut gpu_sim::BlockCtx<'_, T>,
+    op: O,
+    row: &mut [T],
+    shuffle_based: bool,
+) {
+    ctx.charge_global_read(row.len());
+    let mut acc = op.identity();
+    for v in row.iter_mut() {
+        let x = *v;
+        *v = acc;
+        acc = op.combine(acc, x);
+    }
+    charge_tile_scan(ctx, row.len(), shuffle_based);
+    ctx.charge_global_write(row.len());
+}
+
 /// Charge the in-kernel compute costs of scanning a `len`-element tile the
 /// way a register/shuffle kernel would: serial per-lane work plus a
 /// log-depth combine tree per warp.
@@ -137,15 +169,11 @@ mod tests {
         ) -> ScanResult<()> {
             let cfg = gpu_sim::LaunchConfig::new("toy", (1, 1), (32, 1)).regs(16);
             gpu.launch::<i32, _>(&cfg, |ctx| {
-                let mut tile = vec![0i32; len];
-                ctx.read_global(input, base, &mut tile);
-                let mut acc = Add.identity();
-                for v in &mut tile {
-                    acc = Add.combine(acc, *v);
-                    *v = acc;
-                }
+                let tile = &mut output.host_view_mut()[base..base + len];
+                ctx.read_global(input, base, tile);
+                scan_tile(Add, Add.identity(), tile);
                 charge_tile_scan(ctx, len, true);
-                ctx.write_global(output.host_view_mut(), base, &tile);
+                ctx.charge_global_write(len);
             })?;
             Ok(())
         }

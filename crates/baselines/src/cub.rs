@@ -19,7 +19,7 @@ use gpu_sim::{DeviceBuffer, Gpu, LaunchConfig};
 use scan_core::ScanResult;
 use skeletons::{ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, ScanLibrary};
+use crate::api::{charge_tile_scan, scan_tile, ScanLibrary};
 
 /// Elements per tile (128 threads × 16 items, CUB's default policy class).
 const TILE: usize = 2048;
@@ -69,15 +69,11 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cub<O> {
             let bx = ctx.block_idx.0;
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.read_global(input, tile_base, tile);
 
-            // Local inclusive scan of the tile.
-            let mut acc = op.identity();
-            for v in &mut tile {
-                acc = op.combine(acc, *v);
-                *v = acc;
-            }
+            // Local inclusive scan of the tile, in its output window.
+            let acc = scan_tile(op, op.identity(), tile);
             charge_tile_scan(ctx, t, true);
 
             // Decoupled look-back: consume the predecessor's inclusive
@@ -89,11 +85,11 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for Cub<O> {
             };
             ctx.write_global_one(descriptors.host_view_mut(), bx, op.combine(prefix, acc));
 
-            for v in &mut tile {
+            for v in tile {
                 *v = op.combine(prefix, *v);
             }
             ctx.alu(t.div_ceil(32) as u64);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
         })?;
         Ok(())
     }

@@ -18,9 +18,9 @@
 
 use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu, LaunchConfig};
 use scan_core::{ProblemParams, ScanError, ScanOutput, ScanResult};
-use skeletons::{reference_exclusive, ScanOp, Scannable};
+use skeletons::{ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, library_report, ScanLibrary};
+use crate::api::{charge_tile_scan, library_report, scan_spine, scan_tile, ScanLibrary};
 
 /// Elements per block tile (256 threads × 4 elements).
 const TILE: usize = 1024;
@@ -67,15 +67,11 @@ impl<O: Copy + Send + Sync + 'static> Cudpp<O> {
             let (bx, g) = ctx.block_idx;
             let tile_base = base + g * len + bx * TILE;
             let t = TILE.min(base + (g + 1) * len - tile_base);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
-            let mut acc = op.identity();
-            for v in &mut tile {
-                acc = op.combine(acc, *v);
-                *v = acc;
-            }
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.read_global(input, tile_base, tile);
+            let acc = scan_tile(op, op.identity(), tile);
             charge_tile_scan(ctx, t, false);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
             ctx.write_global_one(sums.host_view_mut(), g * tiles + bx, acc);
         })?;
 
@@ -85,11 +81,7 @@ impl<O: Copy + Send + Sync + 'static> Cudpp<O> {
             .regs(32);
         gpu.launch::<T, _>(&cfg, |ctx| {
             let (_, g) = ctx.block_idx;
-            let mut row = vec![T::default(); tiles];
-            ctx.read_global(sums.host_view(), g * tiles, &mut row);
-            let scanned = reference_exclusive(op, &row);
-            charge_tile_scan(ctx, tiles, false);
-            ctx.write_global(sums.host_view_mut(), g * tiles, &scanned);
+            scan_spine(ctx, op, &mut sums.host_view_mut()[g * tiles..(g + 1) * tiles], false);
         })?;
 
         // Kernel 3: uniform add of each block's offset.
@@ -99,13 +91,13 @@ impl<O: Copy + Send + Sync + 'static> Cudpp<O> {
             let tile_base = base + g * len + bx * TILE;
             let t = TILE.min(base + (g + 1) * len - tile_base);
             let offset = ctx.read_global_one(sums.host_view(), g * tiles + bx);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(output.host_view(), tile_base, &mut tile);
-            for v in &mut tile {
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.charge_global_read(t);
+            for v in tile {
                 *v = op.combine(offset, *v);
             }
             ctx.alu(t.div_ceil(32) as u64);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
         })?;
         Ok(())
     }

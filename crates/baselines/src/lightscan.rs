@@ -18,7 +18,7 @@ use gpu_sim::{DeviceBuffer, Gpu, LaunchConfig};
 use scan_core::ScanResult;
 use skeletons::{ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, ScanLibrary};
+use crate::api::{charge_tile_scan, scan_tile, ScanLibrary};
 
 /// Elements per tile.
 const TILE: usize = 1024;
@@ -70,8 +70,8 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for LightScan<O> {
             let bx = ctx.block_idx.0;
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.read_global(input, tile_base, tile);
 
             // Wait for the predecessor's full inclusive prefix.
             let prefix = if bx == 0 {
@@ -79,14 +79,10 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for LightScan<O> {
             } else {
                 ctx.read_global_one(prefixes.host_view(), bx - 1)
             };
-            let mut acc = prefix;
-            for v in &mut tile {
-                acc = op.combine(acc, *v);
-                *v = acc;
-            }
+            let acc = scan_tile(op, prefix, tile);
             charge_tile_scan(ctx, t, true);
             ctx.write_global_one(prefixes.host_view_mut(), bx, acc);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
         })?;
         Ok(())
     }

@@ -16,9 +16,9 @@
 
 use gpu_sim::{DeviceBuffer, Gpu, LaunchConfig};
 use scan_core::ScanResult;
-use skeletons::{reference_exclusive, ScanOp, Scannable};
+use skeletons::{ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, ScanLibrary};
+use crate::api::{charge_tile_scan, scan_spine, scan_tile, ScanLibrary};
 
 /// Elements per tile (128 threads × 8 values, mgpu's launch box default).
 const TILE: usize = 1024;
@@ -68,8 +68,8 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
             let bx = ctx.block_idx.0;
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
+            let tile = &input[tile_base..tile_base + t];
+            ctx.charge_global_read(t);
             let total = tile.iter().fold(op.identity(), |acc, &x| op.combine(acc, x));
             ctx.alu(t.div_ceil(32) as u64);
             ctx.charge_shuffles(5);
@@ -81,13 +81,7 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
             .shared_elems(32)
             .regs(40)
             .bw_derate(0.7);
-        gpu.launch::<T, _>(&cfg, |ctx| {
-            let mut row = vec![T::default(); tiles];
-            ctx.read_global(partials.host_view(), 0, &mut row);
-            let scanned = reference_exclusive(op, &row);
-            charge_tile_scan(ctx, tiles, true);
-            ctx.write_global(partials.host_view_mut(), 0, &scanned);
-        })?;
+        gpu.launch::<T, _>(&cfg, |ctx| scan_spine(ctx, op, partials.host_view_mut(), true))?;
 
         // Pass 3: downsweep scan seeded with the tile offsets.
         let cfg = LaunchConfig::new("mgpu:downsweep", (tiles, 1), (128, 1))
@@ -99,15 +93,11 @@ impl<T: Scannable, O: ScanOp<T>> ScanLibrary<T> for ModernGpu<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let offset = ctx.read_global_one(partials.host_view(), bx);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
-            let mut acc = offset;
-            for v in &mut tile {
-                acc = op.combine(acc, *v);
-                *v = acc;
-            }
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.read_global(input, tile_base, tile);
+            scan_tile(op, offset, tile);
             charge_tile_scan(ctx, t, true);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
         })?;
         Ok(())
     }

@@ -17,9 +17,9 @@
 
 use gpu_sim::{AccessWidth, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig};
 use scan_core::{ProblemParams, ScanError, ScanOutput, ScanResult};
-use skeletons::{reference_exclusive, ScanOp, Scannable};
+use skeletons::{ScanOp, Scannable};
 
-use crate::api::{charge_tile_scan, library_report, ScanLibrary};
+use crate::api::{charge_tile_scan, library_report, scan_spine, scan_tile, ScanLibrary};
 
 /// Elements per tile.
 const TILE: usize = 1024;
@@ -65,8 +65,8 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             let bx = ctx.block_idx.0;
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
+            let tile = &input[tile_base..tile_base + t];
+            ctx.charge_global_read(t);
             if extra_flag_traffic {
                 // scan-by-key also streams the flags array.
                 ctx.charge_global_read(t);
@@ -82,13 +82,7 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             .regs(48)
             .width(AccessWidth::Scalar)
             .bw_derate(0.12);
-        gpu.launch::<T, _>(&cfg, |ctx| {
-            let mut row = vec![T::default(); tiles];
-            ctx.read_global(partials.host_view(), 0, &mut row);
-            let scanned = reference_exclusive(op, &row);
-            charge_tile_scan(ctx, tiles, false);
-            ctx.write_global(partials.host_view_mut(), 0, &scanned);
-        })?;
+        gpu.launch::<T, _>(&cfg, |ctx| scan_spine(ctx, op, partials.host_view_mut(), false))?;
 
         // Pass 3: downsweep.
         let cfg = LaunchConfig::new("thrust:downsweep", (tiles, 1), (128, 1))
@@ -101,18 +95,14 @@ impl<O: Copy + Send + Sync + 'static> Thrust<O> {
             let tile_base = base + bx * TILE;
             let t = TILE.min(base + len - tile_base);
             let offset = ctx.read_global_one(partials.host_view(), bx);
-            let mut tile = vec![T::default(); t];
-            ctx.read_global(input, tile_base, &mut tile);
+            let tile = &mut output.host_view_mut()[tile_base..tile_base + t];
+            ctx.read_global(input, tile_base, tile);
             if extra_flag_traffic {
                 ctx.charge_global_read(t);
             }
-            let mut acc = offset;
-            for v in &mut tile {
-                acc = op.combine(acc, *v);
-                *v = acc;
-            }
+            scan_tile(op, offset, tile);
             charge_tile_scan(ctx, t, false);
-            ctx.write_global(output.host_view_mut(), tile_base, &tile);
+            ctx.charge_global_write(t);
         })?;
         Ok(())
     }

@@ -36,8 +36,6 @@ pub struct ExecutionPlan {
     pub chunk: usize,
     /// Chunks per problem per GPU (`Bx¹ = portion / chunk`).
     pub bx1: usize,
-    /// Warps per Stage 1/3 block.
-    pub warps: usize,
 }
 
 impl ExecutionPlan {
@@ -66,15 +64,7 @@ impl ExecutionPlan {
         }
         // Both powers of two, so divisibility is automatic; assert anyway.
         debug_assert_eq!(portion % chunk, 0);
-        Ok(ExecutionPlan {
-            problem,
-            tuple,
-            parts,
-            portion,
-            chunk,
-            bx1: portion / chunk,
-            warps: tuple.threads_per_block() / 32,
-        })
+        Ok(ExecutionPlan { problem, tuple, parts, portion, chunk, bx1: portion / chunk })
     }
 
     /// Elements of the local auxiliary array on each GPU: one reduction per

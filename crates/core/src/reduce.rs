@@ -70,8 +70,8 @@ pub fn reduce_sp<T: Scannable, O: ScanOp<T>>(
             if g >= g_total {
                 break;
             }
-            let mut row = vec![T::default(); rows];
-            ctx.read_global(aux.host_view(), g * rows, &mut row);
+            let row = &aux.host_view()[g * rows..(g + 1) * rows];
+            ctx.charge_global_read(rows);
             totals[g] = row.iter().fold(op.identity(), |acc, &x| op.combine(acc, x));
             // Tree-reduce cost at warp granularity.
             ctx.alu(lf::depth(rows) as u64 * (rows.div_ceil(32).max(1)) as u64);

@@ -13,7 +13,7 @@
 //! iterations with a carried partial sum.
 
 use gpu_sim::{DeviceBuffer, Gpu, KernelStats, SimResult};
-use skeletons::{block_reduce_tiles, Cascade, RegTile, ScanOp, Scannable};
+use skeletons::{block_reduce, Cascade, ScanOp, Scannable};
 
 use crate::multi_gpu::Portions;
 use crate::plan::ExecutionPlan;
@@ -50,11 +50,8 @@ pub(crate) fn chunk_reduce<T: Scannable, O: ScanOp<T>>(
     let cfg = plan.stage1_problem_cfg();
     let batch = plan.problem.batch();
     let chunk = plan.chunk;
-    let k = plan.tuple.iterations();
     let per_iter = plan.tuple.elems_per_iteration();
     let p = plan.tuple.elems_per_thread();
-    let warps = plan.warps;
-    let per_warp = 32 * p;
 
     // Blocks are independent (each owns one chunk and writes one aux
     // entry), so they run on the batched block engine — one simulator pass
@@ -65,15 +62,11 @@ pub(crate) fn chunk_reduce<T: Scannable, O: ScanOp<T>>(
     debug_assert_eq!(aux.len(), cfg.grid.0 * cfg.grid.1 * batch);
     gpu.launch_blocks_batch::<T, _>(&cfg, batch, aux.host_view_mut(), |ctx, out| {
         let (c, g) = ctx.block_idx;
-        let portion = input.get(g);
-        let base = c * chunk;
+        let block_input = &input.get(g)[c * chunk..(c + 1) * chunk];
         let mut cascade = Cascade::new(op);
-        for it in 0..k {
-            let ibase = base + it * per_iter;
-            let tiles: Vec<RegTile<T>> =
-                (0..warps).map(|w| RegTile::load(ctx, p, portion, ibase + w * per_warp)).collect();
-            let total = block_reduce_tiles(ctx, op, &tiles);
-            cascade.absorb(total);
+        // Each iteration reduces its warps' runs where they lie.
+        for iteration in block_input.chunks_exact(per_iter) {
+            cascade.absorb(block_reduce(ctx, op, p, iteration));
         }
         ctx.write_global_one(out, 0, cascade.finish());
     })

@@ -58,11 +58,10 @@ pub(crate) fn scan_row_exclusive<T: Scannable, O: ScanOp<T>>(
     if len == 0 {
         return;
     }
-    let mut row = vec![T::default(); len];
-    ctx.read_global(data, start, &mut row);
+    let row = &mut data[start..start + len];
+    ctx.charge_global_read(len);
 
-    let mut scanned = row;
-    lf::scan_inplace(op, &mut scanned);
+    lf::scan_inplace(op, row);
     // LF cost at warp granularity: every step touches the row once.
     let warps_touched = len.div_ceil(32).max(1) as u64;
     let steps = lf::depth(len) as u64;
@@ -71,9 +70,10 @@ pub(crate) fn scan_row_exclusive<T: Scannable, O: ScanOp<T>>(
     // shared traffic at one op per warp per step.
     ctx.charge_shuffles(steps.min(5) * warps_touched);
 
-    let mut out = vec![op.identity(); len];
-    out[1..].copy_from_slice(&scanned[..len - 1]);
-    ctx.write_global(data, start, &out);
+    // Shift the inclusive row right by one, seeding with the identity.
+    row.copy_within(..len - 1, 1);
+    row[0] = op.identity();
+    ctx.charge_global_write(len);
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! full Figure 4 pipeline, writing the final values to the output.
 
 use gpu_sim::{DeviceBuffer, Gpu, KernelStats, SimResult};
-use skeletons::{block_scan_global, block_scan_global_exclusive, Cascade, ScanOp, Scannable};
+use skeletons::{block_scan_exclusive, block_scan_inclusive, Cascade, ScanOp, Scannable};
 
 use crate::multi_gpu::Portions;
 use crate::params::ScanKind;
@@ -68,19 +68,16 @@ pub(crate) fn scan_add<'o, T: Scannable, O: ScanOp<T>>(
     let batch = plan.problem.batch();
     let chunk = plan.chunk;
     let bx1 = plan.bx1;
-    let k = plan.tuple.iterations();
     let per_iter = plan.tuple.elems_per_iteration();
     let p = plan.tuple.elems_per_thread();
-    let warps = plan.warps;
 
     // Blocks are independent (each scans its own chunk seeded by a
     // precomputed offset), so they run on the batched block engine — one
     // simulator pass over the `G` problems' concatenated `(Bx¹, 1)` grids,
     // as in Stage 1. Grid row `g` is portion `g`'s output row, split into
-    // `Bx¹` chunk windows, so block `(c, g)` writes chunk `c` of it. The
-    // scan skeletons address input and output through one shared base, so
-    // both are passed block-locally with iteration-relative offsets; the
-    // charged transactions are length-based and unchanged.
+    // `Bx¹` chunk windows, so block `(c, g)` writes chunk `c` of it. Each
+    // cascade iteration loads its input into its slice of that window and
+    // scans it there.
     debug_assert_eq!(plan.portion, bx1 * chunk);
     let offsets_view = offsets.host_view();
     gpu.launch_rows::<T, _>(&cfg, batch, rows, |ctx, out| {
@@ -88,29 +85,12 @@ pub(crate) fn scan_add<'o, T: Scannable, O: ScanOp<T>>(
         let block_input = &input.get(g)[c * chunk..(c + 1) * chunk];
         let prefix = ctx.read_global_one(offsets_view, g * bx1 + c);
         let mut cascade = Cascade::with_prefix(op, prefix);
-        for it in 0..k {
+        let iterations = block_input.chunks_exact(per_iter).zip(out.chunks_exact_mut(per_iter));
+        for (src, window) in iterations {
             let carry = cascade.carry();
             let total = match kind {
-                ScanKind::Inclusive => block_scan_global(
-                    ctx,
-                    op,
-                    p,
-                    warps,
-                    block_input,
-                    out,
-                    it * per_iter,
-                    Some(carry),
-                ),
-                ScanKind::Exclusive => block_scan_global_exclusive(
-                    ctx,
-                    op,
-                    p,
-                    warps,
-                    block_input,
-                    out,
-                    it * per_iter,
-                    carry,
-                ),
+                ScanKind::Inclusive => block_scan_inclusive(ctx, op, p, src, window, Some(carry)),
+                ScanKind::Exclusive => block_scan_exclusive(ctx, op, p, src, window, carry),
             };
             cascade.absorb(total);
         }

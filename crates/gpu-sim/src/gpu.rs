@@ -557,9 +557,9 @@ mod tests {
         let stats = g
             .launch::<i32, _>(&cfg, |ctx| {
                 let base = ctx.block_idx.0 * 128;
-                let mut tmp = [0i32; 128];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                ctx.write_global(output.host_view_mut(), base, &tmp);
+                let window = &mut output.host_view_mut()[base..base + 128];
+                ctx.read_global(input.host_view(), base, window);
+                ctx.charge_global_write(128);
             })
             .unwrap();
 
@@ -675,9 +675,9 @@ mod tests {
             let cfg = LaunchConfig::new("copy", (2, 1), (128, 1)).regs(16);
             g.launch::<i32, _>(&cfg, |ctx| {
                 let base = ctx.block_idx.0 * 128;
-                let mut tmp = [0i32; 128];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                ctx.write_global(output.host_view_mut(), base, &tmp);
+                let window = &mut output.host_view_mut()[base..base + 128];
+                ctx.read_global(input.host_view(), base, window);
+                ctx.charge_global_write(128);
             })
             .unwrap();
             output.host_view().to_vec()
@@ -722,12 +722,12 @@ mod tests {
         let serial_stats = serial_gpu
             .launch::<i32, _>(&cfg, |ctx| {
                 let base = ctx.block_idx.0 * chunk;
-                let mut tmp = vec![0i32; chunk];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                for v in &mut tmp {
+                let window = &mut serial_out.host_view_mut()[base..base + chunk];
+                ctx.read_global(input.host_view(), base, window);
+                for v in window.iter_mut() {
                     *v += 1;
                 }
-                ctx.write_global(serial_out.host_view_mut(), base, &tmp);
+                ctx.charge_global_write(chunk);
             })
             .unwrap();
 
@@ -738,12 +738,11 @@ mod tests {
         let par_stats = par_gpu
             .launch_blocks::<i32, _>(&cfg, &mut par_out, |ctx, out| {
                 let base = ctx.block_idx.0 * chunk;
-                let mut tmp = vec![0i32; chunk];
-                ctx.read_global(input.host_view(), base, &mut tmp);
-                for v in &mut tmp {
+                ctx.read_global(input.host_view(), base, out);
+                for v in out.iter_mut() {
                     *v += 1;
                 }
-                ctx.write_global(out, 0, &tmp);
+                ctx.charge_global_write(chunk);
             })
             .unwrap();
 

@@ -24,16 +24,16 @@
 //! let input = gpu.alloc_from(&[1i32; 256]).unwrap();
 //! let mut output = gpu.alloc::<i32>(256).unwrap();
 //!
-//! // One block of 128 threads doubles 256 elements.
+//! // One block of 128 threads doubles 256 elements, in their output window.
 //! let cfg = LaunchConfig::new("double", (1, 1), (128, 1)).regs(16);
 //! gpu.launch::<i32, _>(&cfg, |ctx| {
-//!     let mut tile = [0i32; 256];
-//!     ctx.read_global(input.host_view(), 0, &mut tile);
-//!     for v in &mut tile {
+//!     let tile = output.host_view_mut();
+//!     ctx.read_global(input.host_view(), 0, tile);
+//!     for v in tile.iter_mut() {
 //!         *v *= 2;
 //!     }
 //!     ctx.alu((256 / 32) as u64);
-//!     ctx.write_global(output.host_view_mut(), 0, &tile);
+//!     ctx.charge_global_write(256);
 //! })
 //! .unwrap();
 //!

@@ -1,14 +1,15 @@
 //! Lockstep warp semantics: lane arrays and shuffle data movement.
 //!
 //! A warp is modelled as 32 lanes executing in lockstep, with per-lane
-//! register state held in a `[T; WARP_SIZE]` *lane array*. The shuffle
-//! functions reproduce the semantics of CUDA's `__shfl_up_sync`,
-//! `__shfl_down_sync`, `__shfl_xor_sync` and `__shfl_sync` — the intra-warp
+//! register state held in a `[T; WARP_SIZE]` *lane array*. [`shfl_up`]
+//! reproduces CUDA's `__shfl_up_sync`, the shift of the intra-warp
 //! register exchange the paper uses to keep shared-memory usage at `s ≤ 5`
-//! (§3.1).
+//! (§3.1). The skeletons run their other exchanges (the LF scan steps and
+//! the reduction tree) as in-place lane loops that charge
+//! [`crate::block::BlockCtx::charge_shuffles`] per step.
 //!
-//! These are pure value-level functions; counter charging happens in
-//! [`crate::block::BlockCtx`], which wraps them.
+//! [`shfl_up`] is a pure value-level function; counter charging happens in
+//! [`crate::block::BlockCtx`], which wraps it.
 
 /// Number of lanes in a warp. Fixed at 32, as on every CUDA architecture the
 /// paper targets ("warpSize = 32 currently", §3.1).
@@ -25,50 +26,6 @@ pub fn shfl_up<T: Copy>(vals: &LaneArray<T>, delta: usize) -> LaneArray<T> {
     let mut out = *vals;
     if delta < WARP_SIZE {
         out[delta..].copy_from_slice(&vals[..WARP_SIZE - delta]);
-    }
-    out
-}
-
-/// `__shfl_down_sync`: lane `i` receives the value of lane `i + delta`.
-///
-/// Lanes with `i + delta >= WARP_SIZE` keep their own value.
-pub fn shfl_down<T: Copy>(vals: &LaneArray<T>, delta: usize) -> LaneArray<T> {
-    let mut out = *vals;
-    let kept = WARP_SIZE.saturating_sub(delta);
-    out[..kept].copy_from_slice(&vals[WARP_SIZE - kept..]);
-    out
-}
-
-/// `__shfl_xor_sync`: lane `i` receives the value of lane `i ^ mask`.
-pub fn shfl_xor<T: Copy>(vals: &LaneArray<T>, mask: usize) -> LaneArray<T> {
-    let mut out = *vals;
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = vals[(i ^ mask) % WARP_SIZE];
-    }
-    out
-}
-
-/// `__shfl_sync` broadcast: every lane receives the value of `src_lane`.
-///
-/// # Panics
-/// Panics if `src_lane >= WARP_SIZE`.
-pub fn shfl_idx<T: Copy>(vals: &LaneArray<T>, src_lane: usize) -> LaneArray<T> {
-    assert!(src_lane < WARP_SIZE, "shuffle source lane {src_lane} out of range");
-    [vals[src_lane]; WARP_SIZE]
-}
-
-/// `__shfl_sync` with a per-lane source index: lane `i` receives the value
-/// of lane `srcs[i]`. This is the general form CUDA exposes (each lane
-/// supplies its own source), used by the Ladner-Fischer access pattern where
-/// upper-half lanes read their sub-block's pivot lane.
-///
-/// # Panics
-/// Panics if any source lane is out of range.
-pub fn shfl_gather<T: Copy>(vals: &LaneArray<T>, srcs: &LaneArray<usize>) -> LaneArray<T> {
-    let mut out = *vals;
-    for (i, slot) in out.iter_mut().enumerate() {
-        assert!(srcs[i] < WARP_SIZE, "shuffle source lane {} out of range (lane {i})", srcs[i]);
-        *slot = vals[srcs[i]];
     }
     out
 }
@@ -116,77 +73,6 @@ mod tests {
     fn shfl_up_zero_delta_is_identity() {
         let v = iota();
         assert_eq!(shfl_up(&v, 0), v);
-    }
-
-    #[test]
-    fn shfl_down_shifts_and_keeps_high_lanes() {
-        let v = iota();
-        let r = shfl_down(&v, 2);
-        assert_eq!(r[0], 2);
-        assert_eq!(r[29], 31);
-        assert_eq!(r[30], 30, "lanes beyond range keep their values");
-        assert_eq!(r[31], 31);
-    }
-
-    #[test]
-    fn shfl_down_large_delta_is_identity() {
-        let v = iota();
-        assert_eq!(shfl_down(&v, WARP_SIZE), v);
-        assert_eq!(shfl_down(&v, WARP_SIZE + 5), v);
-    }
-
-    #[test]
-    fn shfl_xor_is_an_involution() {
-        let v = iota();
-        for mask in [1usize, 2, 4, 8, 16, 31] {
-            let once = shfl_xor(&v, mask);
-            let twice = shfl_xor(&once, mask);
-            assert_eq!(twice, v, "xor shuffle with mask {mask} must be an involution");
-        }
-    }
-
-    #[test]
-    fn shfl_xor_butterfly_pairs() {
-        let v = iota();
-        let r = shfl_xor(&v, 1);
-        assert_eq!(r[0], 1);
-        assert_eq!(r[1], 0);
-        assert_eq!(r[30], 31);
-        assert_eq!(r[31], 30);
-    }
-
-    #[test]
-    fn shfl_idx_broadcasts() {
-        let v = iota();
-        let r = shfl_idx(&v, 7);
-        assert!(r.iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shfl_idx_rejects_bad_lane() {
-        shfl_idx(&iota(), 32);
-    }
-
-    #[test]
-    fn shfl_gather_arbitrary_sources() {
-        let v = iota();
-        // Reverse the warp.
-        let srcs: LaneArray<usize> = std::array::from_fn(|i| WARP_SIZE - 1 - i);
-        let r = shfl_gather(&v, &srcs);
-        assert_eq!(r[0], 31);
-        assert_eq!(r[31], 0);
-        // Identity gather.
-        let id: LaneArray<usize> = std::array::from_fn(|i| i);
-        assert_eq!(shfl_gather(&v, &id), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shfl_gather_rejects_bad_source() {
-        let mut srcs: LaneArray<usize> = std::array::from_fn(|i| i);
-        srcs[5] = 99;
-        shfl_gather(&iota(), &srcs);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl<T: DeviceCopy, O: ScanOp<T>> Cascade<T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_scan::block_scan_global;
+    use crate::block_scan::block_scan_inclusive;
     use crate::op::{reference_inclusive, reference_reduce, Add, Max};
     use gpu_sim::{BlockCtx, DeviceSpec, Gpu, LaunchConfig};
 
@@ -113,10 +113,16 @@ mod tests {
         gpu.launch::<i32, _>(&cfg, |ctx: &mut BlockCtx<'_, i32>| {
             let mut cascade = Cascade::new(Add);
             for iter in 0..k {
-                let base = iter * per_iter;
+                let window = iter * per_iter..(iter + 1) * per_iter;
                 let carry = cascade.carry();
-                let total =
-                    block_scan_global(ctx, Add, p, warps, &src, &mut dst, base, Some(carry));
+                let total = block_scan_inclusive(
+                    ctx,
+                    Add,
+                    p,
+                    &src[window.clone()],
+                    &mut dst[window],
+                    Some(carry),
+                );
                 cascade.absorb(total);
             }
             chunk_total = cascade.finish();

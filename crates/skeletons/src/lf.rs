@@ -8,8 +8,9 @@
 //! exactly `n = log2 N` steps ("the problems are solved along n
 //! computational steps", §2.1).
 //!
-//! This module generates the network explicitly — used by the warp skeleton
-//! (via shuffles), by tests, and to print Figure 1.
+//! This module generates the network explicitly — used by tests and to
+//! print Figure 1 — and applies it in place for Stage 2's row scans. The
+//! warp skeleton walks the same steps over its 32 lanes.
 
 use crate::op::{ScanOp, Scannable};
 
@@ -57,14 +58,19 @@ pub fn work(n: usize) -> usize {
 }
 
 /// Apply the full LF network in place, producing an inclusive scan.
+///
+/// Walks each step's edges ([`step_edges`]) without listing them: every
+/// sub-block's pivot combines into the sub-block's upper half. The edges of
+/// a step are independent because no pivot is a destination of its own
+/// step, so updating in place reads what the lockstep hardware would.
 pub fn scan_inplace<T: Scannable, O: ScanOp<T>>(op: O, data: &mut [T]) {
     for t in 0..depth(data.len()) {
-        // Edges within a step are independent: gather sources first, exactly
-        // like the lockstep hardware would.
-        let edges = step_edges(data.len(), t);
-        let pivots: Vec<T> = edges.iter().map(|e| data[e.src]).collect();
-        for (e, pivot) in edges.iter().zip(pivots) {
-            data[e.dst] = op.combine(pivot, data[e.dst]);
+        let half = 1usize << t;
+        for block in data.chunks_mut(half << 1).filter(|b| b.len() > half) {
+            let pivot = block[half - 1];
+            for x in &mut block[half..] {
+                *x = op.combine(pivot, *x);
+            }
         }
     }
 }

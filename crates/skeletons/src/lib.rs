@@ -12,11 +12,13 @@
 //! * [`op`] — scan operators (monoids) and CPU references;
 //! * [`tuple`](mod@tuple) — the validated `(s, p, l, K)` tuple;
 //! * [`lf`] — the Ladner-Fischer network (Figure 1);
-//! * [`reg_scan`] — per-thread `P`-element register tiles (Figure 4, red);
+//! * [`reg_scan`] — per-thread `P`-element register tiles, views of one
+//!   warp's slice (Figure 4, red);
 //! * [`warp_scan`] — shuffle-based LF warp scan/reduce (Figure 4);
 //! * [`shared_scan`] — the pre-shuffle shared-memory warp scan, kept for
 //!   baselines and the shuffle-ablation bench;
-//! * [`block_scan`] — the full block scan/reduce pipeline;
+//! * [`block_scan`] — the full block scan/reduce pipeline, run inside each
+//!   iteration's output window;
 //! * [`cascade`] — the `K`-iteration cascade carry (Figure 5).
 
 #![warn(missing_docs)]
@@ -33,9 +35,7 @@ pub mod shared_scan;
 pub mod tuple;
 pub mod warp_scan;
 
-pub use block_scan::{
-    block_reduce_tiles, block_scan_global, block_scan_global_exclusive, block_scan_tiles,
-};
+pub use block_scan::{block_reduce, block_scan_exclusive, block_scan_inclusive};
 pub use cascade::Cascade;
 pub use op::{
     reference_exclusive, reference_inclusive, reference_reduce, Add, AffinePair, BitAnd, BitOr,

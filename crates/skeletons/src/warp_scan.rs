@@ -12,6 +12,10 @@ use crate::op::ScanOp;
 
 /// Inclusive scan of one warp's lane values using the Ladner-Fischer
 /// shuffle pattern. Costs `log2(32) = 5` shuffles and 5 warp ALU ops.
+///
+/// Each step runs in place: every upper-half lane of a sub-block combines
+/// the sub-block's pivot (the last lane of its lower half) into itself. A
+/// pivot lies in a lower half, so no lane of its own step writes it.
 pub fn warp_scan_inclusive<T: DeviceCopy, O: ScanOp<T>>(
     ctx: &mut BlockCtx<'_, T>,
     op: O,
@@ -20,17 +24,13 @@ pub fn warp_scan_inclusive<T: DeviceCopy, O: ScanOp<T>>(
     let mut v = *vals;
     for t in 0..WARP_SIZE.trailing_zeros() {
         let half = 1usize << t;
-        let block_mask = !(2 * half - 1);
-        // Each upper-half lane reads its sub-block's pivot lane (the last
-        // lane of the lower half); lower-half lanes read themselves.
-        let srcs: LaneArray<usize> =
-            std::array::from_fn(|i| if i & half != 0 { (i & block_mask) + half - 1 } else { i });
-        let pivots = ctx.shfl_gather(&v, &srcs);
-        for i in 0..WARP_SIZE {
-            if i & half != 0 {
-                v[i] = op.combine(pivots[i], v[i]);
+        for block in v.chunks_exact_mut(2 * half) {
+            let pivot = block[half - 1];
+            for x in &mut block[half..] {
+                *x = op.combine(pivot, *x);
             }
         }
+        ctx.charge_shuffles(1);
         ctx.alu(1);
     }
     v
@@ -47,18 +47,7 @@ pub fn warp_scan_exclusive<T: DeviceCopy, O: ScanOp<T>>(
     op: O,
     vals: &LaneArray<T>,
 ) -> LaneArray<T> {
-    let inclusive = warp_scan_inclusive(ctx, op, vals);
-    if op.uncombine(op.identity(), op.identity()).is_some() {
-        ctx.alu(1);
-        std::array::from_fn(|i| {
-            op.uncombine(inclusive[i], vals[i]).expect("operator reported invertible")
-        })
-    } else {
-        let shifted = ctx.shfl_up(&inclusive, 1);
-        let mut out = shifted;
-        out[0] = op.identity();
-        out
-    }
+    warp_scan_exclusive_with_total(ctx, op, vals).0
 }
 
 /// Exclusive scan that also returns the warp total (the lane-31 inclusive
@@ -77,16 +66,21 @@ pub fn warp_scan_exclusive_with_total<T: DeviceCopy, O: ScanOp<T>>(
             op.uncombine(inclusive[i], vals[i]).expect("operator reported invertible")
         })
     } else {
-        let shifted = ctx.shfl_up(&inclusive, 1);
-        let mut out = shifted;
+        let mut out = ctx.shfl_up(&inclusive, 1);
         out[0] = op.identity();
         out
     };
     (exclusive, total)
 }
 
-/// Warp-level reduction: every lane ends up holding the combined value of
-/// all 32 lanes. Costs 5 `shfl_xor` butterflies.
+/// Warp-level reduction: lane 0's value after the 5 `shfl_xor`
+/// butterfly steps, the combined value of all 32 lanes. Costs 5 shuffles
+/// and 5 warp ALU ops.
+///
+/// Only the combines lane 0 depends on run: at step `t`, lanes at
+/// multiples of `2^(t+1)` absorb the lane `2^t` above them. Those lanes
+/// are the butterfly's left operands in every step so far, so they hold
+/// exactly what the butterfly leaves in them.
 pub fn warp_reduce<T: DeviceCopy, O: ScanOp<T>>(
     ctx: &mut BlockCtx<'_, T>,
     op: O,
@@ -94,10 +88,11 @@ pub fn warp_reduce<T: DeviceCopy, O: ScanOp<T>>(
 ) -> T {
     let mut v = *vals;
     for t in 0..WARP_SIZE.trailing_zeros() {
-        let partner = ctx.shfl_xor(&v, 1 << t);
-        for i in 0..WARP_SIZE {
-            v[i] = op.combine(v[i], partner[i]);
+        let half = 1usize << t;
+        for i in (0..WARP_SIZE).step_by(2 * half) {
+            v[i] = op.combine(v[i], v[i + half]);
         }
+        ctx.charge_shuffles(1);
         ctx.alu(1);
     }
     v[0]

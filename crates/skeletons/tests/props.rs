@@ -4,8 +4,8 @@
 use gpu_sim::{BlockCtx, CostCounters, DeviceSpec, Gpu, LaunchConfig};
 use proptest::prelude::*;
 use skeletons::{
-    block_reduce_tiles, block_scan_tiles, lf, reference_inclusive, reference_reduce,
-    warp_scan_exclusive, warp_scan_inclusive, Add, Cascade, Max, Min, RegTile, ScanOp,
+    block_reduce, block_scan_inclusive, lf, reference_inclusive, reference_reduce,
+    warp_scan_exclusive, warp_scan_inclusive, Add, Cascade, Max, Min, ScanOp,
 };
 
 fn in_kernel<R>(warps: usize, mut f: impl FnMut(&mut BlockCtx<'_, i64>) -> R) -> (R, CostCounters) {
@@ -71,13 +71,8 @@ proptest! {
             .map(|i| (i as i64 ^ seed).wrapping_mul(0x9E3779B97F4A7C15u64 as i64) % 1_000)
             .collect();
         let (out, _) = in_kernel(warps, |ctx| {
-            let mut tiles: Vec<RegTile<i64>> =
-                (0..warps).map(|w| RegTile::load(ctx, p, &data, w * 32 * p)).collect();
-            let total = block_scan_tiles(ctx, Add, &mut tiles);
-            let mut flat = Vec::new();
-            for t in &tiles {
-                flat.extend_from_slice(t.as_slice());
-            }
+            let mut flat = vec![0; n];
+            let total = block_scan_inclusive(ctx, Add, p, &data, &mut flat, None);
             (flat, total)
         });
         let expected = reference_inclusive(Add, &data);
@@ -94,11 +89,7 @@ proptest! {
         let p = 4;
         let n = warps * 32 * p;
         let data: Vec<i64> = (0..n).map(|i| (i as i64).wrapping_add(seed) % 4096).collect();
-        let (reduced, _) = in_kernel(warps, |ctx| {
-            let tiles: Vec<RegTile<i64>> =
-                (0..warps).map(|w| RegTile::load(ctx, p, &data, w * 32 * p)).collect();
-            block_reduce_tiles(ctx, Add, &tiles)
-        });
+        let (reduced, _) = in_kernel(warps, |ctx| block_reduce(ctx, Add, p, &data));
         prop_assert_eq!(reduced, reference_reduce(Add, &data));
     }
 
@@ -114,20 +105,13 @@ proptest! {
             (0..k * per_iter).map(|i| (i as i64 ^ seed) % 777).collect();
         let (out, _) = in_kernel(2, |ctx| {
             let mut cascade = Cascade::new(Add);
-            let mut flat = Vec::new();
+            let mut flat = vec![0; data.len()];
             for it in 0..k {
-                let base = it * per_iter;
-                let mut tiles: Vec<RegTile<i64>> =
-                    (0..2).map(|w| RegTile::load(ctx, 2, &data, base + w * 64)).collect();
-                let total = block_scan_tiles(ctx, Add, &mut tiles);
-                let carry = cascade.carry();
-                for t in &mut tiles {
-                    t.combine_scalar_prefix(ctx, Add, carry);
-                }
+                let window = it * per_iter..(it + 1) * per_iter;
+                let carry = Some(cascade.carry());
+                let src = &data[window.clone()];
+                let total = block_scan_inclusive(ctx, Add, 2, src, &mut flat[window], carry);
                 cascade.absorb(total);
-                for t in &tiles {
-                    flat.extend_from_slice(t.as_slice());
-                }
             }
             (flat, cascade.finish())
         });
